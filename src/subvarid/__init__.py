@@ -8,6 +8,7 @@ from .errors import (
     NumericOverflowError,
     OrderDeficiencyError,
     OutOfRangeError,
+    PlantProtocolError,
     SubvaridError,
     TransformUndefinedError,
 )

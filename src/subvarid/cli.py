@@ -2,14 +2,16 @@
 
 Subcommands: simulate, identify, deviation, design, campaign, report.
 Configuration comes from a JSON file plus flag overrides.  Exit codes:
-0 success, 1 configuration error, 2 numeric failure, 3 acceptance-threshold
-failure in `report --check` mode.
+0 success, 1 configuration error (also a malformed CSV), 2 numeric failure
+or an external plant that exits or answers with anything but one finite
+number, 3 acceptance-threshold failure in `report --check` mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 import numpy as np
@@ -100,7 +102,7 @@ def cmd_design(args) -> int:
     if args.plant_cmd:
         from .input_design import LineProtocolPlant
 
-        plant = LineProtocolPlant(command=args.plant_cmd.split())
+        plant = LineProtocolPlant(command=shlex.split(args.plant_cmd))
     else:
         plant = SimulatedPlant(model, noise, rng, x0=np.zeros(model.m))
     run = run_closed_loop(
@@ -150,6 +152,9 @@ def cmd_report(args) -> int:
     status = EXIT_OK
     if white is not None:
         N = args.ratio_N
+        for curves, path in ((designed, args.designed), (white, args.white)):
+            if N not in curves.get("err_mean", {}):
+                raise ConfigurationError(f"{path} has no err_mean row for N={N}")
         ratio = designed["err_mean"][N] / white["err_mean"][N]
         lines.append(f"error ratio designed/white at N={N}: {ratio:.4f}")
         if args.check and ratio >= args.ratio_threshold:

@@ -43,3 +43,7 @@ class NearSingularError(SubvaridError):
 
 class DesignFailureError(SubvaridError):
     """Input design could not produce a feasible input."""
+
+
+class PlantProtocolError(SubvaridError):
+    """An external plant exited or answered with a non-numeric or non-finite line."""

@@ -71,20 +71,6 @@ def random_demo_model() -> StateSpaceModel:
     return StateSpaceModel(A=DEMO_RANDOM_A, B=DEMO_RANDOM_B, C=DEMO_RANDOM_C)
 
 
-def random_seeded_model(seed: int, order: int = 4, spectral_radius: float = 0.9) -> StateSpaceModel:
-    """Seeded random minimal SISO model (stable by construction)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        A = rng.normal(size=(order, order))
-        A *= spectral_radius / np.abs(np.linalg.eigvals(A)).max()
-        model = StateSpaceModel(
-            A=A, B=rng.normal(size=(order, 1)), C=rng.normal(size=(1, order))
-        )
-        if model.is_minimal():
-            return model
-    raise ConfigurationError("failed to draw a minimal model")
-
-
 def lqr_gain(model: StateSpaceModel, state_weight: float = 1.0, input_weight: float = 1.0) -> np.ndarray:
     """Discrete LQR state-feedback gain for the incumbent regulator."""
     Q = state_weight * np.eye(model.m)
@@ -128,11 +114,7 @@ class ExperimentConfig:
     t: int = 9
     order: int = 4
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(delta=BENCHMARK_DELTA))
-    # campaign preset caps the descent budget; the init point is already the
-    # fixed-scenario optimum, so the cap costs nothing measurable
-    design: DesignConfig = field(
-        default_factory=lambda: DesignConfig(max_iters=60, descent_tol=1e-5)
-    )
+    design: DesignConfig = field(default_factory=DesignConfig)
     model: Optional[StateSpaceModel] = None
     prestabilize: bool = True
     init_len: Optional[int] = None

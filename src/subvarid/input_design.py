@@ -2,10 +2,11 @@
 
 Each iteration designs the newest input sample, which sits at the bottom-right
 corner of the current data window's L matrix.  The bordered-inverse identity
-makes every entry of L^{-1} affine in u2 = (u - u0^T Y^{-1} y)^{-1}, the
-deviation cost becomes a max of convex quadratics in u2, and gradient descent
-with a diminishing step size finds its minimum; the result is mapped back to u
-and projected into the feasible set built from the safety bounds, the
+makes every entry of L^{-1} affine in u2 = (u - u0^T Y^{-1} y)^{-1}, and the
+deviation cost becomes a max of convex parabolas in u2.  That max is minimized
+exactly over vertex and crossing candidates (the limit point of the paper's
+diminishing-step gradient descent); the result is mapped back to u and
+projected into the feasible set built from the safety bounds, the
 one-window-ahead output prediction, and the conditioning constraints.
 
 Input design is single-input (the corner of L is a scalar); identification of
@@ -25,6 +26,7 @@ from .errors import (
     DesignFailureError,
     EstimationError,
     NearSingularError,
+    PlantProtocolError,
     SubvaridError,
 )
 from .lti_core import (
@@ -46,12 +48,11 @@ from . import deviation as dev
 
 @dataclass
 class DesignConfig:
-    """Bounds, tolerances and schedules for the input-design loop.
+    """Bounds and tolerances for the input-design loop.
 
     The conditioning bound alpha_M and the linearization tolerance epsilon are
     tied by delta * alpha_M**2 <= epsilon; when alpha_M is omitted it defaults
-    to sqrt(epsilon / delta).  The step-size schedule lr(i) = lr0 / i satisfies
-    the divergent-sum / convergent-square condition.
+    to sqrt(epsilon / delta).
     """
 
     delta: float = 0.05
@@ -61,10 +62,6 @@ class DesignConfig:
     alpha_M: Optional[float] = None
     horizon: Optional[int] = None
     kappa: float = 0.9
-    lr0: Optional[float] = None
-    max_iters: int = 500
-    grad_step: float = 1e-4
-    descent_tol: float = 1e-6
     cond_limit: float = 1e8
     batch_amplification_limit: float = 5.0
     validation_tol: float = 0.3
@@ -81,11 +78,6 @@ class DesignConfig:
             raise ConfigurationError(
                 "constraint delta * alpha_M^2 <= epsilon is not satisfiable"
             )
-
-    def alpha_limit(self) -> float:
-        if self.delta == 0:
-            return self.alpha_M
-        return min(self.alpha_M, float(np.sqrt(self.epsilon / self.delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +496,7 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
     The entries of alpha are affine in u2, so the bound produces a u2
     interval, mapped back through u = c0 + 1/u2 into at most two u intervals.
     """
-    a_lim = cfg.alpha_limit()
+    a_lim = cfg.alpha_M
     if not np.isfinite(a_lim):
         return [(-np.inf, np.inf)]
     # invert the inflation a * (1 + 2 delta s a) <= a_lim for the raw bound
@@ -567,6 +559,30 @@ class CostAffineForm:
 
     def value(self, u2: float) -> float:
         return float(np.max((self._a * u2 + self._b) * u2 + self._d))
+
+    def minimizer(self) -> float:
+        """Exact argmin of J0 over u2.
+
+        The max of convex parabolas is minimized at a vertex of one parabola
+        or where two of them cross; every such candidate is evaluated at
+        once.  With every a_k = 0 the cost is constant and 0.0 is returned.
+        """
+        a, b, d = self._a, self._b, self._d
+        curved = a > 0
+        if not curved.any():
+            return 0.0
+        i, j = np.triu_indices(len(a), k=1)
+        da, db, dd = a[i] - a[j], b[i] - b[j], d[i] - d[j]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # crossings: roots of da u^2 + db u + dd in the cancellation-free
+            # form q / da, dd / q; da = 0 leaves only the linear root -dd / db
+            disc = db * db - 4.0 * da * dd
+            q = -0.5 * (db + np.copysign(np.sqrt(np.maximum(disc, 0.0)), db))
+            crossings = np.concatenate([q / da, dd / q])[np.tile(disc >= 0, 2)]
+            cand = np.concatenate([-b[curved] / (2.0 * a[curved]), crossings])
+            cand = cand[np.isfinite(cand)]
+            vals = ((a[:, None] * cand + b[:, None]) * cand + d[:, None]).max(axis=0)
+        return float(cand[np.argmin(vals)])
 
 
 def cost_j0(u2: float, form: CostAffineForm) -> float:
@@ -638,7 +654,7 @@ def build_scenarios(
 
 
 # ---------------------------------------------------------------------------
-# gradient descent design step
+# design step
 # ---------------------------------------------------------------------------
 
 
@@ -652,57 +668,18 @@ class DesignState:
     form: CostAffineForm
 
 
-def _descend_j0(form: CostAffineForm, u2_init: float, cfg: DesignConfig) -> float:
-    """Diminishing-step gradient descent on J0(u2) from the given start."""
-    a = form._a.tolist()
-    b = form._b.tolist()
-    d = form._d.tolist()
+def design_input_step(state: DesignState) -> float:
+    """Design the next input: minimize J0 in u2, map back, project to feasible.
 
-    def f_of(u2):
-        return max((ak * u2 + bk) * u2 + dk for ak, bk, dk in zip(a, b, d))
-
-    u2 = float(u2_init)
-    f = f_of(u2)
-    lr0 = cfg.lr0 if cfg.lr0 is not None else 0.1 * max(abs(u2), 1e-3)
-    for i in range(1, cfg.max_iters + 1):
-        step = cfg.grad_step * max(1.0, abs(u2))
-        grad = (f_of(u2 + step) - f_of(u2 - step)) / (2.0 * step)
-        if grad == 0.0:
-            break
-        u2_new = u2 - (lr0 / i) * grad
-        if abs(u2_new - u2) <= 1e-12 * max(1.0, abs(u2)):
-            break
-        f_new = f_of(u2_new)
-        if f_new > f:
-            lr0 *= 0.5
-            if lr0 < 1e-12:
-                break
-            continue
-        done = abs(f - f_new) <= cfg.descent_tol * max(f, 1e-30)
-        u2, f = u2_new, f_new
-        if done:
-            break
-    return u2
-
-
-def design_input_step(state: DesignState, cfg: DesignConfig) -> float:
-    """Design the next input: descend J0 in u2, map back, project to feasible.
-
-    Initialization solves the fixed-scenario quadratic in closed form; the
-    projection evaluates the cost at the feasible interval endpoints and at
-    the interior optimum when it lies inside, returning the best feasible
-    candidate.
+    The projection evaluates the cost at the feasible interval endpoints and
+    at the unconstrained optimum when it lies inside, returning the best
+    feasible candidate.
     """
     intervals = [iv for iv in state.u_intervals if iv is not None]
     if not intervals:
         raise DesignFailureError("empty feasible set handed to design_input_step")
     form = state.form
-    FF = float(np.sum(form.F_terms**2))
-    if FF > 0:
-        u2_init = -float(np.sum(form.F_terms * form.c_terms)) / FF
-    else:
-        u2_init = 0.0
-    u2_opt = _descend_j0(form, u2_init, cfg) if FF > 0 else u2_init
+    u2_opt = form.minimizer()
 
     candidates = []
     c0 = state.partition.c0
@@ -768,7 +745,9 @@ class LineProtocolPlant:
     """External plant speaking one line per step: send u, receive y.
 
     Accepts either an existing subprocess.Popen with text pipes or a command
-    to spawn.  The first line read (before any input is sent) is y(0).
+    to spawn.  The first line read (before any input is sent) is y(0).  A
+    plant that exits or answers with anything but one finite number raises
+    PlantProtocolError.
     """
 
     def __init__(self, command=None, proc: Optional[subprocess.Popen] = None):
@@ -780,13 +759,28 @@ class LineProtocolPlant:
             )
         self.proc = proc
 
+    def _read(self) -> float:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise PlantProtocolError("plant closed its output (process exited)")
+        try:
+            y = float(line)
+        except ValueError:
+            raise PlantProtocolError(f"plant sent a non-numeric line {line!r}") from None
+        if not np.isfinite(y):
+            raise PlantProtocolError(f"plant sent a non-finite value {line!r}")
+        return y
+
     def reset(self) -> float:
-        return float(self.proc.stdout.readline())
+        return self._read()
 
     def step(self, u: float) -> float:
-        self.proc.stdin.write(f"{u:.17g}\n")
-        self.proc.stdin.flush()
-        return float(self.proc.stdout.readline())
+        try:
+            self.proc.stdin.write(f"{u:.17g}\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise PlantProtocolError("plant closed its input (process exited)") from None
+        return self._read()
 
     def close(self):
         if self.proc.stdin:
@@ -834,9 +828,6 @@ class IdentificationRun:
     violations: int
     design_fallbacks: int
     init_len: int
-
-    def errors_by_batch(self) -> dict:
-        return {b.index + 1: b.G for b in self.batches if b.used}
 
     def to_csv(self, path) -> None:
         import csv
@@ -1061,7 +1052,7 @@ def run_closed_loop(
                             partition=part, lead=lead,
                             u_intervals=u_sets, form=form,
                         )
-                        u_tau = design_input_step(state, cfg)
+                        u_tau = design_input_step(state)
                 except (NearSingularError, EstimationError, np.linalg.LinAlgError,
                         DesignFailureError):
                     u_tau = None

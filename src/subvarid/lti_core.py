@@ -139,8 +139,6 @@ class NoiseSpec:
     """
 
     delta: float
-    e_M: Optional[float] = None
-    w_M: Optional[float] = None
     kind: str = "uniform"
 
     def __post_init__(self):
@@ -208,18 +206,34 @@ class SignalLog:
 
     @classmethod
     def from_csv(cls, path) -> "SignalLog":
+        """Read k,u_*,y_* rows; a missing or non-numeric cell is a ConfigurationError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             p = sum(1 for h in header if h.startswith("u_"))
             n = sum(1 for h in header if h.startswith("y_"))
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
         if not rows:
             return cls(u=np.zeros((0, p)), y=np.zeros((0, n)))
-        ks = [int(row[0]) for row in rows]
-        u = np.array([[float(v) for v in row[1 : 1 + p]] for row in rows])
-        y = np.array([[float(v) for v in row[1 + p : 1 + p + n]] for row in rows])
-        return cls(u=u, y=y, t0=ks[0])
+        width = 1 + p + n
+        try:
+            data = np.array([[float(v) for v in row[:width]] for _, row in rows])
+        except ValueError:
+            raise ConfigurationError(_bad_csv_cell(path, header[:width], rows)) from None
+        return cls(u=data[:, 1 : 1 + p].copy(), y=data[:, 1 + p :].copy(), t0=int(data[0, 0]))
+
+
+def _bad_csv_cell(path, columns, rows) -> str:
+    """Name the first short row or non-numeric cell of a signal CSV."""
+    for line, row in rows:
+        if len(row) < len(columns):
+            return f"{path}: line {line} has {len(row)} cells, expected {len(columns)}"
+        for column, cell in zip(columns, row):
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path}: line {line}, column {column!r}: non-numeric value {cell!r}"
+    return f"{path}: unreadable signal rows"
 
 
 @dataclass(frozen=True)

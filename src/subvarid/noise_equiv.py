@@ -25,27 +25,6 @@ class EquivalentNoise:
     e_M: float
 
 
-def _window_effects(model: StateSpaceModel, V: np.ndarray) -> np.ndarray:
-    """Accumulated state effect of each m-window of process noise.
-
-    Window q covers times q*m .. q*m+m-1 and its effect on x(q*m + m) is
-    sum_j A^{m-1-j} v(q*m + j).
-    """
-    m = model.m
-    T = len(V)
-    n_win = (T + m - 1) // m
-    powers = [np.linalg.matrix_power(model.A, j) for j in range(m)]
-    out = np.zeros((n_win, m))
-    for q in range(n_win):
-        base = q * m
-        width = min(m, T - base)
-        acc = np.zeros(m)
-        for j in range(width):
-            acc += powers[width - 1 - j] @ V[base + j]
-        out[q] = acc
-    return out
-
-
 def process_to_input_noise(model: StateSpaceModel, V) -> EquivalentNoise:
     """Equivalent input noise E with O_b(m) E-window = accumulated V-effect.
 

@@ -242,7 +242,7 @@ def test_criterion_08_recursive_feasibility():
     t0 = time.time()
     model = running_canonical()
     est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
-    design = DesignConfig(max_iters=60, descent_tol=1e-5)
+    design = DesignConfig()
     infeasible = 0
     violations = 0
     steps = 0

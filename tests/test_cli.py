@@ -1,9 +1,11 @@
 import json
+import shlex
+import sys
 
 import numpy as np
 import pytest
 
-from subvarid.cli import EXIT_CONFIG, EXIT_OK, EXIT_THRESHOLD, main
+from subvarid.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 
 
 def test_simulate_writes_csv(tmp_path):
@@ -87,3 +89,43 @@ def test_campaign_determinism(tmp_path):
         tmp_path / "b_curves_designed.csv"
     ).read_text()
     assert (tmp_path / "a_trials.csv").read_text() == (tmp_path / "b_trials.csv").read_text()
+
+def test_report_missing_ratio_N_is_config_error(tmp_path, capsys):
+    rows = "N,mode,stat,value\n10,{m},err_mean,1.0\n20,{m},err_mean,0.5\n"
+    for mode in ("designed", "white"):
+        (tmp_path / f"{mode}.csv").write_text(rows.format(m=mode))
+    code = main(["report", str(tmp_path / "designed.csv"),
+                 "--white", str(tmp_path / "white.csv"), "--ratio-N", "80"])
+    assert code == EXIT_CONFIG
+    assert "N=80" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identify", "deviation"])
+def test_non_numeric_cell_is_config_error(tmp_path, capsys, command):
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", "60", "--prestabilized", "--amplitude", "5",
+          "--seed", "4", "--output", str(sig)])
+    lines = sig.read_text().splitlines()
+    k, u, _ = lines[7].split(",")
+    lines[7] = f"{k},{u},abc"
+    sig.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, str(sig)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 8" in err and "'y_1'" in err and "'abc'" in err
+
+
+def test_design_with_exited_plant_is_numeric_failure(tmp_path, capsys):
+    code = main(["design", "--plant-cmd", "true", "--output", str(tmp_path / "run.csv")])
+    assert code == EXIT_NUMERIC
+    assert "plant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("answer, reason", [
+    ("nan", "non-finite"), ("hello", "non-numeric"), ("0.0", "plant closed its"),
+])
+def test_design_with_bad_plant_answer_is_numeric_failure(tmp_path, capsys, answer, reason):
+    cmd = shlex.join([sys.executable, "-c", f"print({answer!r}, flush=True)"])
+    code = main(["design", "--plant-cmd", cmd, "--output", str(tmp_path / "run.csv")])
+    assert code == EXIT_NUMERIC
+    assert reason in capsys.readouterr().err

@@ -207,6 +207,54 @@ class TestCostJ0:
             assert mid <= (cost_j0(a, form) + cost_j0(b, form)) / 2 + 1e-9
 
 
+class TestCostMinimizer:
+    @staticmethod
+    def _random_form(rng, k, r):
+        F = rng.normal(size=(k, r))
+        c = rng.normal(scale=3.0, size=(k, r))
+        if k >= 2 and rng.random() < 0.3:
+            F[rng.integers(k)] = 0.0
+        if k >= 2 and rng.random() < 0.3:
+            # a second scenario with the same curvature a = |F|^2
+            i, j = rng.choice(k, size=2, replace=False)
+            F[j] = rng.choice([-1.0, 1.0], size=r) * rng.permutation(F[i])
+        return CostAffineForm(F_terms=F, c_terms=c)
+
+    def test_matches_dense_grid_oracle(self):
+        rng = np.random.default_rng(31)
+        for trial in range(1500):
+            form = self._random_form(rng, k=1 + trial % 5, r=1 + trial % 9)
+            u_star = form.minimizer()
+            f_star = form.value(u_star)
+            curved = form._a > 0
+            ends = np.append(-form._b[curved] / (2.0 * form._a[curved]), u_star)
+            lo, hi = ends.min() - 1.0, ends.max() + 1.0
+            grid = np.linspace(lo, hi, 20001)
+            a, b, d = (v[:, None] for v in (form._a, form._b, form._d))
+            grid_min = float(((a * grid + b) * grid + d).max(axis=0).min())
+            assert f_star <= grid_min + 1e-12 * max(grid_min, 1.0)
+
+    def test_optimum_at_crossing(self):
+        # (u2 - 1)^2 and (u2 + 1)^2 cross at their envelope's minimum
+        form = CostAffineForm(
+            F_terms=np.array([[1.0], [1.0]]), c_terms=np.array([[-1.0], [1.0]])
+        )
+        assert form.minimizer() == 0.0
+        assert form.value(0.0) == 1.0
+
+    def test_constant_cost_returns_zero(self):
+        form = CostAffineForm(F_terms=np.zeros((3, 2)), c_terms=np.ones((3, 2)))
+        assert form.minimizer() == 0.0
+
+
+def test_saved_config_keeps_the_design_step(tmp_path):
+    from subvarid.experiments import ExperimentConfig, load_config, save_config
+
+    path = tmp_path / "experiment.json"
+    save_config(ExperimentConfig(), path)
+    assert load_config(path).design == ExperimentConfig().design
+
+
 class TestScenarioTerms:
     def test_affine_terms_match_direct_residual_derivative(self, running):
         # F is the exact du2-derivative of the residual at u2 = 0 and c its value
@@ -248,24 +296,24 @@ class TestDesignInputStep:
 
     def test_single_scenario_returns_quadratic_minimizer(self):
         state = self._state([1.0], [-3.0])
-        u = design_input_step(state, DesignConfig())
+        u = design_input_step(state)
         # optimal u2 = 3 -> u = c0 + 1/3
-        assert u == pytest.approx(state.partition.c0 + 1.0 / 3.0, abs=1e-4)
+        assert u == pytest.approx(state.partition.c0 + 1.0 / 3.0, abs=1e-12)
 
     def test_zero_cost_returns_feasible_input(self):
         state = self._state([0.0], [0.0])
-        u = design_input_step(state, DesignConfig())
+        u = design_input_step(state)
         assert -10.0 <= u <= 10.0
 
     def test_empty_feasible_set_raises(self):
         state = self._state([1.0], [-3.0], intervals=[])
         with pytest.raises(DesignFailureError):
-            design_input_step(state, DesignConfig())
+            design_input_step(state)
 
     def test_projection_to_interval(self):
         # feasible interval excludes the unconstrained optimum
         state = self._state([1.0], [-3.0], intervals=[(5.0, 10.0)])
-        u = design_input_step(state, DesignConfig())
+        u = design_input_step(state)
         assert 5.0 - 1e-9 <= u <= 10.0 + 1e-9
 
 
