@@ -105,13 +105,17 @@ def cmd_design(args) -> int:
         plant = LineProtocolPlant(command=shlex.split(args.plant_cmd))
     else:
         plant = SimulatedPlant(model, noise, rng, x0=np.zeros(model.m))
-    run = run_closed_loop(
-        plant, design, est, args.iterations, args.order,
-        mode="designed" if args.mode == "designed" else "white",
-        rng=exp.trial_rng(args.seed, 0, stream=1),
-        G_star=markov_true(model, args.t),
-        dither_amplitude=args.dither,
-    )
+    try:
+        run = run_closed_loop(
+            plant, design, est, args.iterations, args.order,
+            mode="designed" if args.mode == "designed" else "white",
+            rng=exp.trial_rng(args.seed, 0, stream=1),
+            G_star=markov_true(model, args.t),
+            dither_amplitude=args.dither,
+        )
+    finally:
+        if args.plant_cmd:
+            plant.close()
     run.to_csv(args.output)
     print(
         f"wrote {len(run.iterations)} iterations to {args.output} "

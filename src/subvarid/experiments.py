@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -146,26 +146,33 @@ class ExperimentConfig:
             "order": self.order,
             "delta": self.noise.delta,
             "noise_kind": self.noise.kind,
-            "y_M": self.design.y_M,
-            "u_M": self.design.u_M,
-            "alpha_M": self.design.alpha_M,
-            "epsilon": self.design.epsilon,
+            "design": asdict(self.design),
             "prestabilize": self.prestabilize,
             "init_len": self.init_len,
             "dither_amplitude": self.dither_amplitude,
             "workers": self.workers,
+            "max_failure_fraction": self.max_failure_fraction,
             "model": self.model.to_dict() if self.model is not None else None,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        design = DesignConfig(
-            delta=data.get("delta", BENCHMARK_DELTA),
-            y_M=data.get("y_M", BENCHMARK_Y_MAX),
-            u_M=data.get("u_M", BENCHMARK_U_MAX),
-            epsilon=data.get("epsilon", 0.01),
-            alpha_M=data.get("alpha_M"),
-        )
+        design = data.get("design")
+        if design is None:
+            # configs saved without a design block kept these five at top level
+            design = {
+                "delta": data.get("delta", BENCHMARK_DELTA),
+                "y_M": data.get("y_M", BENCHMARK_Y_MAX),
+                "u_M": data.get("u_M", BENCHMARK_U_MAX),
+                "epsilon": data.get("epsilon", 0.01),
+                "alpha_M": data.get("alpha_M"),
+            }
+        if not isinstance(design, dict):
+            raise ConfigurationError("the design block must be a JSON object")
+        unknown = set(design) - {f.name for f in fields(DesignConfig)}
+        if unknown:
+            raise ConfigurationError(f"unknown design settings {sorted(unknown)}")
+        design = DesignConfig(**design)
         noise = NoiseSpec(delta=data.get("delta", BENCHMARK_DELTA),
                           kind=data.get("noise_kind", "uniform"))
         model = None
@@ -188,6 +195,7 @@ class ExperimentConfig:
             init_len=data.get("init_len"),
             dither_amplitude=data.get("dither_amplitude", 8.0),
             workers=data.get("workers", 1),
+            max_failure_fraction=data.get("max_failure_fraction", 0.10),
         )
 
 

@@ -15,6 +15,7 @@ multi-output data is supported elsewhere but not designed for.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 from dataclasses import dataclass, field
 from typing import Optional
@@ -200,24 +201,40 @@ def rank_box_max(C: np.ndarray, bound: float, iters: int = 3, n_starts: int = 5)
     return float(bound * bound * best_val), bound * best_sigma
 
 
+@functools.lru_cache(maxsize=None)
+def _noise_band(h: int, t: int, s: int):
+    """Where each distinct data-noise sample (w then e) sits in a window's L.
+
+    Row br of the output block holds w(br .. br+s-1) and row h+br of the
+    input block holds e(br .. br+s-1); returns (sample, L row, L column)
+    index arrays, one entry per L entry.
+    """
+    nw = h + s - 1
+    br_w, col_w = np.divmod(np.arange(h * s), s)
+    br_e, col_e = np.divmod(np.arange((h + t) * s), s)
+    sample = np.concatenate([br_w + col_w, nw + br_e + col_e])
+    row = np.concatenate([br_w, h + br_e])
+    col = np.concatenate([col_w, col_e])
+    for index in (sample, row, col):
+        index.flags.writeable = False  # shared by every caller of the cache
+    return sample, row, col
+
+
 def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int):
     """Factors of the two deviation quadratics for a SISO window.
 
     Returns (C1, C2): C1 maps the s lead-noise samples, C2 the distinct data
     noise samples (w then e), each into the r selected residual columns.
+    C2 = -M A_sel, where M[sample, col] = g[row] over the noise band.
     """
     s = alpha.shape[0]
     r = t
     A_sel = alpha[:, s - r :]
     g = alpha.T @ lead
-    nw = h + s - 1
-    ne = h + t + s - 1
-    C2 = np.zeros((nw + ne, r))
-    for br in range(h):
-        C2[br : br + s, :] -= g[br] * A_sel
-    for br in range(h + t):
-        C2[nw + br : nw + br + s, :] -= g[h + br] * A_sel
-    return A_sel, C2
+    sample, row, col = _noise_band(h, t, s)
+    M = np.zeros((2 * h + t + 2 * s - 2, s))
+    M[sample, col] = g[row]
+    return A_sel, -(M @ A_sel)
 
 
 def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,
@@ -234,39 +251,69 @@ def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta:
 # ---------------------------------------------------------------------------
 
 
-def prediction_maps(A_hat, B_hat, C_hat, h: int, t: int):
-    """Row maps for the (h+t)-step-ahead output predictor.
-
-    y(k+h+t) = CA^t [F1 Y(k;h) + F2 U(k;h)] + G(t) U(k+h;t), with
-    F1 = A^h O_c^L(h) and F2 = O_b(h) - A^h O_c^L(h) T(h).
-    """
-    model = StateSpaceModel(A=A_hat, B=B_hat, C=C_hat)
-    Oc = extended_observability(model, h)
-    if np.linalg.matrix_rank(Oc, tol=1e-10) < model.m:
-        raise EstimationError("estimated observability map is rank deficient")
-    Oc_left = np.linalg.pinv(Oc)
-    Ah = np.linalg.matrix_power(model.A, h)
-    F1 = Ah @ Oc_left
-    F2 = extended_controllability(model, h) - Ah @ Oc_left @ toeplitz_T(model, h)
-    CAt = model.C @ np.linalg.matrix_power(model.A, t)
-    return CAt @ F1, CAt @ F2
-
-
 class OutputPredictor:
-    """Cached row maps for repeated multi-step output prediction."""
+    """Multi-step output predictor with the per-model work done once.
+
+    The (h+t)-step-ahead row maps are
+    y(k+h+t) = CA^t [F1 Y(k;h) + F2 U(k;h)] + G(t) U(k+h;t), with
+    F1 = A^h O_c^L(h) and F2 = O_b(h) - A^h O_c^L(h) T(h).  Running that
+    recursion q steps is linear in the last h+t outputs, the last h+t-1
+    inputs and the q future inputs, so it is folded into one matrix per
+    horizon length q, built on first use.  The model's eigen-decomposition
+    and the state estimator's pinv(O_c) and T are kept for the safety
+    interval, which the loop evaluates at every sample while the model
+    changes only once per batch.
+    """
 
     def __init__(self, A_hat, B_hat, C_hat, G_hat: MarkovMatrix, h: Optional[int] = None):
         A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
         self.h = A_hat.shape[0] if h is None else h
         self.t = G_hat.t
         self.G = G_hat.G.flatten()
-        rowY, rowU = prediction_maps(A_hat, B_hat, C_hat, self.h, self.t)
-        self.rowY = rowY.flatten()
-        self.rowU = rowU.flatten()
+        self.model = model = StateSpaceModel(A=A_hat, B=B_hat, C=C_hat)
+        Oc = extended_observability(model, self.h)
+        if np.linalg.matrix_rank(Oc, tol=1e-10) < model.m:
+            raise EstimationError("estimated observability map is rank deficient")
+        self.Oc_left = np.linalg.pinv(Oc)
+        self.T = toeplitz_T(model, self.h)
+        Ah = np.linalg.matrix_power(model.A, self.h)
+        F1 = Ah @ self.Oc_left
+        F2 = extended_controllability(model, self.h) - F1 @ self.T
+        CAt = model.C @ np.linalg.matrix_power(model.A, self.t)
+        self.rowY = (CAt @ F1).flatten()
+        self.rowU = (CAt @ F2).flatten()
+        self.evals, V = np.linalg.eig(model.A)
+        self.unstable = np.abs(self.evals) >= 1.0
+        self.W = np.linalg.inv(V) if self.unstable.any() else None
+        self._maps = {}
+
+    def prediction_map(self, q: int) -> np.ndarray:
+        """Read-only map from [y(T-h-t+1..T), u(T-h-t+1..T-1), u(T..T+q-1)] to y(T+1..T+q)."""
+        P = self._maps.get(q)
+        if P is None:
+            h, n = self.h, self.h + self.t
+            cols = 2 * n - 1 + q
+            Y = np.zeros((n + q, cols))
+            Y[:n, :n] = np.eye(n)
+            U = np.zeros((n - 1 + q, cols))
+            U[:, n:] = np.eye(n - 1 + q)
+            for j in range(q):
+                Y[n + j] = (
+                    self.rowY @ Y[j : j + h]
+                    + self.rowU @ U[j : j + h]
+                    + self.G @ U[j + h : j + n]
+                )
+            P = self._maps[q] = Y[n:]
+            P.flags.writeable = False
+        return P
+
+    def impulse(self, q: int) -> np.ndarray:
+        """Response of the q predicted outputs to a unit first future input."""
+        return self.prediction_map(q)[:, 2 * (self.h + self.t) - 1]
 
     def predict(self, y_history, u_history, u_next) -> np.ndarray:
         """y_history holds y(0..T); u_history holds u(0..T-1); u_next starts at u(T)."""
-        h, t = self.h, self.t
+        n = self.h + self.t
         yw = np.asarray(y_history, dtype=float).flatten()
         un = np.asarray(u_next, dtype=float).flatten()
         uh = np.asarray(u_history, dtype=float).flatten()
@@ -274,20 +321,20 @@ class OutputPredictor:
             raise ConfigurationError(
                 "u_history must lag y_history by exactly one sample"
             )
-        if len(yw) < h + t + 1:
-            raise ConfigurationError(f"windows must hold at least h+t+1={h + t + 1} outputs")
-        uw = np.concatenate([uh, un])
-        q = len(un)
-        ybuf = np.concatenate([yw, np.empty(q)])
-        base = len(yw)
-        for j in range(q):
-            k0 = base + j - h - t
-            ybuf[base + j] = (
-                self.rowY @ ybuf[k0 : k0 + h]
-                + self.rowU @ uw[k0 : k0 + h]
-                + self.G @ uw[k0 + h : k0 + h + t]
-            )
-        return ybuf[base:]
+        if len(yw) < n + 1:
+            raise ConfigurationError(f"windows must hold at least h+t+1={n + 1} outputs")
+        z = np.concatenate([yw[-n:], uh[len(uh) - (n - 1) :], un])
+        return self.prediction_map(len(un)) @ z
+
+    def estimate_state(self, y_hist, u_hist) -> np.ndarray:
+        """x(now) from the last h outputs and inputs via the observability map."""
+        h, model = self.h, self.model
+        yw = np.asarray(y_hist[-h:], dtype=float).flatten()
+        uw = np.concatenate([np.asarray(u_hist[-(h - 1):], dtype=float).flatten(), [0.0]]) if h > 1 else np.zeros(1)
+        x = self.Oc_left @ (yw - self.T @ uw)
+        for j in range(h - 1):
+            x = model.A @ x + model.B @ np.atleast_1d(uw[j])
+        return x
 
 
 def predict_output(
@@ -419,19 +466,14 @@ def safety_interval(context: FeasibilityContext, horizon: int):
     unstable estimated modes, so the set stays recursively feasible.
     """
     cfg = context.cfg
-    real = context.realization
     interval = (-cfg.u_M, cfg.u_M)
 
     try:
         pred = context.get_predictor()
         base = pred.predict(context.y_history, context.u_history, np.zeros(1 + horizon))
-        bump = pred.predict(
-            context.y_history, context.u_history,
-            np.concatenate([[1.0], np.zeros(horizon)]),
-        )
     except (EstimationError, ConfigurationError):
         return interval
-    slope = bump - base
+    slope = pred.impulse(1 + horizon)
     for j in range(len(base)):
         interval = _affine_interval(base[j], slope[j], cfg.kappa * cfg.y_M, interval)
         if interval is None:
@@ -441,35 +483,21 @@ def safety_interval(context: FeasibilityContext, horizon: int):
     return interval
 
 
-def _estimate_state(real: Realization, y_hist, u_hist, h: int):
-    """x(now) from the last h outputs and inputs via the observability map."""
-    model = StateSpaceModel(A=real.A_hat, B=real.B_hat, C=real.C_hat)
-    Oc = extended_observability(model, h)
-    T = toeplitz_T(model, h)
-    yw = np.asarray(y_hist[-h:], dtype=float).flatten()
-    uw = np.concatenate([np.asarray(u_hist[-(h - 1):], dtype=float).flatten(), [0.0]]) if h > 1 else np.zeros(1)
-    x = np.linalg.pinv(Oc) @ (yw - T @ uw)
-    for j in range(h - 1):
-        x = model.A @ x + model.B @ np.atleast_1d(uw[j])
-    return x
-
-
 def _unstable_mode_interval(context: FeasibilityContext, interval):
     """Shrink the input interval so unstable estimated modes stay holdable."""
     if interval is None:
         return None
-    real = context.realization
-    cfg = context.cfg
-    evals, V = np.linalg.eig(real.A_hat)
-    unstable = np.abs(evals) >= 1.0
-    if not unstable.any():
+    pred = context.get_predictor()
+    if not pred.unstable.any():
         return interval
-    W = np.linalg.inv(V)
-    x_now = _estimate_state(real, context.y_history, context.u_history, context.h)
-    za = W[unstable] @ (real.A_hat @ x_now)
-    zb = (W[unstable] @ real.B_hat).flatten()
-    z_now = np.abs(W[unstable] @ x_now)
-    for aa, bb, zn, lam in zip(za, zb, z_now, evals[unstable]):
+    cfg = context.cfg
+    A, B = pred.model.A, pred.model.B
+    W = pred.W[pred.unstable]
+    x_now = pred.estimate_state(context.y_history, context.u_history)
+    za = W @ (A @ x_now)
+    zb = (W @ B).flatten()
+    z_now = np.abs(W @ x_now)
+    for aa, bb, zn, lam in zip(za, zb, z_now, pred.evals[pred.unstable]):
         gain = abs(bb)
         hold_radius = gain * cfg.u_M / max(abs(lam) - 1.0, 1e-6)
         bound = max(0.4 * hold_radius, 0.95 * zn)
@@ -571,7 +599,7 @@ class CostAffineForm:
         curved = a > 0
         if not curved.any():
             return 0.0
-        i, j = np.triu_indices(len(a), k=1)
+        i, j = _pairs(len(a))
         da, db, dd = a[i] - a[j], b[i] - b[j], d[i] - d[j]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # crossings: roots of da u^2 + db u + dd in the cancellation-free
@@ -585,9 +613,37 @@ class CostAffineForm:
         return float(cand[np.argmin(vals)])
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Index pairs i < j of n scenarios."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False  # shared by every caller of the cache
+    return pairs
+
+
 def cost_j0(u2: float, form: CostAffineForm) -> float:
     """Worst-case quadratic cost over the stored noise scenarios."""
     return form.value(u2)
+
+
+def _lead_noise_terms(partition: BorderedPartition, w_lead: np.ndarray, sel: slice):
+    """Lead-noise part of the scenario residual: w_lead^T alpha[:, sel] in u2."""
+    return float(w_lead @ partition.R1) * partition.R2[sel], w_lead @ partition.base[:, sel]
+
+
+def _data_noise_terms(partition: BorderedPartition, lead: np.ndarray, dL: np.ndarray,
+                      sel: slice):
+    """Data-noise part lead^T (alpha dL alpha)[:, sel] in u2, as (F1, F2, c).
+
+    F = F1 + F2; the two are kept apart so callers subtract them in the
+    order that makes sign-flipped scenarios exact negations.
+    """
+    base, R1, R2 = partition.base, partition.R1, partition.R2
+    g_inf = base.T @ lead
+    F1 = float(lead @ R1) * (R2 @ dL @ base)[sel]
+    F2 = float(g_inf @ dL @ R1) * R2[sel]
+    return F1, F2, (g_inf @ dL @ base)[sel]
 
 
 def scenario_affine_terms(
@@ -604,20 +660,10 @@ def scenario_affine_terms(
     alpha = base + u2 R1 R2^T; the u2^2 term of the second product is dropped
     (same order as the linearization that defines the deviation quadratics).
     """
-    s = partition.s
-    base = partition.base
-    R1, R2 = partition.R1, partition.R2
-    sel = slice(s - r, s)
-    g_inf = base.T @ lead
-    c = w_lead @ base[:, sel] - (g_inf @ dL @ base)[sel]
-    lead_R1 = float(lead @ R1)
-    w_R1 = float(w_lead @ R1)
-    F = (
-        w_R1 * R2[sel]
-        - lead_R1 * (R2 @ dL @ base)[sel]
-        - float(g_inf @ dL @ R1) * R2[sel]
-    )
-    return F, c
+    sel = slice(partition.s - r, partition.s)
+    Fw, cw = _lead_noise_terms(partition, w_lead, sel)
+    F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
+    return Fw - F1 - F2, cw - cd
 
 
 def build_scenarios(
@@ -634,23 +680,19 @@ def build_scenarios(
     evaluated at the probe corner value; their negations are included.
     """
     s = partition.s
-    r = t
     alpha = partition.alpha_of(u_probe)
     _, w_star, p_star = window_deviation(alpha, lead, h, t, delta, n_starts=1)
-    nw = h + s - 1
+    sample, row, col = _noise_band(h, t, s)
     dL = np.zeros((s, s))
-    w_samp, e_samp = p_star[:nw], p_star[nw:]
-    for br in range(h):
-        dL[br, :] = w_samp[br : br + s]
-    for br in range(h + t):
-        dL[h + br, :] = e_samp[br : br + s]
-    F_list, c_list = [], []
-    for sw in (1.0, -1.0):
-        for sp in (1.0, -1.0):
-            F, c = scenario_affine_terms(partition, lead, sw * w_star, sp * dL, r)
-            F_list.append(F)
-            c_list.append(c)
-    return CostAffineForm(F_terms=np.asarray(F_list), c_terms=np.asarray(c_list))
+    dL[row, col] = p_star[sample]
+    sel = slice(s - t, s)
+    Fw, cw = _lead_noise_terms(partition, w_star, sel)
+    F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
+    # scenarios (+-w_star, +-dL): negation is exact, so each row equals
+    # scenario_affine_terms of the signed noise bit for bit
+    sw = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+    sp = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    return CostAffineForm(F_terms=sw * Fw - sp * F1 - sp * F2, c_terms=sw * cw - sp * cd)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +789,11 @@ class LineProtocolPlant:
     Accepts either an existing subprocess.Popen with text pipes or a command
     to spawn.  The first line read (before any input is sent) is y(0).  A
     plant that exits or answers with anything but one finite number raises
-    PlantProtocolError.
+    PlantProtocolError.  close() ends the input and waits CLOSE_TIMEOUT_S
+    seconds for the plant to exit, then kills it.
     """
+
+    CLOSE_TIMEOUT_S = 10.0
 
     def __init__(self, command=None, proc: Optional[subprocess.Popen] = None):
         if proc is None:
@@ -783,9 +828,18 @@ class LineProtocolPlant:
         return self._read()
 
     def close(self):
-        if self.proc.stdin:
-            self.proc.stdin.close()
-        self.proc.wait(timeout=10)
+        try:
+            if self.proc.stdin:
+                self.proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the plant already exited with input still buffered
+        try:
+            self.proc.wait(timeout=self.CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        if self.proc.stdout:
+            self.proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +913,9 @@ def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) ->
     return amplitude * u / peak if peak > 0 else u
 
 
-def _validate_model(real: Realization, y, u, h: int, n_check: int = 12) -> float:
-    """Relative one-step prediction error of a candidate realization."""
-    model = StateSpaceModel(A=real.A_hat, B=real.B_hat, C=real.C_hat)
-    Oc = extended_observability(model, h)
-    T = toeplitz_T(model, h)
-    Oc_left = np.linalg.pinv(Oc)
+def _validate_model(pred: OutputPredictor, y, u, n_check: int = 12) -> float:
+    """Relative one-step prediction error of a candidate model's predictor."""
+    model, h, T, Oc_left = pred.model, pred.h, pred.T, pred.Oc_left
     errs = []
     scale = max(float(np.abs(y[-(n_check + h + 1):]).max()), 1.0)
     for k0 in range(len(y) - n_check - h, len(y) - h):
@@ -975,11 +1026,11 @@ def run_closed_loop(
                 G_hat = MarkovMatrix(G=(G_sum / n_used)[None, :], t=t)
                 try:
                     cand = ho_kalman(G_hat, order)
-                    if _validate_model(cand, ya, ua, h) < cfg.validation_tol:
-                        accepted = cand
-                        predictor = OutputPredictor(
-                            cand.A_hat, cand.B_hat, cand.C_hat, G_hat, h=h
-                        )
+                    cand_pred = OutputPredictor(
+                        cand.A_hat, cand.B_hat, cand.C_hat, G_hat, h=h
+                    )
+                    if _validate_model(cand_pred, ya, ua) < cfg.validation_tol:
+                        accepted, predictor = cand, cand_pred
                 except (SubvaridError, np.linalg.LinAlgError):
                     pass
 

@@ -209,7 +209,9 @@ class SignalLog:
         """Read k,u_*,y_* rows; a missing or non-numeric cell is a ConfigurationError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigurationError(f"{path}: empty file, expected a k,u_*,y_* header")
             p = sum(1 for h in header if h.startswith("u_"))
             n = sum(1 for h in header if h.startswith("y_"))
             rows = [(reader.line_num, row) for row in reader if row]

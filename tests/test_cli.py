@@ -79,6 +79,13 @@ def test_missing_file_is_config_error(tmp_path):
     assert main(["identify", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
 
 
+def test_empty_file_is_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["identify", str(empty)]) == EXIT_CONFIG
+    assert "empty file" in capsys.readouterr().err
+
+
 def test_campaign_determinism(tmp_path):
     a = str(tmp_path) + "/a_"
     b = str(tmp_path) + "/b_"
@@ -129,3 +136,35 @@ def test_design_with_bad_plant_answer_is_numeric_failure(tmp_path, capsys, answe
     code = main(["design", "--plant-cmd", cmd, "--output", str(tmp_path / "run.csv")])
     assert code == EXIT_NUMERIC
     assert reason in capsys.readouterr().err
+
+
+ECHO_PLANT = (
+    "import sys\n"
+    "x = 0.0\n"
+    "print(x, flush=True)\n"
+    "for line in sys.stdin:\n"
+    "    x = 0.5 * x + float(line)\n"
+    "    print(x, flush=True)\n"
+)
+
+
+@pytest.mark.parametrize("script, expected", [
+    (ECHO_PLANT, EXIT_OK), ("print(0.0, flush=True)", EXIT_NUMERIC),
+])
+def test_design_closes_the_external_plant(tmp_path, monkeypatch, script, expected):
+    from subvarid.input_design import LineProtocolPlant
+
+    plants = []
+    init = LineProtocolPlant.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        plants.append(self)
+
+    monkeypatch.setattr(LineProtocolPlant, "__init__", recording_init)
+    cmd = shlex.join([sys.executable, "-c", script])
+    code = main(["design", "--plant-cmd", cmd, "--iterations", "30",
+                 "--output", str(tmp_path / "run.csv")])
+    assert code == expected
+    (plant,) = plants
+    assert plant.proc.returncode is not None

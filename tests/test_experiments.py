@@ -170,3 +170,38 @@ class TestOutputFiles:
         assert loaded.trials == 7
         assert tuple(loaded.N_schedule) == (4, 8)
         assert loaded.rng_seed == 11
+
+    def test_config_round_trip_keeps_every_design_field(self, tmp_path):
+        from subvarid.input_design import DesignConfig
+
+        design = DesignConfig(
+            delta=0.02, y_M=50.0, u_M=4.0, epsilon=0.005, alpha_M=0.4, horizon=6,
+            kappa=0.8, cond_limit=1e6, batch_amplification_limit=3.0,
+            validation_tol=0.2, white_amplitude=0.5,
+        )
+        config = ExperimentConfig(design=design, max_failure_fraction=0.25)
+        path = tmp_path / "config.json"
+        save_config(config, path)
+        loaded = load_config(path)
+        assert loaded.design == design
+        assert loaded.max_failure_fraction == 0.25
+
+    def test_config_without_design_block_reads_flat_keys(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(
+            '{"schema": "subvarid-experiment-v1", "delta": 0.02, "y_M": 50.0, '
+            '"u_M": 4.0, "alpha_M": 0.4, "epsilon": 0.005}'
+        )
+        design = load_config(path).design
+        assert (design.delta, design.y_M, design.u_M, design.alpha_M, design.epsilon) == (
+            0.02, 50.0, 4.0, 0.4, 0.005)
+        assert design.kappa == 0.9 and design.horizon is None
+
+    @pytest.mark.parametrize("block, message", [
+        ('{"lr0": 0.1}', "lr0"), ("[0.1]", "JSON object"),
+    ])
+    def test_config_malformed_design_block_rejected(self, tmp_path, block, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"design": %s}' % block)
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(path)

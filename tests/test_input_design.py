@@ -11,8 +11,10 @@ from subvarid.input_design import (
     DesignState,
     FeasibilityContext,
     LineProtocolPlant,
+    OutputPredictor,
     SimulatedPlant,
     bordered_inverse_update,
+    build_scenarios,
     cost_j0,
     design_input_step,
     feasible_set_check,
@@ -21,10 +23,23 @@ from subvarid.input_design import (
     predict_output,
     rank_box_max,
     run_closed_loop,
+    safety_interval,
     scenario_affine_terms,
+    window_deviation,
+    window_quadratic_factors,
 )
-from subvarid.lti_core import NoiseSpec, StateSpaceModel, build_L, markov_true, simulate
+from subvarid.lti_core import (
+    NoiseSpec,
+    StateSpaceModel,
+    build_L,
+    extended_observability,
+    markov_true,
+    simulate,
+    toeplitz_T,
+)
 from subvarid.subspace_id import EstimatorConfig, ho_kalman
+
+from conftest import CANONICAL_A, CANONICAL_B, CANONICAL_C, random_minimal_model
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +146,116 @@ class TestPredictOutput:
         G = markov_true(running, 9)
         with pytest.raises(ConfigurationError):
             predict_output(running.A, running.B, running.C, G, np.zeros(5), np.zeros(4), [0.0])
+
+
+def oracle_predict(pred, y_history, u_history, u_next):
+    """The per-sample recursion that OutputPredictor.predict folds into one map."""
+    h, t = pred.h, pred.t
+    yw = np.asarray(y_history, dtype=float)
+    uw = np.concatenate([u_history, u_next])
+    q = len(u_next)
+    ybuf = np.concatenate([yw, np.empty(q)])
+    base = len(yw)
+    for j in range(q):
+        k0 = base + j - h - t
+        ybuf[base + j] = (
+            pred.rowY @ ybuf[k0 : k0 + h]
+            + pred.rowU @ uw[k0 : k0 + h]
+            + pred.G @ uw[k0 + h : k0 + h + t]
+        )
+    return ybuf[base:]
+
+
+def oracle_safety_interval(context, horizon):
+    """safety_interval with bump - base predictions and a fresh mode split."""
+    cfg, real, h = context.cfg, context.realization, context.h
+    pred = context.get_predictor()
+    y, u = context.y_history, context.u_history
+    base = oracle_predict(pred, y, u, np.zeros(1 + horizon))
+    bump = oracle_predict(pred, y, u, np.eye(1 + horizon)[0])
+    lo, hi = -cfg.u_M, cfg.u_M
+    for b, slope in zip(base, bump - base):
+        ends = sorted(((-cfg.kappa * cfg.y_M - b) / slope, (cfg.kappa * cfg.y_M - b) / slope))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    evals, V = np.linalg.eig(real.A_hat)
+    unstable = np.abs(evals) >= 1.0
+    W = np.linalg.inv(V)[unstable]
+    model = StateSpaceModel(A=real.A_hat, B=real.B_hat, C=real.C_hat)
+    uw = np.append(u[-(h - 1):], 0.0)
+    x = np.linalg.pinv(extended_observability(model, h)) @ (y[-h:] - toeplitz_T(model, h) @ uw)
+    for j in range(h - 1):
+        x = model.A @ x + model.B @ uw[j : j + 1]
+    for aa, bb, zn, lam in zip(W @ model.A @ x, (W @ model.B).flatten(), np.abs(W @ x),
+                               evals[unstable]):
+        bound = max(0.4 * abs(bb) * cfg.u_M / max(abs(lam) - 1.0, 1e-6), 0.95 * zn)
+        a2, b2 = abs(bb) ** 2, 2.0 * float(np.real(np.conj(aa) * bb))
+        disc = b2 * b2 - 4 * a2 * (abs(aa) ** 2 - bound**2)
+        if disc < 0:
+            return None
+        root = np.sqrt(disc)
+        lo, hi = max(lo, (-b2 - root) / (2 * a2)), min(hi, (-b2 + root) / (2 * a2))
+    return (lo, hi) if lo <= hi else None
+
+
+class TestPredictorCache:
+    H, T = 4, 9
+
+    def _cases(self):
+        """(predictor, y history, u history) on seeded random realizations."""
+        rng = np.random.default_rng(40)
+        for m in (2, 3, 4, 4):
+            model = random_minimal_model(rng, m)
+            G = markov_true(model, self.T)
+            real = ho_kalman(G, m)
+            pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=self.H)
+            log = simulate(model, np.zeros(m), 5.0 * rng.uniform(-1, 1, size=40),
+                           noise=NoiseSpec(delta=0.05), rng=rng)
+            y, u = log.y.flatten(), log.u.flatten()
+            for end in (self.H + self.T + 1, 25, 40):
+                yield pred, y[:end], u[: end - 1]
+
+    @pytest.mark.parametrize("q", [1, 5, 9, 10, 29])
+    def test_map_matches_per_sample_recursion(self, q):
+        rng = np.random.default_rng(q)
+        for pred, y, u in self._cases():
+            u_next = 5.0 * rng.uniform(-1, 1, size=q)
+            ref = oracle_predict(pred, y, u, u_next)
+            scale = max(np.abs(y).max(), np.abs(ref).max())
+            assert np.abs(pred.predict(y, u, u_next) - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("q", [1, 5, 9, 10, 29])
+    def test_impulse_is_bump_minus_base(self, q):
+        for pred, y, u in self._cases():
+            base = oracle_predict(pred, y, u, np.zeros(q))
+            bump = oracle_predict(pred, y, u, np.eye(q)[0])
+            scale = max(np.abs(y).max(), np.abs(base).max())
+            assert np.abs(pred.impulse(q) - (bump - base)).max() <= 1e-12 * scale
+
+    def test_stable_model_skips_the_mode_split(self):
+        pred, _, _ = next(self._cases())
+        assert not pred.unstable.any() and pred.W is None
+
+    def test_unstable_model_interval_matches_fresh_eig(self):
+        model = StateSpaceModel(A=CANONICAL_A, B=CANONICAL_B, C=CANONICAL_C)
+        G = markov_true(model, self.T)
+        real = ho_kalman(G, 4)
+        log = simulate(model, np.zeros(4), 0.05 * np.random.default_rng(0).uniform(-1, 1, 30))
+        y, u = log.y.flatten(), log.u.flatten()
+        pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=self.H)
+        assert pred.unstable.sum() == 2
+        narrowed = 0
+        for end in range(14, 31):
+            ctx = FeasibilityContext(
+                realization=real, G_hat=G, y_history=y[:end], u_history=u[: end - 1],
+                partition=None, cfg=DesignConfig(), h=self.H, predictor=pred,
+            )
+            got, ref = safety_interval(ctx, 4), oracle_safety_interval(ctx, 4)
+            if ref is None:
+                assert got is None
+                continue
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
+            narrowed += got != (-10.0, 10.0)
+        assert narrowed >= 2
 
 
 class TestFeasibleSetCheck:
@@ -280,6 +405,48 @@ class TestScenarioTerms:
         assert np.allclose(deriv, F, rtol=1e-5, atol=1e-8)
 
 
+class TestScenarioKernels:
+    def _window(self, running, seed):
+        rng = np.random.default_rng(seed)
+        h, t = 4, 9
+        s = 2 * h + t
+        log = make_run_data(running, h, t, rng, amp=8.0)
+        part = partition_from_L(build_L(log.y, log.u, 0, h, t), r=t)
+        return part, log.y.flatten()[h + t : h + t + s], h, t
+
+    def test_quadratic_factors_match_row_loop(self, running):
+        part, lead, h, t = self._window(running, 41)
+        s = part.s
+        alpha = part.alpha_of(part.c0 + 3.0)
+        A_sel, C2 = window_quadratic_factors(alpha, lead, h, t)
+        g = alpha.T @ lead
+        nw = h + s - 1
+        ref = np.zeros((nw + h + t + s - 1, t))
+        for br in range(h):
+            ref[br : br + s] -= g[br] * A_sel
+        for br in range(h + t):
+            ref[nw + br : nw + br + s] -= g[h + br] * A_sel
+        assert np.abs(C2 - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_sign_flipped_scenarios_are_bit_identical(self, running):
+        part, lead, h, t = self._window(running, 42)
+        s, delta = part.s, 0.05
+        probe = part.c0 + 2.0
+        form = build_scenarios(part, lead, h, t, delta, probe)
+        _, w_star, p_star = window_deviation(part.alpha_of(probe), lead, h, t, delta, n_starts=1)
+        nw = h + s - 1
+        dL = np.zeros((s, s))
+        for br in range(h):
+            dL[br] = p_star[br : br + s]
+        for br in range(h + t):
+            dL[h + br] = p_star[nw + br : nw + br + s]
+        signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        for k, (sw, sp) in enumerate(signs):
+            F, c = scenario_affine_terms(part, lead, sw * w_star, sp * dL, r=t)
+            assert np.array_equal(form.F_terms[k], F)
+            assert np.array_equal(form.c_terms[k], c)
+
+
 class TestDesignInputStep:
     def _state(self, F, c, L=None, intervals=None):
         L = np.diag([2.0, 3.0, 4.0]) if L is None else L
@@ -393,6 +560,15 @@ class TestLineProtocolPlant:
             x = 0.5 * x + u
             assert y == pytest.approx(x)
         plant.close()
+
+    def test_close_kills_a_plant_that_ignores_end_of_input(self, monkeypatch):
+        monkeypatch.setattr(LineProtocolPlant, "CLOSE_TIMEOUT_S", 0.5)
+        plant = LineProtocolPlant(command=[
+            sys.executable, "-c", "import time; print(0.0, flush=True); time.sleep(60)",
+        ])
+        assert plant.reset() == 0.0
+        plant.close()
+        assert plant.proc.poll() is not None
 
 
 class TestMultitone:
