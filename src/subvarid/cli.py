@@ -3,8 +3,10 @@
 Subcommands: simulate, identify, deviation, design, campaign, report.
 Configuration comes from a JSON file plus flag overrides.  Exit codes:
 0 success, 1 configuration error (also a malformed CSV), 2 numeric failure
-or an external plant that exits or answers with anything but one finite
-number, 3 acceptance-threshold failure in `report --check` mode.
+(also a `design` run in which every batch was skipped, so no estimate was
+formed; its run CSV is still written) or an external plant that exits or
+answers with anything but one finite number, 3 acceptance-threshold failure
+in `report --check` mode.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ def cmd_deviation(args) -> int:
         "J2": res.J2,
         "method": res.method,
         "relaxation_gap": res.relaxation_gap,
+        "amplification": res.amplification,
         "w_star": res.w_star.tolist(),
         "p_star": res.p_star.tolist(),
     }
@@ -117,10 +120,18 @@ def cmd_design(args) -> int:
         if args.plant_cmd:
             plant.close()
     run.to_csv(args.output)
+    used = sum(b.used for b in run.batches)
     print(
         f"wrote {len(run.iterations)} iterations to {args.output} "
-        f"(violations={run.violations}, infeasible={run.infeasible_events})"
+        f"(violations={run.violations}, infeasible={run.infeasible_events}, "
+        f"batches used={used}/{len(run.batches)})"
     )
+    if used == 0:
+        print(
+            f"numeric failure: no estimate formed, all {len(run.batches)} batches skipped",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ Two independent sub-problems bound the worst-case gap between two estimates
 produced under admissible bounded noise: one over the output noise entering
 the lead matrix, one over the noise entering the data matrix through the
 first-order perturbation of its inverse (beta = -alpha dL alpha).  Both are
-maximizations of PSD quadratic forms over a box, solved exactly by vertex
-enumeration in low dimension and by spectral rounding with a greedy sign-flip
-refinement otherwise.
+maximizations of PSD quadratic forms over a box, solved exactly by split
+vertex enumeration in low dimension and by spectral rounding with a greedy
+sign-flip refinement otherwise.
 
 Index conventions: r = t*p columns are selected for G(t), so the deviation
 quadratics sum over the last r columns of alpha and over every row the noise
@@ -50,7 +50,13 @@ class AlphaMatrix:
 
 @dataclass(frozen=True)
 class DeviationResult:
-    """Worst-case deviation and the noise vertices achieving the sub-maxima."""
+    """Worst-case deviation and the noise vertices achieving the sub-maxima.
+
+    J is a first-order figure: it bounds the deviation only while the
+    inverse perturbation converges.  `amplification` = 2 delta s max|alpha|
+    is the gauge the closed loop uses for that regime; J means little once
+    it reaches 1.
+    """
 
     J: float
     J1: float
@@ -59,6 +65,7 @@ class DeviationResult:
     p_star: np.ndarray
     relaxation_gap: float
     method: str
+    amplification: float
 
 
 def invert_data_matrix(L: np.ndarray, r: int, cond_limit: float = 1e12) -> AlphaMatrix:
@@ -155,10 +162,23 @@ def _pairwise_refine(H: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
+def _sign_table(bits: int) -> np.ndarray:
+    """All 2^bits sign vectors; row `code` has +1 where bit b of code is set."""
+    codes = np.arange(1 << bits)
+    return np.where((codes[:, None] >> np.arange(bits)) & 1, 1.0, -1.0)
+
+
 def solve_j1_exact(H: np.ndarray, delta: float):
     """Exact box maximum of w^T H w over w in {-2*delta, +2*delta}^d.
 
-    Enumerates all 2^d sign patterns; refuses dimensions above 20.
+    Covers all 2^d sign patterns by split enumeration; refuses dimensions
+    above 20.  sigma and -sigma give the same value, so the last coordinate
+    is fixed at -1.  With sigma = (lo, hi) split after a = d//2 coordinates,
+    the value of every pair is the table
+    V[j, i] = q_hi[j] + q_lo[i] + 2 (S_hi H[a:, :a] S_lo^T)[j, i],
+    one matrix product.  Rows index hi, so the row-major argmax is the
+    smallest vertex code among exact ties.  The returned value is recomputed
+    at the chosen vertex, which therefore attains it.
     """
     H = _symmetrize_psd(H)
     d = H.shape[0]
@@ -167,27 +187,19 @@ def solve_j1_exact(H: np.ndarray, delta: float):
             f"enumeration over 2^{d} vertices refused (limit d <= {ENUMERATION_LIMIT})"
         )
     bound = 2.0 * delta
-    if delta == 0:
+    if delta == 0 or d == 0:
         return 0.0, np.zeros(d)
-    best_val = -np.inf
-    best_sigma = np.ones(d)
-    chunk_bits = min(d, 16)
-    n_chunks = 1 << (d - chunk_bits)
-    base_codes = np.arange(1 << chunk_bits, dtype=np.uint32)
-    low_signs = np.where(
-        (base_codes[:, None] >> np.arange(chunk_bits)[None, :]) & 1, 1.0, -1.0
-    )
-    for hi in range(n_chunks):
-        sigma = np.empty(((1 << chunk_bits), d))
-        sigma[:, :chunk_bits] = low_signs
-        for b in range(chunk_bits, d):
-            sigma[:, b] = 1.0 if (hi >> (b - chunk_bits)) & 1 else -1.0
-        vals = np.einsum("ij,jk,ik->i", sigma, H, sigma)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_sigma = sigma[i].copy()
-    return bound * bound * best_val, bound * best_sigma
+    a = d // 2
+    S_lo = _sign_table(a)
+    S_hi = np.hstack([_sign_table(d - a - 1), -np.ones((1 << (d - a - 1), 1))])
+    q_lo = np.einsum("ij,jk,ik->i", S_lo, H[:a, :a], S_lo)
+    q_hi = np.einsum("ij,jk,ik->i", S_hi, H[a:, a:], S_hi)
+    V = (2.0 * S_hi @ H[a:, :a]) @ S_lo.T
+    V += q_hi[:, None]
+    V += q_lo[None, :]
+    j, i = divmod(int(np.argmax(V)), V.shape[1])
+    sigma = np.concatenate([S_lo[i], S_hi[j]])
+    return bound * bound * float(sigma @ H @ sigma), bound * sigma
 
 
 def solve_j1_relaxed(H: np.ndarray, delta: float):
@@ -318,6 +330,7 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
         p_star=p_star,
         relaxation_gap=float(gap1 + gap2),
         method=method,
+        amplification=2.0 * delta * al.s * float(np.abs(al.alpha).max()),
     )
 
 

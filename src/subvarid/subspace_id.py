@@ -87,6 +87,10 @@ class Realization:
         return MarkovMatrix(G=np.hstack(blocks[::-1]), t=t)
 
 
+# windows factored per batched SVD call; bounds memory at O(BATCH_CHUNK s^2)
+BATCH_CHUNK = 256
+
+
 @dataclass
 class BatchDiagnostics:
     """Bookkeeping from a batched estimation run."""
@@ -96,7 +100,7 @@ class BatchDiagnostics:
     condition_numbers: list = field(default_factory=list)
 
 
-def _single_window_estimate(ya, ua, k, h, t, cond_limit, pseudo=False):
+def _single_window_estimate(ya, ua, k, h, t, cond_limit):
     """G(t) from one window; returns (G, cond) or raises EstimationError."""
     n, p = ya.shape[1], ua.shape[1]
     s = window_size(h, t, n, p)
@@ -105,16 +109,27 @@ def _single_window_estimate(ya, ua, k, h, t, cond_limit, pseudo=False):
     lead = lead_outputs(ya, k, h, t, s)
     cond = float(np.linalg.cond(L))
     if not np.isfinite(cond) or cond > cond_limit:
-        raise EstimationError(
-            f"data matrix at k={k} is numerically singular (cond={cond:.3e})",
-            condition_number=cond,
-        )
-    if pseudo:
-        G = lead @ np.linalg.pinv(L)[:, s - r :]
-    else:
-        # lead @ inv(L), last r columns
-        G = np.linalg.solve(L.T, lead.T).T[:, s - r :]
+        raise _singular_window(k, cond)
+    # lead @ inv(L), last r columns
+    G = np.linalg.solve(L.T, lead.T).T[:, s - r :]
     return G, cond
+
+
+def _singular_window(k, cond: float) -> EstimationError:
+    return EstimationError(
+        f"data matrix at k={k} is numerically singular (cond={cond:.3e})",
+        condition_number=cond,
+    )
+
+
+def _stacked_windows(ya, ua, starts: np.ndarray, h: int, t: int, s: int):
+    """Data matrices L[y, u] (c, s, s) and lead outputs (c, n, s) at `starts`."""
+    c = len(starts)
+    cols = starts[:, None, None] + np.arange(s)
+    Hy = ya[cols + np.arange(h)[:, None]].transpose(0, 1, 3, 2).reshape(c, -1, s)
+    Hu = ua[cols + np.arange(h + t)[:, None]].transpose(0, 1, 3, 2).reshape(c, -1, s)
+    lead = ya[starts[:, None] + h + t + np.arange(s)].transpose(0, 2, 1)
+    return np.concatenate([Hy, Hu], axis=1), lead
 
 
 def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
@@ -133,8 +148,13 @@ def estimate_markov_batched(
 ) -> MarkovMatrix:
     """Average of per-batch estimates over N batches (Moore-Penrose per batch).
 
-    Numerically degenerate batches are skipped with a warning and the average
-    renormalized; if every batch degenerates an EstimationError is raised.
+    The windows are stacked, BATCH_CHUNK at a time, and factored by one
+    batched SVD: it gives each condition number s_max/s_min (NaN read as
+    inf, as np.linalg.cond does) and the estimate lead V diag(1/s) U^T,
+    which is the pseudo-inverse with nothing cut on every window within
+    cond_limit.  Numerically degenerate batches are skipped with a warning
+    and the average renormalized; if every batch degenerates an
+    EstimationError is raised.
     """
     ya, ua = _as_2d(y), _as_2d(u)
     n, p = ya.shape[1], ua.shape[1]
@@ -142,24 +162,31 @@ def estimate_markov_batched(
         raise ConfigurationError(
             f"need {cfg.samples_needed(n, p)} samples for {cfg.N} batches, got {len(ya)}"
         )
-    total = None
+    s, r = cfg.s(n, p), cfg.r(p)
+    total = np.zeros((n, r))
     used = 0
     worst_cond = 0.0
-    for i in range(cfg.N):
-        k_i = cfg.batch_start(i, n, p)
-        try:
-            G_i, cond = _single_window_estimate(ya, ua, k_i, cfg.h, cfg.t, cfg.cond_limit, pseudo=True)
-        except EstimationError as exc:
-            warnings.warn(f"skipping degenerate batch {i}: {exc}", stacklevel=2)
-            if diagnostics is not None:
-                diagnostics.skipped.append(i)
-            worst_cond = max(worst_cond, exc.condition_number or np.inf)
-            continue
-        total = G_i if total is None else total + G_i
-        used += 1
+    for first in range(0, cfg.N, BATCH_CHUNK):
+        batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
+        starts = cfg.batch_start(batch, n, p)
+        L, lead = _stacked_windows(ya, ua, starts, cfg.h, cfg.t, s)
+        U, sv, Vt = np.linalg.svd(L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sv[:, 0] / sv[:, -1]
+        cond[np.isnan(cond)] = np.inf
+        ok = np.isfinite(cond) & (cond <= cfg.cond_limit)
+        for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
+            warnings.warn(
+                f"skipping degenerate batch {i}: {_singular_window(k_i, c_i)}", stacklevel=2
+            )
+            worst_cond = max(worst_cond, float(c_i))
+        coef = (lead[ok] @ Vt[ok].transpose(0, 2, 1)) / sv[ok][:, None, :]
+        total += (coef @ U[ok][:, s - r :].transpose(0, 2, 1)).sum(axis=0)
+        used += int(ok.sum())
         if diagnostics is not None:
-            diagnostics.condition_numbers.append(cond)
-    if total is None:
+            diagnostics.skipped.extend(int(i) for i in batch[~ok])
+            diagnostics.condition_numbers.extend(float(c) for c in cond[ok])
+    if used == 0:
         raise EstimationError(
             f"all {cfg.N} batches numerically degenerate", condition_number=worst_cond
         )

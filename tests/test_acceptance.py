@@ -172,6 +172,7 @@ def test_criterion_04_analytic_vs_sampled_deviation():
     )
 
 
+@pytest.mark.campaign
 def test_criterion_05_error_ratio(paired_campaign):
     config, designed, white, t_designed, t_white = paired_campaign
     ratio = designed.stat("err_mean", 80) / white.stat("err_mean", 80)
@@ -187,6 +188,7 @@ def test_criterion_05_error_ratio(paired_campaign):
     )
 
 
+@pytest.mark.campaign
 def test_criterion_06_deviation_rates(paired_campaign):
     config, designed, white, t_designed, t_white = paired_campaign
     Ns = config.N_schedule

@@ -47,12 +47,14 @@ def test_deviation_outputs_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["J"] >= 0
     assert data["J"] == pytest.approx(np.sqrt(data["J1"] + data["J2"]))
+    assert data["amplification"] > 0
 
 
-def test_design_writes_run_csv(tmp_path):
+def test_design_writes_run_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(["design", "--iterations", "40", "--seed", "2", "--output", str(out)])
     assert code == EXIT_OK
+    assert "batches used=3/3" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "iter,u,y,yhat,J,dG,feasible"
     assert len(lines) == 41
@@ -138,6 +140,8 @@ def test_design_with_bad_plant_answer_is_numeric_failure(tmp_path, capsys, answe
     assert reason in capsys.readouterr().err
 
 
+# x+ = 0.5 x + u, y = x: a first-order plant, so every h=4 data window is
+# singular and no batch can be used
 ECHO_PLANT = (
     "import sys\n"
     "x = 0.0\n"
@@ -147,9 +151,33 @@ ECHO_PLANT = (
     "    print(x, flush=True)\n"
 )
 
+# a stable fourth-order plant the default h=4, order-4 loop can identify
+FOURTH_ORDER_PLANT = (
+    "import sys\n"
+    "x = [0.0, 0.0, 0.0, 0.0]\n"
+    "print(0.0, flush=True)\n"
+    "for line in sys.stdin:\n"
+    "    x = x[1:] + [0.1 * x[0] - 0.2 * x[1] + 0.1 * x[2] + 0.5 * x[3] + float(line)]\n"
+    "    print(x[0], flush=True)\n"
+)
+
+
+def test_design_without_a_used_batch_is_numeric_failure(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    cmd = shlex.join([sys.executable, "-c", ECHO_PLANT])
+    code = main(["design", "--plant-cmd", cmd, "--output", str(out)])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "batches used=0/15" in captured.out
+    assert "all 15 batches skipped" in captured.err
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 250
+    assert all(row.split(",")[-1] == "0" for row in rows)
+
 
 @pytest.mark.parametrize("script, expected", [
-    (ECHO_PLANT, EXIT_OK), ("print(0.0, flush=True)", EXIT_NUMERIC),
+    (ECHO_PLANT, EXIT_NUMERIC), ("print(0.0, flush=True)", EXIT_NUMERIC),
+    (FOURTH_ORDER_PLANT, EXIT_OK),
 ])
 def test_design_closes_the_external_plant(tmp_path, monkeypatch, script, expected):
     from subvarid.input_design import LineProtocolPlant

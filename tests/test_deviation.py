@@ -34,6 +34,32 @@ def brute_force_box_max(H, delta):
     return best, best_w
 
 
+def oracle_box_max(H, delta):
+    """The earlier chunked enumerator: every 2^d sign pattern through einsum,
+    smallest vertex code kept among exact ties."""
+    H = 0.5 * (H + H.T)
+    d = H.shape[0]
+    bound = 2.0 * delta
+    best_val = -np.inf
+    best_sigma = np.ones(d)
+    chunk_bits = min(d, 16)
+    base_codes = np.arange(1 << chunk_bits, dtype=np.uint32)
+    low_signs = np.where(
+        (base_codes[:, None] >> np.arange(chunk_bits)[None, :]) & 1, 1.0, -1.0
+    )
+    for hi in range(1 << (d - chunk_bits)):
+        sigma = np.empty(((1 << chunk_bits), d))
+        sigma[:, :chunk_bits] = low_signs
+        for b in range(chunk_bits, d):
+            sigma[:, b] = 1.0 if (hi >> (b - chunk_bits)) & 1 else -1.0
+        vals = np.einsum("ij,jk,ik->i", sigma, H, sigma)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_sigma = sigma[i].copy()
+    return bound * bound * best_val, bound * best_sigma
+
+
 def canonical_window(canonical, h=4, t=5, seed=11, amp=10.0):
     """Noise-free canonical data window with strong excitation."""
     rng = np.random.default_rng(seed)
@@ -115,6 +141,45 @@ class TestSolveJ1Exact:
             ref, _ = brute_force_box_max(H, 0.3)
             assert value == pytest.approx(ref)
             assert w @ H @ w == pytest.approx(value)
+
+
+class TestSplitEnumerationOracle:
+    DELTA = 0.05
+
+    def check_against_oracle(self, H):
+        value, w = solve_j1_exact(H, self.DELTA)
+        ref, w_ref = oracle_box_max(H, self.DELTA)
+        assert abs(value - ref) <= 1e-12 * max(abs(ref), 1e-300)
+        assert w @ H @ w == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert np.array_equal(np.abs(w), np.full(len(w), 2 * self.DELTA))
+        assert w[-1] == -2 * self.DELTA
+        return w, w_ref
+
+    @pytest.mark.parametrize("d", range(1, 19))
+    def test_psd_matrices_of_every_rank(self, d):
+        rng = np.random.default_rng(1000 + d)
+        for rank in range(d + 1):
+            A = rng.normal(size=(d, rank))
+            self.check_against_oracle(A @ A.T)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 9, 14, 17])
+    def test_exact_ties_pick_the_oracle_vertex(self, d):
+        rng = np.random.default_rng(2000 + d)
+        integer = rng.integers(-1, 2, size=(d, 2)).astype(float)
+        for H in (np.eye(d), np.ones((d, d)), integer @ integer.T, np.zeros((d, d))):
+            w, w_ref = self.check_against_oracle(H)
+            assert np.array_equal(w, w_ref)
+
+    def test_limit_dimension_attains_its_value(self):
+        rng = np.random.default_rng(20)
+        A = rng.normal(size=(20, 20))
+        H = A @ A.T
+        value, w = solve_j1_exact(H, self.DELTA)
+        assert w @ H @ w == pytest.approx(value, rel=1e-12)
+        # no single sign flip improves on an exact maximum
+        sigma = w / (2 * self.DELTA)
+        gains = -4.0 * sigma * (H @ sigma) + 4.0 * np.diag(H)
+        assert gains.max() <= 1e-9 * value
 
 
 class TestSolveJ1Relaxed:
@@ -277,6 +342,16 @@ class TestMaxDeviation:
         res = max_deviation(y, u, cfg, delta=0.05)
         assert res.J == pytest.approx(np.sqrt(res.J1 + res.J2))
         assert res.J1 >= 0 and res.J2 >= 0
+
+    @pytest.mark.parametrize("amp, above_one", [(10.0, False), (0.05, True)])
+    def test_amplification_flags_the_first_order_regime(self, canonical, amp, above_one):
+        y, u, cfg = canonical_window(canonical, amp=amp)
+        res = max_deviation(y, u, cfg, delta=0.05)
+        alpha = np.linalg.inv(build_L(y, u, cfg.k, cfg.h, cfg.t))
+        expected = 2 * 0.05 * cfg.s(1, 1) * np.abs(alpha).max()
+        assert res.amplification == pytest.approx(expected, rel=1e-9)
+        assert (res.amplification > 1.0) == above_one
+        assert res.J == pytest.approx(np.sqrt(res.J1 + res.J2))
 
 
 class TestSampleVariance:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from subvarid.errors import ConfigurationError, EstimationError, OrderDeficiencyError
-from subvarid.lti_core import NoiseSpec, StateSpaceModel, markov_true, simulate
+from subvarid.lti_core import NoiseSpec, StateSpaceModel, build_L, lead_outputs, markov_true, simulate
 from subvarid.subspace_id import (
+    BATCH_CHUNK,
     BatchDiagnostics,
     EstimatorConfig,
     estimate_markov_batched,
@@ -75,6 +78,77 @@ class TestNoiseFreeEstimator:
             G_star = markov_true(model, cfg.t)
             rel = np.linalg.norm(G_hat.G - G_star.G) / np.linalg.norm(G_star.G)
             assert rel < 1e-8, (m, n, p, rel)
+
+
+def oracle_batched(y, u, cfg):
+    """The earlier per-batch loop: np.linalg.cond, then lead @ pinv(L), last
+    t*p columns.  Returns (average or None, skipped indices, used conds)."""
+    ya = np.asarray(y, dtype=float).reshape(len(y), -1)
+    ua = np.asarray(u, dtype=float).reshape(len(u), -1)
+    n, p = ya.shape[1], ua.shape[1]
+    s, r = cfg.s(n, p), cfg.r(p)
+    total, skipped, conds = 0.0, [], []
+    for i in range(cfg.N):
+        k = cfg.batch_start(i, n, p)
+        L = build_L(ya, ua, k, cfg.h, cfg.t)
+        cond = float(np.linalg.cond(L))
+        if not np.isfinite(cond) or cond > cfg.cond_limit:
+            skipped.append(i)
+            continue
+        total = total + (lead_outputs(ya, k, cfg.h, cfg.t, s) @ np.linalg.pinv(L))[:, s - r :]
+        conds.append(cond)
+    G = total / len(conds) if conds else None
+    return G, skipped, conds
+
+
+def noisy_mimo_record(rng, cfg, model, zero_batches=()):
+    T = cfg.samples_needed(model.n, model.p)
+    U = rng.uniform(-1, 1, size=(T, model.p))
+    log = simulate(model, np.zeros(model.m), U, noise=NoiseSpec(delta=0.02), rng=rng)
+    y, u = log.y.copy(), log.u.copy()
+    s = cfg.s(model.n, model.p)
+    for i in zero_batches:
+        y[s * i : s * i + s + cfg.h + cfg.t] = 0.0
+        u[s * i : s * i + s + cfg.h + cfg.t] = 0.0
+    return y, u
+
+
+class TestBatchedEstimatorOracle:
+    def compare(self, y, u, cfg):
+        diag = BatchDiagnostics()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            G = estimate_markov_batched(y, u, cfg, diagnostics=diag)
+        G_ref, skipped, conds = oracle_batched(y, u, cfg)
+        assert np.abs(G.G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+        assert diag.skipped == skipped
+        assert diag.used == cfg.N - len(skipped)
+        assert len([w for w in caught if "degenerate" in str(w.message)]) == len(skipped)
+        assert np.allclose(diag.condition_numbers, conds, rtol=1e-10, atol=0.0)
+        return diag
+
+    def test_multi_output_multi_input(self):
+        rng = np.random.default_rng(30)
+        model = random_minimal_model(rng, 4, n=2, p=2)
+        cfg = EstimatorConfig(h=2, t=3, N=12)
+        self.compare(*noisy_mimo_record(rng, cfg, model), cfg)
+
+    def test_more_batches_than_one_chunk_with_skips(self):
+        rng = np.random.default_rng(31)
+        model = random_minimal_model(rng, 2, n=2, p=2)
+        cfg = EstimatorConfig(h=1, t=2, N=BATCH_CHUNK + 7)
+        zero = (3, BATCH_CHUNK - 1, BATCH_CHUNK + 2)
+        diag = self.compare(*noisy_mimo_record(rng, cfg, model, zero_batches=zero), cfg)
+        # a zeroed window also flattens part of the next one
+        assert set(zero) <= set(diag.skipped) and diag.used > BATCH_CHUNK - 10
+
+    def test_all_zero_record_reports_infinite_condition(self):
+        cfg = EstimatorConfig(h=1, t=2, N=3)
+        T = cfg.samples_needed(2, 2)
+        with pytest.warns(UserWarning, match=r"cond=inf"):
+            with pytest.raises(EstimationError) as err:
+                estimate_markov_batched(np.zeros((T, 2)), np.zeros((T, 2)), cfg)
+        assert err.value.condition_number == np.inf
 
 
 class TestBatchedEstimator:
