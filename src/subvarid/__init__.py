@@ -20,7 +20,6 @@ from .lti_core import (
     StateSpaceModel,
     build_hankel,
     build_L,
-    check_invertibility,
     extended_controllability,
     extended_observability,
     lead_outputs,
@@ -41,13 +40,11 @@ from .deviation import (
     AlphaMatrix,
     DeviationResult,
     alpha_matrix,
-    j1_hessian,
     j2_hessian,
     max_deviation,
     sample_variance,
     solve_j1_exact,
     solve_j1_relaxed,
-    solve_j2,
 )
 from .input_design import (
     BorderedPartition,
@@ -56,11 +53,8 @@ from .input_design import (
     IdentificationRun,
     LineProtocolPlant,
     SimulatedPlant,
-    bordered_inverse_update,
     cost_j0,
     design_input_step,
-    feasible_set_check,
-    predict_output,
     run_closed_loop,
 )
 from .experiments import (

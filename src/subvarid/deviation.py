@@ -10,9 +10,7 @@ sign-flip refinement otherwise.
 
 Index conventions: r = t*p columns are selected for G(t), so the deviation
 quadratics sum over the last r columns of alpha and over every row the noise
-multiplies.  `j1_hessian` additionally exposes the (r+1..s) sub-block form
-used in the analysis split; `max_deviation` uses the estimator-consistent
-quadratics throughout.
+multiplies.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .lti_core import _as_2d, build_L, lead_outputs
-from .subspace_id import EstimatorConfig
+from .lti_core import DEFAULT_COND_LIMIT, _as_2d, build_L, lead_outputs
+from .subspace_id import EstimatorConfig, invert_windows
 
 
 ENUMERATION_LIMIT = 20
@@ -68,15 +66,17 @@ class DeviationResult:
     amplification: float
 
 
-def invert_data_matrix(L: np.ndarray, r: int, cond_limit: float = 1e12) -> AlphaMatrix:
-    """Inverse of a square data matrix with conditioning diagnostics."""
+def invert_data_matrix(L: np.ndarray, r: int,
+                       cond_limit: float = DEFAULT_COND_LIMIT) -> AlphaMatrix:
+    """Inverse of a square data matrix, under the skip rule of `invert_windows`."""
     L = np.asarray(L, dtype=float)
-    cond = float(np.linalg.cond(L))
-    if not np.isfinite(cond) or cond > cond_limit:
+    cond, ok, alpha = invert_windows(L[None], cond_limit)
+    cond = float(cond[0])
+    if not ok[0]:
         raise EstimationError(
             f"data matrix numerically singular (cond={cond:.3e})", condition_number=cond
         )
-    return AlphaMatrix(alpha=np.linalg.inv(L), r=r, s=L.shape[0], condition_number=cond)
+    return AlphaMatrix(alpha=alpha[0], r=r, s=L.shape[0], condition_number=cond)
 
 
 def alpha_matrix(y_star, u_star, cfg: EstimatorConfig, k: Optional[int] = None) -> AlphaMatrix:
@@ -89,16 +89,6 @@ def alpha_matrix(y_star, u_star, cfg: EstimatorConfig, k: Optional[int] = None) 
     if al.s != cfg.s(n, p):
         raise ConfigurationError("window size mismatch")
     return al
-
-
-def j1_hessian(alpha: AlphaMatrix) -> np.ndarray:
-    """Sub-block form H(i,j) = sum_k alpha(k,i) alpha(k,j) over indices r+1..s.
-
-    This is M^T M for the trailing (s-r) x (s-r) sub-block of alpha; positive
-    semidefinite by construction.
-    """
-    M = alpha.alpha[alpha.r :, alpha.r :]
-    return M.T @ M
 
 
 def lead_noise_hessian(alpha: AlphaMatrix) -> np.ndarray:
@@ -292,11 +282,6 @@ def j2_hessian(alpha: AlphaMatrix, y_star_lead: np.ndarray, cfg: EstimatorConfig
     return H2
 
 
-def solve_j2(H2: np.ndarray, delta: float):
-    """Box maximum of P^T H2 P with |P|_inf <= 2*delta (exact or relaxed)."""
-    return solve_box_qp(H2, delta)
-
-
 def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
                   k: Optional[int] = None) -> DeviationResult:
     """Maximum identification deviation J for one data window.
@@ -319,7 +304,7 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
     w_star = np.tile(w_row, (n, 1))
 
     H2 = j2_hessian(al, lead, cfg, n=n, p=p)
-    J2, p_star, gap2, method2 = solve_j2(H2, delta)
+    J2, p_star, gap2, method2 = solve_box_qp(H2, delta)
 
     method = "exact" if method1 == method2 == "exact" else "relaxed"
     return DeviationResult(

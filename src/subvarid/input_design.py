@@ -38,8 +38,13 @@ from .lti_core import (
     extended_observability,
     toeplitz_T,
 )
-from .subspace_id import EstimatorConfig, Realization, ho_kalman
-from . import deviation as dev
+from .subspace_id import (
+    EstimatorConfig,
+    Realization,
+    ho_kalman,
+    identification_error,
+    invert_windows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +144,6 @@ def partition_from_L(L: np.ndarray, r: int) -> BorderedPartition:
     L = np.asarray(L, dtype=float)
     k = L.shape[0] - 1
     return BorderedPartition(Y=L[:k, :k], y=L[:k, k], u0=L[k, :k], r=r)
-
-
-def bordered_inverse_update(partition: BorderedPartition, u_new: float) -> dev.AlphaMatrix:
-    """Inverse for a new corner value from the cached partition."""
-    alpha = partition.alpha_of(u_new)
-    L = np.zeros((partition.s, partition.s))
-    L[:-1, :-1] = partition.Y
-    L[:-1, -1] = partition.y
-    L[-1, :-1] = partition.u0
-    L[-1, -1] = u_new
-    cond = float(np.linalg.cond(L))
-    return dev.AlphaMatrix(alpha=alpha, r=partition.r, s=partition.s, condition_number=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +253,9 @@ class OutputPredictor:
     recursion q steps is linear in the last h+t outputs, the last h+t-1
     inputs and the q future inputs, so it is folded into one matrix per
     horizon length q, built on first use.  The model's eigen-decomposition
-    and the state estimator's pinv(O_c) and T are kept for the safety
+    and the state observer's pinv(O_c) and T are kept for the safety
     interval, which the loop evaluates at every sample while the model
-    changes only once per batch.
+    changes only once per batch, and for the model validation.
     """
 
     def __init__(self, A_hat, B_hat, C_hat, G_hat: MarkovMatrix, h: Optional[int] = None):
@@ -337,109 +330,9 @@ class OutputPredictor:
         return x
 
 
-def predict_output(
-    A_hat,
-    B_hat,
-    C_hat,
-    G_hat: MarkovMatrix,
-    Y_window,
-    U_window,
-    U_next,
-    h: Optional[int] = None,
-) -> np.ndarray:
-    """Predict the outputs following the recorded window, one per U_next entry.
-
-    Y_window and U_window are the most recent aligned samples (at least h + t
-    of them); U_next holds the future inputs to predict through.  Predictions
-    recurse: later steps consume earlier predicted outputs.
-    """
-    predictor = OutputPredictor(A_hat, B_hat, C_hat, G_hat, h=h)
-    return predictor.predict(Y_window, U_window, U_next)
-
-
 # ---------------------------------------------------------------------------
-# feasibility
+# safety filter
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeasibilityContext:
-    """Everything the constraint families need at one design instant."""
-
-    realization: Realization
-    G_hat: MarkovMatrix
-    y_history: np.ndarray
-    u_history: np.ndarray
-    partition: Optional[BorderedPartition]
-    cfg: DesignConfig
-    h: int
-    predictor: Optional["OutputPredictor"] = None
-
-    def get_predictor(self) -> "OutputPredictor":
-        if self.predictor is None:
-            self.predictor = OutputPredictor(
-                self.realization.A_hat, self.realization.B_hat,
-                self.realization.C_hat, self.G_hat, h=self.h,
-            )
-        return self.predictor
-
-
-@dataclass
-class FeasibilityReport:
-    feasible: bool
-    margins: dict
-    violated: list
-
-
-def _alpha_tilde(alpha_maxabs: float, delta: float, s: int) -> float:
-    """First-order worst-case inflation of |alpha| under bounded perturbation."""
-    return alpha_maxabs * (1.0 + 2.0 * delta * s * alpha_maxabs)
-
-
-def feasible_set_check(u_candidate_sequence, context: FeasibilityContext) -> FeasibilityReport:
-    """Evaluate all four constraint families for a candidate input sequence.
-
-    The sequence covers the predictive horizon; only its first element would
-    be applied.  Returns the margins (positive = satisfied) per family rather
-    than raising: an infeasible candidate is a result, not an error.
-    """
-    u_seq = np.asarray(u_candidate_sequence, dtype=float).flatten()
-    cfg = context.cfg
-    margins = {}
-    violated = []
-
-    margins["input_bound"] = float(cfg.u_M - np.abs(u_seq).max())
-    if margins["input_bound"] < 0:
-        violated.append("input_bound")
-
-    try:
-        y_pred = context.get_predictor().predict(
-            context.y_history, context.u_history, u_seq
-        )
-        margins["output_bound"] = float(cfg.kappa * cfg.y_M - np.abs(y_pred).max())
-    except (EstimationError, ConfigurationError):
-        y_pred = None
-        margins["output_bound"] = -np.inf
-    if margins["output_bound"] < 0:
-        violated.append("output_bound")
-
-    if context.partition is not None:
-        try:
-            alpha = context.partition.alpha_of(float(u_seq[0]))
-            a_tilde = _alpha_tilde(float(np.abs(alpha).max()), cfg.delta, context.partition.s)
-            margins["alpha_bound"] = float(cfg.alpha_M - a_tilde)
-            margins["epsilon_bound"] = float(cfg.epsilon - cfg.delta * a_tilde**2)
-        except NearSingularError:
-            margins["alpha_bound"] = -np.inf
-            margins["epsilon_bound"] = -np.inf
-    else:
-        margins["alpha_bound"] = margins["epsilon_bound"] = np.nan
-    if margins.get("alpha_bound", 0) < 0:
-        violated.append("alpha_bound")
-    if margins.get("epsilon_bound", 0) < 0:
-        violated.append("epsilon_bound")
-
-    return FeasibilityReport(feasible=not violated, margins=margins, violated=violated)
 
 
 def _interval_intersect(a, b):
@@ -458,19 +351,19 @@ def _affine_interval(a: float, b: float, bound: float, current):
     return _interval_intersect(current, (lo, hi))
 
 
-def safety_interval(context: FeasibilityContext, horizon: int):
+def safety_interval(pred: OutputPredictor, cfg: DesignConfig, horizon: int,
+                    y_history, u_history):
     """Interval of next inputs keeping predicted outputs within the margin.
 
-    Uses a zero continuation after the designed sample (sufficient condition;
-    the estimated model is stable in normal operation) plus holdability of any
-    unstable estimated modes, so the set stays recursively feasible.
+    This is the loop's one safety filter.  It uses a zero continuation after
+    the designed sample (sufficient condition; the estimated model is stable
+    in normal operation) plus holdability of any unstable estimated modes, so
+    the set stays recursively feasible.  Returns None when no input is safe,
+    and the whole input box when the histories cannot be predicted from.
     """
-    cfg = context.cfg
     interval = (-cfg.u_M, cfg.u_M)
-
     try:
-        pred = context.get_predictor()
-        base = pred.predict(context.y_history, context.u_history, np.zeros(1 + horizon))
+        base = pred.predict(y_history, u_history, np.zeros(1 + horizon))
     except (EstimationError, ConfigurationError):
         return interval
     slope = pred.impulse(1 + horizon)
@@ -478,22 +371,16 @@ def safety_interval(context: FeasibilityContext, horizon: int):
         interval = _affine_interval(base[j], slope[j], cfg.kappa * cfg.y_M, interval)
         if interval is None:
             return None
-
-    interval = _unstable_mode_interval(context, interval)
-    return interval
-
-
-def _unstable_mode_interval(context: FeasibilityContext, interval):
-    """Shrink the input interval so unstable estimated modes stay holdable."""
-    if interval is None:
-        return None
-    pred = context.get_predictor()
     if not pred.unstable.any():
         return interval
-    cfg = context.cfg
+    return _unstable_mode_interval(pred, cfg, pred.estimate_state(y_history, u_history),
+                                   interval)
+
+
+def _unstable_mode_interval(pred: OutputPredictor, cfg: DesignConfig, x_now, interval):
+    """Shrink the input interval so unstable estimated modes stay holdable."""
     A, B = pred.model.A, pred.model.B
     W = pred.W[pred.unstable]
-    x_now = pred.estimate_state(context.y_history, context.u_history)
     za = W @ (A @ x_now)
     zb = (W @ B).flatten()
     z_now = np.abs(W @ x_now)
@@ -554,8 +441,6 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
             out.append((-np.inf, c0 + 1.0 / lo))
         if lo == 0 and hi == 0:
             return []
-    elif lo > 0:
-        out.append((c0 + 1.0 / hi, c0 + 1.0 / lo))
     else:
         out.append((c0 + 1.0 / hi, c0 + 1.0 / lo))
     return out
@@ -646,26 +531,6 @@ def _data_noise_terms(partition: BorderedPartition, lead: np.ndarray, dL: np.nda
     return F1, F2, (g_inf @ dL @ base)[sel]
 
 
-def scenario_affine_terms(
-    partition: BorderedPartition,
-    lead: np.ndarray,
-    w_lead: np.ndarray,
-    dL: np.ndarray,
-    r: int,
-):
-    """F, c coefficients of one noise scenario's residual in u2.
-
-    The residual of column j (selected block) is
-    w_lead^T alpha[:, j] - lead^T (alpha dL alpha)[:, j] with
-    alpha = base + u2 R1 R2^T; the u2^2 term of the second product is dropped
-    (same order as the linearization that defines the deviation quadratics).
-    """
-    sel = slice(partition.s - r, partition.s)
-    Fw, cw = _lead_noise_terms(partition, w_lead, sel)
-    F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
-    return Fw - F1 - F2, cw - cd
-
-
 def build_scenarios(
     partition: BorderedPartition,
     lead: np.ndarray,
@@ -688,8 +553,8 @@ def build_scenarios(
     sel = slice(s - t, s)
     Fw, cw = _lead_noise_terms(partition, w_star, sel)
     F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
-    # scenarios (+-w_star, +-dL): negation is exact, so each row equals
-    # scenario_affine_terms of the signed noise bit for bit
+    # scenarios (+-w_star, +-dL): negation is exact, so each row equals the
+    # terms of the signed noise, formed on their own, bit for bit
     sw = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
     sp = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
     return CostAffineForm(F_terms=sw * Fw - sp * F1 - sp * F2, c_terms=sw * cw - sp * cd)
@@ -700,31 +565,21 @@ def build_scenarios(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DesignState:
-    """Inputs to one design step (current window, estimates, feasible sets)."""
-
-    partition: BorderedPartition
-    lead: np.ndarray
-    u_intervals: list
-    form: CostAffineForm
-
-
-def design_input_step(state: DesignState) -> float:
+def design_input_step(partition: BorderedPartition, u_intervals: list,
+                      form: CostAffineForm) -> float:
     """Design the next input: minimize J0 in u2, map back, project to feasible.
 
     The projection evaluates the cost at the feasible interval endpoints and
     at the unconstrained optimum when it lies inside, returning the best
     feasible candidate.
     """
-    intervals = [iv for iv in state.u_intervals if iv is not None]
+    intervals = [iv for iv in u_intervals if iv is not None]
     if not intervals:
         raise DesignFailureError("empty feasible set handed to design_input_step")
-    form = state.form
     u2_opt = form.minimizer()
 
     candidates = []
-    c0 = state.partition.c0
+    c0 = partition.c0
     if u2_opt != 0.0:
         u_free = c0 + 1.0 / u2_opt
         for lo, hi in intervals:
@@ -740,7 +595,7 @@ def design_input_step(state: DesignState) -> float:
     best_u, best_f = None, np.inf
     for u in candidates:
         try:
-            f = cost_j0(state.partition.u2_of(u), form)
+            f = cost_j0(partition.u2_of(u), form)
         except NearSingularError:
             continue
         if f < best_f:
@@ -914,20 +769,134 @@ def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) ->
 
 
 def _validate_model(pred: OutputPredictor, y, u, n_check: int = 12) -> float:
-    """Relative one-step prediction error of a candidate model's predictor."""
-    model, h, T, Oc_left = pred.model, pred.h, pred.T, pred.Oc_left
+    """Relative one-step prediction error of a candidate model's predictor.
+
+    Checks the last n_check one-step predictions, or as many as a short
+    history holds (the earliest state window starts at y(0)).
+    """
+    model, h = pred.model, pred.h
     errs = []
     scale = max(float(np.abs(y[-(n_check + h + 1):]).max()), 1.0)
-    for k0 in range(len(y) - n_check - h, len(y) - h):
-        yw = y[k0 : k0 + h]
-        uw = u[k0 : k0 + h]
-        x = Oc_left @ (yw - T @ uw)
-        for j in range(h - 1):
-            x = model.A @ x + model.B @ np.atleast_1d(uw[j])
-        # x is now x(k0+h-1); advance once more with u(k0+h-1)
-        y_next = (model.C @ (model.A @ x + model.B @ np.atleast_1d(uw[-1])))[0]
+    for k0 in range(max(len(y) - n_check - h, 0), len(y) - h):
+        # x(k0+h-1) from y(k0 .. k0+h-1); advance once more with u(k0+h-1)
+        x = pred.estimate_state(y[: k0 + h], u[: k0 + h - 1])
+        y_next = (model.C @ (model.A @ x + model.B @ np.atleast_1d(u[k0 + h - 1])))[0]
         errs.append(abs(float(y_next) - float(y[k0 + h])))
     return float(np.mean(errs)) / scale
+
+
+@functools.lru_cache(maxsize=None)
+def _window_rows(h: int, t: int, s: int):
+    """Index arrays that cut the output and input blocks of a SISO L from y, u."""
+    rows = (np.arange(h)[:, None] + np.arange(s), np.arange(h + t)[:, None] + np.arange(s))
+    for index in rows:
+        index.flags.writeable = False  # shared by every caller of the cache
+    return rows
+
+
+def _loop_window(y, u, k0: int, h: int, t: int, s: int) -> np.ndarray:
+    """L[y, u] of the SISO window starting at k0."""
+    rows_y, rows_u = _window_rows(h, t, s)
+    return np.vstack([y[k0 + rows_y], u[k0 + rows_u]])
+
+
+class _BatchFold:
+    """The loop's running batch average and the model validated on it.
+
+    Batch i is the window starting at i*s; it is folded in once its lead
+    outputs exist.  A window is skipped when `invert_windows` drops it at the
+    loop's cond_limit, or when its noise amplification 2 delta s max|alpha|
+    exceeds batch_amplification_limit.
+    """
+
+    def __init__(self, cfg: DesignConfig, h: int, t: int, s: int, order: int):
+        self.cfg, self.h, self.t, self.s, self.order = cfg, h, t, s, order
+        self.G_sum = np.zeros(t)
+        self.n_used = 0
+        self.batches: list = []
+        self.G_hat: Optional[MarkovMatrix] = None
+        self.accepted: Optional[Realization] = None
+        self.predictor: Optional[OutputPredictor] = None
+        self.latest_J = 0.0
+
+    def catch_up(self, ya, ua):
+        """Fold in every batch whose window the outputs ya complete."""
+        h, t, s = self.h, self.t, self.s
+        while len(self.batches) * s + s + h + t <= len(ya):
+            self._fold(ya, ua, len(self.batches) * s)
+
+    def _fold(self, ya, ua, k0: int):
+        cfg, h, t, s = self.cfg, self.h, self.t, self.s
+        cond, ok, alpha = invert_windows(_loop_window(ya, ua, k0, h, t, s)[None], cfg.cond_limit)
+        used, regime, J_b = bool(ok[0]), False, np.nan
+        if used:
+            alpha = alpha[0]
+            amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
+            # skip windows whose noise amplification swamps the estimate
+            used = amp <= cfg.batch_amplification_limit
+        if used:
+            lead = ya[k0 + h + t : k0 + h + t + s]
+            self.G_sum += (lead @ alpha)[s - t :]
+            self.n_used += 1
+            # deviation statistics only where the first-order inverse
+            # perturbation converges (Neumann-series validity)
+            regime = amp <= 0.9
+            if regime:
+                J_b, _, _ = window_deviation(alpha, lead, h, t, cfg.delta)
+                self.latest_J = J_b
+        self.batches.append(
+            BatchRecord(index=len(self.batches), G=self.G_sum / max(self.n_used, 1), J=J_b,
+                        condition_number=float(cond[0]), used=used, regime=regime)
+        )
+        if not self.n_used:
+            return
+        self.G_hat = MarkovMatrix(G=(self.G_sum / self.n_used)[None, :], t=t)
+        try:
+            cand = ho_kalman(self.G_hat, self.order)
+            pred = OutputPredictor(cand.A_hat, cand.B_hat, cand.C_hat, self.G_hat, h=h)
+            if _validate_model(pred, ya, ua) < cfg.validation_tol:
+                self.accepted, self.predictor = cand, pred
+        except (SubvaridError, np.linalg.LinAlgError):
+            pass
+
+
+def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya, ua,
+                    interval, h: int, t: int, s: int) -> Optional[float]:
+    """Designed u(tau), tau = len(ua) - 1, or None when the loop must fall back.
+
+    u(tau) is the corner of the window starting at k0 = tau - (h+t+s-2), and
+    ua[tau] holds its placeholder.  The deviation analysis is defined on the
+    noise-free output; once a model exists, the design runs against its
+    predicted window so the designed input does not chase the realized noise.
+    """
+    tau = len(ua) - 1
+    k0 = tau - (h + t + s - 2)
+    if k0 < 0:
+        return None
+    y_design = ya
+    if predictor is not None and k0 >= h + t:
+        future = np.concatenate([ua[k0:tau], [0.0]])
+        y_design = np.concatenate([ya[: k0 + 1], predictor.predict(ya[: k0 + 1], ua[:k0], future)])
+    try:
+        part = partition_from_L(_loop_window(y_design, ua, k0, h, t, s), t)
+        lead = y_design[k0 + h + t : k0 + h + t + s]
+        if len(lead) < s:
+            # y(tau+1) is still ahead: predict it, or repeat the last output
+            last = predictor.predict(ya, ua[:tau], [0.0]) if predictor is not None else lead[-1:]
+            lead = np.concatenate([lead, last])
+        u_sets = [
+            iv
+            for cs in conditioning_u_sets(part, cfg)
+            for iv in [_interval_intersect(cs, interval)]
+            if iv is not None
+        ]
+        if not u_sets:
+            return None
+        probe = u_sets[0][1] if np.isfinite(u_sets[0][1]) else u_sets[0][0]
+        form = build_scenarios(part, lead, h, t, cfg.delta, probe)
+        return design_input_step(part, u_sets, form)
+    except (NearSingularError, EstimationError, np.linalg.LinAlgError, DesignFailureError):
+        return None
 
 
 def run_closed_loop(
@@ -944,9 +913,9 @@ def run_closed_loop(
 ) -> IdentificationRun:
     """Run Algorithm-1 style closed-loop identification for n_iterations.
 
-    Per iteration: re-estimate G (batch average) when a new batch completes,
-    realize (A, B, C), build the feasible set for the next input, design it
-    (or draw it uniformly in `white` mode), apply it to the plant, and record
+    Per iteration: fold in completed batches (re-estimating G and realizing
+    (A, B, C)), bound the next input by the safety interval, design it (or
+    draw it uniformly in `white` mode), apply it to the plant, and record
     everything.  The initial sequence is either supplied or generated as
     multitone dither.
     """
@@ -957,7 +926,6 @@ def run_closed_loop(
     h, t = est_cfg.h, est_cfg.t
     s = est_cfg.s(1, 1)
     window = s + h + t
-    r = t
     if init_inputs is None:
         init_inputs = multitone_dither(window - 1, dither_amplitude, rng)
     init_len = len(init_inputs)
@@ -965,181 +933,63 @@ def run_closed_loop(
         raise ConfigurationError(f"initial sequence must hold >= {window - 1} inputs")
     horizon = cfg.horizon if cfg.horizon is not None else order
 
-    capacity = init_len + n_iterations + 2
-    y_buf = np.empty(capacity)
-    u_buf = np.zeros(capacity)
+    # y(0..T) and u(0..T-1); u(T), the input being designed, is a 0.0 slot
+    y_buf = np.empty(init_len + n_iterations + 1)
+    u_buf = np.zeros(init_len + n_iterations + 1)
     y_buf[0] = plant.reset()
-    n_y, n_u = 1, 0
-    for u0 in init_inputs:
-        u_buf[n_u] = float(u0)
-        n_u += 1
-        y_buf[n_y] = plant.step(float(u0))
-        n_y += 1
+    for k, u0 in enumerate(init_inputs):
+        u_buf[k] = float(u0)
+        y_buf[k + 1] = plant.step(float(u0))
 
-    G_sum = np.zeros(r)
-    n_used = 0
-    next_batch = 0
-    batches: list = []
+    fold = _BatchFold(cfg, h, t, s, order)
     iterations: list = []
-    G_hat: Optional[MarkovMatrix] = None
-    accepted: Optional[Realization] = None
-    predictor: Optional[OutputPredictor] = None
-    latest_J = 0.0
     infeasible_events = violations = fallbacks = 0
-    idxH = np.arange(h)[:, None] + np.arange(s)[None, :]
-    idxU = np.arange(h + t)[:, None] + np.arange(s)[None, :]
-
     for it in range(n_iterations):
-        tau = n_u  # time index of the input being designed
-        ya = y_buf[:n_y]
-        ua = u_buf[: n_u + 1]  # one placeholder slot for u(tau)
-
-        # fold in completed batches: batch i needs y up to i*s + window - 1
-        while next_batch * s + window - 1 <= tau:
-            k0 = next_batch * s
-            L = np.vstack([ya[k0 + idxH], ua[k0 + idxU]])
-            cond = float(np.linalg.cond(L))
-            used = bool(np.isfinite(cond) and cond < cfg.cond_limit)
-            J_b = np.nan
-            regime = False
-            if used:
-                alpha = np.linalg.inv(L)
-                amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
-                # skip windows whose noise amplification swamps the estimate
-                used = amp <= cfg.batch_amplification_limit
-            if used:
-                lead = ya[k0 + h + t : k0 + h + t + s]
-                G_sum += (lead @ alpha)[s - r :]
-                n_used += 1
-                # deviation statistics only where the first-order inverse
-                # perturbation converges (Neumann-series validity)
-                regime = amp <= 0.9
-                if regime:
-                    J_b, _, _ = window_deviation(alpha, lead, h, t, cfg.delta)
-                    latest_J = J_b
-            batches.append(
-                BatchRecord(index=next_batch, G=G_sum / max(n_used, 1), J=J_b,
-                            condition_number=cond, used=used, regime=regime)
-            )
-            next_batch += 1
-            if n_used:
-                G_hat = MarkovMatrix(G=(G_sum / n_used)[None, :], t=t)
-                try:
-                    cand = ho_kalman(G_hat, order)
-                    cand_pred = OutputPredictor(
-                        cand.A_hat, cand.B_hat, cand.C_hat, G_hat, h=h
-                    )
-                    if _validate_model(cand_pred, ya, ua) < cfg.validation_tol:
-                        accepted, predictor = cand, cand_pred
-                except (SubvaridError, np.linalg.LinAlgError):
-                    pass
-
-        y_now = float(y_buf[n_y - 1])
-        if abs(y_now) > cfg.y_M:
-            violations += 1
+        tau = init_len + it  # time index of the input being designed
+        ya, ua, u_hist = y_buf[: tau + 1], u_buf[: tau + 1], u_buf[:tau]
+        fold.catch_up(ya, ua)
+        predictor = fold.predictor
+        violations += int(abs(float(ya[-1])) > cfg.y_M)
 
         # safety interval from the validated model; before one exists the
         # loop stays within the running system's own operating range
-        interval = (-cfg.u_M, cfg.u_M)
-        feasible = accepted is not None
-        if accepted is not None and G_hat is not None:
-            context = FeasibilityContext(
-                realization=accepted, G_hat=G_hat,
-                y_history=ya, u_history=u_buf[:n_u],
-                partition=None, cfg=cfg, h=h, predictor=predictor,
-            )
-            interval = safety_interval(context, horizon)
+        interval, feasible = (-cfg.u_M, cfg.u_M), predictor is not None
+        if predictor is not None:
+            interval = safety_interval(predictor, cfg, horizon, ya, u_hist)
             if interval is None:
                 infeasible_events += 1
-                feasible = False
-                interval = (-cfg.u_M, cfg.u_M)
+                interval, feasible = (-cfg.u_M, cfg.u_M), False
 
         if mode == "white":
-            draw = rng.uniform(-cfg.white_amplitude * cfg.u_M,
-                               cfg.white_amplitude * cfg.u_M)
+            draw = rng.uniform(-cfg.white_amplitude * cfg.u_M, cfg.white_amplitude * cfg.u_M)
             u_tau = float(min(max(draw, interval[0]), interval[1]))
         else:
-            k0 = tau - (h + t + s - 2)
-            u_tau = None
-            if k0 >= 0:
-                # the deviation analysis is defined on the noise-free output;
-                # once a model exists, design against its predicted window so
-                # the designed input does not chase the realized noise
-                y_design = None
-                if predictor is not None and k0 >= h + t:
-                    try:
-                        future = np.concatenate([u_buf[k0:n_u], [0.0]])
-                        y_pred_win = predictor.predict(
-                            y_buf[: k0 + 1], u_buf[:k0], future
-                        )
-                        y_design = np.concatenate([y_buf[: k0 + 1], y_pred_win])
-                    except (EstimationError, ConfigurationError):
-                        y_design = None
-                if y_design is None:
-                    y_design = ya
-                Lc = np.vstack([y_design[k0 + idxH], ua[k0 + idxU]])
-                try:
-                    part = partition_from_L(Lc, r)
-                    if len(y_design) >= k0 + h + t + s:
-                        lead = y_design[k0 + h + t : k0 + h + t + s]
-                    else:
-                        lead_known = y_design[k0 + h + t : k0 + h + t + s - 1]
-                        if predictor is not None:
-                            pred_last = predictor.predict(ya, u_buf[:n_u], [0.0])
-                        else:
-                            pred_last = lead_known[-1:]
-                        lead = np.concatenate([lead_known, pred_last])
-                    cond_sets = conditioning_u_sets(part, cfg)
-                    u_sets = [
-                        iv
-                        for cs in cond_sets
-                        for iv in [_interval_intersect(cs, interval)]
-                        if iv is not None
-                    ]
-                    if u_sets:
-                        probe = u_sets[0][1] if np.isfinite(u_sets[0][1]) else u_sets[0][0]
-                        form = build_scenarios(part, lead, h, t, cfg.delta, probe)
-                        state = DesignState(
-                            partition=part, lead=lead,
-                            u_intervals=u_sets, form=form,
-                        )
-                        u_tau = design_input_step(state)
-                except (NearSingularError, EstimationError, np.linalg.LinAlgError,
-                        DesignFailureError):
-                    u_tau = None
+            u_tau = _designed_input(cfg, predictor, ya, ua, interval, h, t, s)
             if u_tau is None:
                 # no conditioning-feasible corner (often a degenerate window):
                 # fall back to a random safe input so excitation recovers
                 fallbacks += 1
                 u_tau = float(rng.uniform(interval[0], interval[1]))
 
-        y_pred = 0.0
-        if predictor is not None:
-            try:
-                y_pred = float(predictor.predict(ya, u_buf[:n_u], [u_tau])[0])
-            except (EstimationError, ConfigurationError):
-                y_pred = 0.0
-
-        u_buf[n_u] = float(u_tau)
-        n_u += 1
-        y_buf[n_y] = plant.step(float(u_tau))
-        n_y += 1
-
+        y_pred = 0.0 if predictor is None else float(predictor.predict(ya, u_hist, [u_tau])[0])
+        u_buf[tau] = u_tau
+        y_buf[tau + 1] = plant.step(u_tau)
         dG = np.nan
-        if G_star is not None and G_hat is not None:
-            dG = float(np.sum((G_hat.G - G_star.G) ** 2))
+        if G_star is not None and fold.G_hat is not None:
+            dG = identification_error(fold.G_hat, G_star)
         iterations.append(
-            IterationRecord(index=it, u=float(u_tau), y=float(y_buf[n_y - 1]),
-                            y_pred=y_pred, J=latest_J, dG=dG, feasible=feasible)
+            IterationRecord(index=it, u=u_tau, y=float(y_buf[tau + 1]), y_pred=y_pred,
+                            J=fold.latest_J, dG=dG, feasible=feasible)
         )
 
+    end = init_len + n_iterations
     return IdentificationRun(
         iterations=iterations,
-        batches=batches,
-        y=y_buf[:n_y].copy(),
-        u=u_buf[:n_u].copy(),
-        G_hat=G_hat,
-        realization=accepted,
+        batches=fold.batches,
+        y=y_buf[: end + 1].copy(),
+        u=u_buf[:end].copy(),
+        G_hat=fold.G_hat,
+        realization=fold.accepted,
         infeasible_events=infeasible_events,
         violations=violations,
         design_fallbacks=fallbacks,

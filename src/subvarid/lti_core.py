@@ -282,13 +282,6 @@ class MarkovMatrix:
         return self.block(self.t - i)
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
-    ok: bool
-    condition_number: float
-    cond_limit: float = DEFAULT_COND_LIMIT
-
-
 def simulate(
     model: StateSpaceModel,
     x0,
@@ -456,11 +449,3 @@ def toeplitz_T(model: StateSpaceModel, h: int) -> np.ndarray:
             T[i * n : (i + 1) * n, j * p : (j + 1) * p] = markov[i - j - 1]
     return T
 
-
-def check_invertibility(M: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT) -> InvertibilityReport:
-    """Diagnostic: condition number of a square matrix against a limit."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigurationError(f"expected a square matrix, got shape {M.shape}")
-    cond = float(np.linalg.cond(M))
-    return InvertibilityReport(ok=bool(np.isfinite(cond) and cond < cond_limit), condition_number=cond, cond_limit=cond_limit)

@@ -2,7 +2,8 @@
 
 The estimator reads G(t) off the last t*p columns of Y(k+h+t;s) L^{-1}[y,u];
 the batched variant averages per-batch estimates with batch i starting at
-k = s*i.  All generalized inverses are Moore-Penrose.
+k = s*i.  Every data window is inverted by `invert_windows`, under one
+condition-number skip rule.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Realization:
         return MarkovMatrix(G=np.hstack(blocks[::-1]), t=t)
 
 
-# windows factored per batched SVD call; bounds memory at O(BATCH_CHUNK s^2)
+# windows inverted per batched call; bounds memory at O(BATCH_CHUNK s^2)
 BATCH_CHUNK = 256
 
 
@@ -100,19 +101,17 @@ class BatchDiagnostics:
     condition_numbers: list = field(default_factory=list)
 
 
-def _single_window_estimate(ya, ua, k, h, t, cond_limit):
-    """G(t) from one window; returns (G, cond) or raises EstimationError."""
-    n, p = ya.shape[1], ua.shape[1]
-    s = window_size(h, t, n, p)
-    r = t * p
-    L = build_L(ya, ua, k, h, t)
-    lead = lead_outputs(ya, k, h, t, s)
-    cond = float(np.linalg.cond(L))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise _singular_window(k, cond)
-    # lead @ inv(L), last r columns
-    G = np.linalg.solve(L.T, lead.T).T[:, s - r :]
-    return G, cond
+def invert_windows(L: np.ndarray, cond_limit: float):
+    """Condition numbers, kept mask and inverses of a (c, s, s) window stack.
+
+    This is the one skip rule for data windows: a window is kept when its
+    2-norm condition number is finite and at most cond_limit (np.linalg.cond
+    reads a NaN as inf).  Returns (cond, ok, alpha), where alpha holds the
+    LU inverses of the kept windows only, in stack order.
+    """
+    cond = np.linalg.cond(L)
+    ok = np.isfinite(cond) & (cond <= cond_limit)
+    return cond, ok, np.linalg.inv(L[ok])
 
 
 def _singular_window(k, cond: float) -> EstimationError:
@@ -139,22 +138,25 @@ def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
     matrix is numerically singular.
     """
     ya, ua = _as_2d(y), _as_2d(u)
-    G, _ = _single_window_estimate(ya, ua, cfg.k, cfg.h, cfg.t, cfg.cond_limit)
-    return MarkovMatrix(G=G, t=cfg.t)
+    n, p = ya.shape[1], ua.shape[1]
+    s, r = cfg.s(n, p), cfg.r(p)
+    cond, ok, alpha = invert_windows(build_L(ya, ua, cfg.k, cfg.h, cfg.t)[None], cfg.cond_limit)
+    if not ok[0]:
+        raise _singular_window(cfg.k, float(cond[0]))
+    lead = lead_outputs(ya, cfg.k, cfg.h, cfg.t, s)
+    return MarkovMatrix(G=lead @ alpha[0][:, s - r :], t=cfg.t)
 
 
 def estimate_markov_batched(
     y, u, cfg: EstimatorConfig, diagnostics: Optional[BatchDiagnostics] = None
 ) -> MarkovMatrix:
-    """Average of per-batch estimates over N batches (Moore-Penrose per batch).
+    """Average of per-batch estimates lead L^{-1} over N batches.
 
-    The windows are stacked, BATCH_CHUNK at a time, and factored by one
-    batched SVD: it gives each condition number s_max/s_min (NaN read as
-    inf, as np.linalg.cond does) and the estimate lead V diag(1/s) U^T,
-    which is the pseudo-inverse with nothing cut on every window within
-    cond_limit.  Numerically degenerate batches are skipped with a warning
-    and the average renormalized; if every batch degenerates an
-    EstimationError is raised.
+    The windows are stacked, BATCH_CHUNK at a time, and go through
+    `invert_windows`: one stacked condition number and one stacked LU
+    inverse.  Windows beyond cond_limit are skipped with a warning and the
+    average renormalized; if every batch degenerates an EstimationError is
+    raised.
     """
     ya, ua = _as_2d(y), _as_2d(u)
     n, p = ya.shape[1], ua.shape[1]
@@ -170,18 +172,13 @@ def estimate_markov_batched(
         batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
         starts = cfg.batch_start(batch, n, p)
         L, lead = _stacked_windows(ya, ua, starts, cfg.h, cfg.t, s)
-        U, sv, Vt = np.linalg.svd(L)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = sv[:, 0] / sv[:, -1]
-        cond[np.isnan(cond)] = np.inf
-        ok = np.isfinite(cond) & (cond <= cfg.cond_limit)
+        cond, ok, alpha = invert_windows(L, cfg.cond_limit)
         for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
             warnings.warn(
                 f"skipping degenerate batch {i}: {_singular_window(k_i, c_i)}", stacklevel=2
             )
             worst_cond = max(worst_cond, float(c_i))
-        coef = (lead[ok] @ Vt[ok].transpose(0, 2, 1)) / sv[ok][:, None, :]
-        total += (coef @ U[ok][:, s - r :].transpose(0, 2, 1)).sum(axis=0)
+        total += (lead[ok] @ alpha[:, :, s - r :]).sum(axis=0)
         used += int(ok.sum())
         if diagnostics is not None:
             diagnostics.skipped.extend(int(i) for i in batch[~ok])

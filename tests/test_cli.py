@@ -196,3 +196,33 @@ def test_design_closes_the_external_plant(tmp_path, monkeypatch, script, expecte
     assert code == expected
     (plant,) = plants
     assert plant.proc.returncode is not None
+
+
+def test_order_one_design_runs(tmp_path, capsys):
+    # the state-observer windows of an h=1 loop start at y(0), not before it
+    out = tmp_path / "run.csv"
+    code = main(["design", "--iterations", "30", "--h", "1", "--t", "2", "--order", "1",
+                 "--output", str(out)])
+    assert code == EXIT_OK
+    assert "batches used=8/8" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 31
+
+
+def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys):
+    from subvarid.input_design import LineProtocolPlant
+
+    plants = []
+    init = LineProtocolPlant.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        plants.append(self)
+
+    monkeypatch.setattr(LineProtocolPlant, "__init__", recording_init)
+    cmd = shlex.join([sys.executable, "-c", ECHO_PLANT])
+    code = main(["design", "--plant-cmd", cmd, "--h", "1", "--t", "2", "--order", "1",
+                 "--output", str(tmp_path / "run.csv")])
+    assert code == EXIT_OK
+    assert "batches used=63/63" in capsys.readouterr().out
+    (plant,) = plants
+    assert plant.proc.returncode is not None

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from subvarid.deviation import (
-    AlphaMatrix,
     alpha_matrix,
     invert_data_matrix,
-    j1_hessian,
     j2_hessian,
     max_deviation,
     noise_sample_counts,
@@ -13,7 +11,6 @@ from subvarid.deviation import (
     solve_box_qp,
     solve_j1_exact,
     solve_j1_relaxed,
-    solve_j2,
 )
 from subvarid.errors import ConfigurationError, EstimationError
 from subvarid.lti_core import MarkovMatrix, build_hankel, build_L, lead_outputs, simulate
@@ -90,27 +87,6 @@ class TestAlphaMatrix:
         with pytest.raises(EstimationError) as err:
             invert_data_matrix(np.zeros((3, 3)), r=1)
         assert err.value.condition_number is not None
-
-
-class TestJ1Hessian:
-    def test_identity_alpha_gives_identity(self):
-        al = AlphaMatrix(alpha=np.eye(6), r=2, s=6, condition_number=1.0)
-        assert np.array_equal(j1_hessian(al), np.eye(4))
-
-    def test_rank_one_block(self):
-        alpha = np.eye(5)
-        alpha[2:, 2:] = np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 0.5])
-        al = AlphaMatrix(alpha=alpha, r=2, s=5, condition_number=1.0)
-        assert np.linalg.matrix_rank(j1_hessian(al)) == 1
-
-    def test_matches_transpose_product_and_psd(self):
-        rng = np.random.default_rng(0)
-        alpha = rng.normal(size=(7, 7))
-        al = AlphaMatrix(alpha=alpha, r=3, s=7, condition_number=1.0)
-        H = j1_hessian(al)
-        M = alpha[3:, 3:]
-        assert np.allclose(H, M.T @ M)
-        assert np.linalg.eigvalsh(H).min() >= -1e-12
 
 
 class TestSolveJ1Exact:
@@ -290,13 +266,15 @@ class TestJ2Hessian:
 
 
 class TestSolveJ2:
+    """The J2 box QP goes through solve_box_qp, like J1."""
+
     def test_zero(self):
-        value, _, gap, method = solve_j2(np.zeros((4, 4)), delta=0.1)
+        value, _, gap, method = solve_box_qp(np.zeros((4, 4)), delta=0.1)
         assert value == 0.0
 
     def test_diagonal(self):
         H2 = np.diag([1.0, 2.0, 0.5])
-        value, _, _, method = solve_j2(H2, delta=0.25)
+        value, _, _, method = solve_box_qp(H2, delta=0.25)
         assert method == "exact"
         assert value == pytest.approx(3.5 * (2 * 0.25) ** 2)
 
@@ -304,7 +282,7 @@ class TestSolveJ2:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(5, 5))
         H2 = A @ A.T
-        value, p_star, _, _ = solve_j2(H2, delta=0.2)
+        value, p_star, _, _ = solve_box_qp(H2, delta=0.2)
         ref, _ = brute_force_box_max(H2, 0.2)
         assert value == pytest.approx(ref)
 
@@ -312,7 +290,7 @@ class TestSolveJ2:
         rng = np.random.default_rng(8)
         A = rng.normal(size=(25, 5))
         H2 = A @ A.T
-        value, p_star, gap, method = solve_j2(H2, delta=0.1)
+        value, p_star, gap, method = solve_box_qp(H2, delta=0.1)
         assert method == "relaxed"
         assert np.abs(p_star).max() <= 0.2 + 1e-12
         assert value <= value + gap  # relaxed bound above rounded value

@@ -6,25 +6,23 @@ import pytest
 
 from subvarid.errors import ConfigurationError, DesignFailureError, NearSingularError
 from subvarid.input_design import (
+    BorderedPartition,
     CostAffineForm,
     DesignConfig,
-    DesignState,
-    FeasibilityContext,
     LineProtocolPlant,
     OutputPredictor,
     SimulatedPlant,
-    bordered_inverse_update,
+    _data_noise_terms,
+    _lead_noise_terms,
     build_scenarios,
+    conditioning_u_sets,
     cost_j0,
     design_input_step,
-    feasible_set_check,
     multitone_dither,
     partition_from_L,
-    predict_output,
     rank_box_max,
     run_closed_loop,
     safety_interval,
-    scenario_affine_terms,
     window_deviation,
     window_quadratic_factors,
 )
@@ -76,8 +74,7 @@ class TestBorderedInverse:
         L = np.array([[2.0, 0.0], [0.0, 4.0]])
         part = partition_from_L(L, r=1)
         assert part.u2_of(4.0) == pytest.approx(0.25)
-        al = bordered_inverse_update(part, 4.0)
-        assert np.allclose(al.alpha, np.diag([0.5, 0.25]))
+        assert np.allclose(part.alpha_of(4.0), np.diag([0.5, 0.25]))
 
     def test_random_partition_many_corners(self):
         rng = np.random.default_rng(0)
@@ -127,7 +124,7 @@ class TestPredictOutput:
         y_hist = log.y[: T - 5].flatten()
         u_hist = log.u[: T - 6].flatten()
         u_next = log.u[T - 6 : T - 1].flatten()
-        pred = predict_output(running.A, running.B, running.C, G, y_hist, u_hist, u_next)
+        pred = OutputPredictor(running.A, running.B, running.C, G).predict(y_hist, u_hist, u_next)
         actual = log.y[T - 5 :].flatten()
         assert np.abs(pred - actual).max() < 1e-8
 
@@ -138,14 +135,13 @@ class TestPredictOutput:
         u_hist = np.array([0.5, -1.0, 2.0, 0.3])
         y_a = np.array([9.0, 1.0, 2.0, 3.0, 4.0])
         y_b = np.array([-3.0, 7.0, 5.0, 1.0, 0.0])
-        p_a = predict_output(model.A, model.B, model.C, G, y_a, u_hist, [0.0], h=1)
-        p_b = predict_output(model.A, model.B, model.C, G, y_b, u_hist, [0.0], h=1)
-        assert p_a == pytest.approx(p_b)
+        pred = OutputPredictor(model.A, model.B, model.C, G, h=1)
+        assert pred.predict(y_a, u_hist, [0.0]) == pytest.approx(pred.predict(y_b, u_hist, [0.0]))
 
     def test_window_length_validated(self, running):
-        G = markov_true(running, 9)
+        pred = OutputPredictor(running.A, running.B, running.C, markov_true(running, 9))
         with pytest.raises(ConfigurationError):
-            predict_output(running.A, running.B, running.C, G, np.zeros(5), np.zeros(4), [0.0])
+            pred.predict(np.zeros(5), np.zeros(4), [0.0])
 
 
 def oracle_predict(pred, y_history, u_history, u_next):
@@ -166,11 +162,9 @@ def oracle_predict(pred, y_history, u_history, u_next):
     return ybuf[base:]
 
 
-def oracle_safety_interval(context, horizon):
+def oracle_safety_interval(pred, real, cfg, horizon, y, u):
     """safety_interval with bump - base predictions and a fresh mode split."""
-    cfg, real, h = context.cfg, context.realization, context.h
-    pred = context.get_predictor()
-    y, u = context.y_history, context.u_history
+    h = pred.h
     base = oracle_predict(pred, y, u, np.zeros(1 + horizon))
     bump = oracle_predict(pred, y, u, np.eye(1 + horizon)[0])
     lo, hi = -cfg.u_M, cfg.u_M
@@ -244,12 +238,10 @@ class TestPredictorCache:
         pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=self.H)
         assert pred.unstable.sum() == 2
         narrowed = 0
+        cfg = DesignConfig()
         for end in range(14, 31):
-            ctx = FeasibilityContext(
-                realization=real, G_hat=G, y_history=y[:end], u_history=u[: end - 1],
-                partition=None, cfg=DesignConfig(), h=self.H, predictor=pred,
-            )
-            got, ref = safety_interval(ctx, 4), oracle_safety_interval(ctx, 4)
+            got = safety_interval(pred, cfg, 4, y[:end], u[: end - 1])
+            ref = oracle_safety_interval(pred, real, cfg, 4, y[:end], u[: end - 1])
             if ref is None:
                 assert got is None
                 continue
@@ -259,49 +251,47 @@ class TestPredictorCache:
 
 
 class TestFeasibleSetCheck:
-    def _context(self, running, rng):
+    """Membership in the safety interval, and the conditioning sets."""
+
+    def _interval(self, running, rng, cfg=None):
         h, t = 4, 9
         log = make_run_data(running, h, t, rng)
         G = markov_true(running, t)
         real = ho_kalman(G, 4)
-        return FeasibilityContext(
-            realization=real,
-            G_hat=G,
-            y_history=log.y.flatten(),
-            u_history=log.u.flatten()[:-1],
-            partition=None,
-            cfg=DesignConfig(),
-            h=h,
-        )
+        pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=h)
+        cfg = DesignConfig() if cfg is None else cfg
+        return safety_interval(pred, cfg, 4, log.y.flatten(), log.u.flatten()[:-1])
 
     def test_zero_input_from_quiet_state_feasible(self, running):
-        ctx = self._context(running, np.random.default_rng(3))
-        rep = feasible_set_check(np.zeros(4), ctx)
-        assert rep.feasible, rep.violated
+        interval = self._interval(running, np.random.default_rng(3))
+        assert interval is not None
+        assert interval[0] <= 0.0 <= interval[1]
 
     def test_input_bound_violation(self, running):
-        ctx = self._context(running, np.random.default_rng(4))
-        rep = feasible_set_check([2 * ctx.cfg.u_M], ctx)
-        assert not rep.feasible
-        assert "input_bound" in rep.violated
+        interval = self._interval(running, np.random.default_rng(4))
+        u_M = DesignConfig().u_M
+        assert interval is not None
+        assert not interval[0] <= 2 * u_M <= interval[1]
+        assert -u_M <= interval[0] <= interval[1] <= u_M
 
     def test_output_bound_violation_detected(self, running):
-        ctx = self._context(running, np.random.default_rng(5))
         tight = DesignConfig(y_M=1e-6, u_M=10.0)
-        ctx.cfg = tight
-        rep = feasible_set_check([5.0], ctx)
-        assert "output_bound" in rep.violated
+        interval = self._interval(running, np.random.default_rng(5), cfg=tight)
+        assert interval is None or not interval[0] <= 5.0 <= interval[1]
 
-    def test_conditioning_margins_reported(self, running, canonical):
+    def test_conditioning_margins_reported(self, running):
         rng = np.random.default_rng(6)
         h, t = 4, 9
-        log = make_run_data(running, h, t, rng)
-        s = h + (h + t)
-        L = build_L(log.y, log.u, 0, h, t)
-        ctx = self._context(running, np.random.default_rng(7))
-        ctx.partition = partition_from_L(L, r=t)
-        rep = feasible_set_check([1.0], ctx)
-        assert "alpha_bound" in rep.margins and "epsilon_bound" in rep.margins
+        # strong excitation, so the window's inverse can meet the alpha bound
+        log = make_run_data(running, h, t, rng, amp=500.0)
+        part = partition_from_L(build_L(log.y, log.u, 0, h, t), r=t)
+        sets = conditioning_u_sets(part, DesignConfig())
+        assert sets
+        for lo, hi in sets:
+            assert lo <= hi
+            inside = hi if np.isfinite(hi) else lo
+            raw = np.abs(part.alpha_of(inside)).max()
+            assert raw <= DesignConfig().alpha_M * (1 + 1e-9)
 
 
 class TestCostJ0:
@@ -380,6 +370,27 @@ def test_saved_config_keeps_the_design_step(tmp_path):
     assert load_config(path).design == ExperimentConfig().design
 
 
+def scenario_affine_terms(
+    partition: BorderedPartition,
+    lead: np.ndarray,
+    w_lead: np.ndarray,
+    dL: np.ndarray,
+    r: int,
+):
+    """F, c coefficients of one noise scenario's residual in u2.
+
+    The residual of column j (selected block) is
+    w_lead^T alpha[:, j] - lead^T (alpha dL alpha)[:, j] with
+    alpha = base + u2 R1 R2^T; the u2^2 term of the second product is dropped
+    (same order as the linearization that defines the deviation quadratics).
+    build_scenarios forms its four sign-flipped rows from the same terms.
+    """
+    sel = slice(partition.s - r, partition.s)
+    Fw, cw = _lead_noise_terms(partition, w_lead, sel)
+    F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
+    return Fw - F1 - F2, cw - cd
+
+
 class TestScenarioTerms:
     def test_affine_terms_match_direct_residual_derivative(self, running):
         # F is the exact du2-derivative of the residual at u2 = 0 and c its value
@@ -448,39 +459,30 @@ class TestScenarioKernels:
 
 
 class TestDesignInputStep:
-    def _state(self, F, c, L=None, intervals=None):
-        L = np.diag([2.0, 3.0, 4.0]) if L is None else L
-        part = partition_from_L(L, r=1)
+    def _step_args(self, F, c, intervals=None):
+        """(partition, intervals, form) for design_input_step."""
+        part = partition_from_L(np.diag([2.0, 3.0, 4.0]), r=1)
         form = CostAffineForm(F_terms=np.atleast_2d(F), c_terms=np.atleast_2d(c))
-        if intervals is None:
-            intervals = [(-10.0, 10.0)]
-        return DesignState(
-            partition=part,
-            lead=np.zeros(part.s),
-            u_intervals=intervals,
-            form=form,
-        )
+        return part, [(-10.0, 10.0)] if intervals is None else intervals, form
 
     def test_single_scenario_returns_quadratic_minimizer(self):
-        state = self._state([1.0], [-3.0])
-        u = design_input_step(state)
+        args = self._step_args([1.0], [-3.0])
+        u = design_input_step(*args)
         # optimal u2 = 3 -> u = c0 + 1/3
-        assert u == pytest.approx(state.partition.c0 + 1.0 / 3.0, abs=1e-12)
+        assert u == pytest.approx(args[0].c0 + 1.0 / 3.0, abs=1e-12)
 
     def test_zero_cost_returns_feasible_input(self):
-        state = self._state([0.0], [0.0])
-        u = design_input_step(state)
+        u = design_input_step(*self._step_args([0.0], [0.0]))
         assert -10.0 <= u <= 10.0
 
     def test_empty_feasible_set_raises(self):
-        state = self._state([1.0], [-3.0], intervals=[])
+        args = self._step_args([1.0], [-3.0], intervals=[])
         with pytest.raises(DesignFailureError):
-            design_input_step(state)
+            design_input_step(*args)
 
     def test_projection_to_interval(self):
         # feasible interval excludes the unconstrained optimum
-        state = self._state([1.0], [-3.0], intervals=[(5.0, 10.0)])
-        u = design_input_step(state)
+        u = design_input_step(*self._step_args([1.0], [-3.0], intervals=[(5.0, 10.0)]))
         assert 5.0 - 1e-9 <= u <= 10.0 + 1e-9
 
 

@@ -3,18 +3,19 @@ import pytest
 
 from subvarid.errors import ConfigurationError, NumericOverflowError, OutOfRangeError
 from subvarid.lti_core import (
+    DEFAULT_COND_LIMIT,
     NoiseSpec,
     SignalLog,
     StateSpaceModel,
     build_hankel,
     build_L,
-    check_invertibility,
     extended_controllability,
     extended_observability,
     markov_true,
     simulate,
     toeplitz_T,
 )
+from subvarid.subspace_id import invert_windows
 from conftest import CANONICAL_X0, random_minimal_model
 
 
@@ -115,14 +116,14 @@ class TestBuildL:
         y = np.zeros(10)
         u = np.arange(10.0)
         L = build_L(y, u, k=0, h=1, t=1)
-        assert not check_invertibility(L).ok
+        assert not invert_windows(L[None], DEFAULT_COND_LIMIT)[1][0]
 
     def test_random_noisy_nonsingular(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=20)
         u = rng.normal(size=20)
         L = build_L(y, u, k=0, h=2, t=1)
-        assert check_invertibility(L).ok
+        assert invert_windows(L[None], DEFAULT_COND_LIMIT)[1][0]
 
 
 class TestMarkovTrue:
@@ -177,24 +178,27 @@ class TestStructuredMatrices:
 
 
 class TestCheckInvertibility:
+    """The condition numbers and kept mask of subspace_id.invert_windows."""
+
     def test_identity(self):
-        rep = check_invertibility(np.eye(4))
-        assert rep.ok and rep.condition_number == pytest.approx(1.0)
+        cond, ok, alpha = invert_windows(np.eye(4)[None], DEFAULT_COND_LIMIT)
+        assert ok[0] and cond[0] == pytest.approx(1.0)
+        assert np.array_equal(alpha[0], np.eye(4))
 
     def test_rank_deficient(self):
         L = build_L(np.full(10, 3.0), np.full(10, 3.0), k=0, h=1, t=1)
-        assert not check_invertibility(L).ok
+        cond, ok, alpha = invert_windows(L[None], DEFAULT_COND_LIMIT)
+        assert not ok[0] and cond[0] > DEFAULT_COND_LIMIT
+        assert alpha.shape == (0, 3, 3)
 
     def test_lemma1_monte_carlo(self):
         # noisy random data never produces a singular L (sampled claim)
         rng = np.random.default_rng(6)
-        bad = 0
-        for _ in range(1000):
-            y = rng.normal(size=8)
-            u = rng.normal(size=8)
-            if not check_invertibility(build_L(y, u, k=0, h=1, t=1)).ok:
-                bad += 1
-        assert bad == 0
+        windows = np.stack([
+            build_L(rng.normal(size=8), rng.normal(size=8), k=0, h=1, t=1) for _ in range(1000)
+        ])
+        _, ok, _ = invert_windows(windows, DEFAULT_COND_LIMIT)
+        assert ok.all()
 
 
 class TestSerialization:

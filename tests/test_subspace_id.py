@@ -2,9 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subvarid.errors import ConfigurationError, EstimationError, OrderDeficiencyError
-from subvarid.lti_core import NoiseSpec, StateSpaceModel, build_L, lead_outputs, markov_true, simulate
+from subvarid.input_design import DesignConfig
+from subvarid.lti_core import (
+    DEFAULT_COND_LIMIT,
+    NoiseSpec,
+    StateSpaceModel,
+    build_L,
+    lead_outputs,
+    markov_true,
+    simulate,
+)
 from subvarid.subspace_id import (
     BATCH_CHUNK,
     BatchDiagnostics,
@@ -13,6 +25,7 @@ from subvarid.subspace_id import (
     estimate_markov_noise_free,
     ho_kalman,
     identification_error,
+    invert_windows,
 )
 from conftest import CANONICAL_X0, random_minimal_model
 
@@ -111,6 +124,51 @@ def noisy_mimo_record(rng, cfg, model, zero_batches=()):
         y[s * i : s * i + s + cfg.h + cfg.t] = 0.0
         u[s * i : s * i + s + cfg.h + cfg.t] = 0.0
     return y, u
+
+
+@st.composite
+def one_window_stack(draw):
+    s = draw(st.integers(1, 9))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return draw(arrays(np.float64, (1, s, s), elements=entries))
+
+
+class TestInvertWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(one_window_stack(), st.sampled_from([1e8, DEFAULT_COND_LIMIT]))
+    def test_one_window_stack_is_bit_identical_to_per_window_calls(self, L, cond_limit):
+        cond, ok, alpha = invert_windows(L, cond_limit)
+        ref_cond = np.linalg.cond(L[0])
+        assert np.array_equal(cond, [ref_cond], equal_nan=True)
+        assert ok[0] == bool(np.isfinite(ref_cond) and ref_cond <= cond_limit)
+        if ok[0]:
+            assert np.array_equal(alpha[0], np.linalg.inv(L[0]))
+        else:
+            assert alpha.shape == (0,) + L.shape[1:]
+
+    def test_matches_pinv_on_a_stack(self):
+        rng = np.random.default_rng(50)
+        L = rng.normal(size=(12, 9, 9))
+        L[4] = 0.0
+        cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
+        assert ok.tolist() == [i != 4 for i in range(12)]
+        for inv, window in zip(alpha, L[ok]):
+            ref = np.linalg.pinv(window)
+            assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_all_zero_window_has_infinite_cond_and_is_skipped(self):
+        cond, ok, alpha = invert_windows(np.zeros((1, 5, 5)), DEFAULT_COND_LIMIT)
+        assert cond[0] == np.inf and not ok[0] and len(alpha) == 0
+
+    def test_limit_between_loop_and_library(self):
+        # cond 1e10: beyond the closed loop's 1e8, within the library's 1e12
+        L = np.diag([1.0, 1e-5, 1e-10])[None]
+        loop_limit = DesignConfig().cond_limit
+        assert loop_limit < 1e10 < DEFAULT_COND_LIMIT
+        assert not invert_windows(L, loop_limit)[1][0]
+        cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
+        assert ok[0] and cond[0] == pytest.approx(1e10)
+        assert np.allclose(alpha[0] @ L[0], np.eye(3))
 
 
 class TestBatchedEstimatorOracle:
