@@ -40,7 +40,6 @@ from .deviation import (
     AlphaMatrix,
     DeviationResult,
     alpha_matrix,
-    j2_hessian,
     max_deviation,
     sample_variance,
     solve_j1_exact,

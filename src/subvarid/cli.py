@@ -113,7 +113,8 @@ def cmd_design(args) -> int:
             plant, design, est, args.iterations, args.order,
             mode="designed" if args.mode == "designed" else "white",
             rng=exp.trial_rng(args.seed, 0, stream=1),
-            G_star=markov_true(model, args.t),
+            # an external plant's Markov parameters are unknown unless --model gives them
+            G_star=markov_true(model, args.t) if args.model or not args.plant_cmd else None,
             dither_amplitude=args.dither,
         )
     finally:

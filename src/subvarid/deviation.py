@@ -4,9 +4,13 @@ Two independent sub-problems bound the worst-case gap between two estimates
 produced under admissible bounded noise: one over the output noise entering
 the lead matrix, one over the noise entering the data matrix through the
 first-order perturbation of its inverse (beta = -alpha dL alpha).  Both are
-maximizations of PSD quadratic forms over a box, solved exactly by split
-vertex enumeration in low dimension and by spectral rounding with a greedy
-sign-flip refinement otherwise.
+maximizations of PSD quadratic forms over a box.  This module is the one
+deviation engine: `window_quadratic_factors` builds both forms as factors,
+H = C C^T, for any n outputs and p inputs, and one vertex ascent in factor
+space (`rank_box_max`) serves both the closed loop's `window_deviation` and
+`max_deviation`.  `max_deviation` solves exactly by split vertex enumeration
+up to 20 variables and, above, by that ascent on an eigen-factor of H plus a
+two-flip step.
 
 Index conventions: r = t*p columns are selected for G(t), so the deviation
 quadratics sum over the last r columns of alpha and over every row the noise
@@ -15,6 +19,7 @@ multiplies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,65 +96,9 @@ def alpha_matrix(y_star, u_star, cfg: EstimatorConfig, k: Optional[int] = None) 
     return al
 
 
-def lead_noise_hessian(alpha: AlphaMatrix) -> np.ndarray:
-    """Quadratic form over the s lead-window noise samples (per output row).
-
-    The lead noise multiplies every row of alpha; only the last r columns
-    reach the estimate, so H = A_sel A_sel^T with A_sel = alpha[:, s-r:].
-    """
-    A_sel = alpha.alpha[:, alpha.s - alpha.r :]
-    return A_sel @ A_sel.T
-
-
 def _symmetrize_psd(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     return 0.5 * (H + H.T)
-
-
-def _greedy_vertex(H: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Single-coordinate sign-flip ascent to a local vertex optimum of s^T H s."""
-    sigma = sigma.copy()
-    Hs = H @ sigma
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(sigma)):
-            gain = -4.0 * sigma[i] * Hs[i] + 4.0 * H[i, i]
-            if gain > 1e-15:
-                sigma[i] = -sigma[i]
-                Hs += 2.0 * sigma[i] * H[:, i]
-                improved = True
-    return sigma
-
-
-def _pairwise_refine(H: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Two-coordinate sign-flip ascent (escapes some 1-flip local optima)."""
-    d = len(sigma)
-    sigma = sigma.copy()
-    improved = True
-    while improved:
-        improved = False
-        Hs = H @ sigma
-        diag = np.diag(H)
-        for i in range(d):
-            # flipping i and j changes the value by
-            # -4 s_i Hs_i - 4 s_j Hs_j + 4 H_ii + 4 H_jj + 8 s_i s_j H_ij
-            base_i = -4.0 * sigma[i] * Hs[i] + 4.0 * diag[i]
-            gains = (
-                base_i
-                - 4.0 * sigma * Hs
-                + 4.0 * diag
-                + 8.0 * sigma[i] * sigma * H[i]
-            )
-            gains[i] = -np.inf
-            j = int(np.argmax(gains))
-            if gains[j] > 1e-12:
-                sigma[i] = -sigma[i]
-                sigma[j] = -sigma[j]
-                sigma = _greedy_vertex(H, sigma)
-                Hs = H @ sigma
-                improved = True
-    return sigma
 
 
 def _sign_table(bits: int) -> np.ndarray:
@@ -192,13 +141,86 @@ def solve_j1_exact(H: np.ndarray, delta: float):
     return bound * bound * float(sigma @ H @ sigma), bound * sigma
 
 
+def _ascend(C: np.ndarray, row_norms: np.ndarray, sigma: np.ndarray):
+    """Best-single-flip ascent of ||C^T sigma||^2, in place; returns (value, sigma)."""
+    resid = C.T @ sigma
+    for _ in range(8 * C.shape[0]):
+        # best single flip: gain_i = -4 sigma_i (C_i . resid) + 4 |C_i|^2
+        gains = -4.0 * sigma * (C @ resid) + 4.0 * row_norms
+        i = int(np.argmax(gains))
+        if gains[i] <= 1e-15:
+            break
+        sigma[i] = -sigma[i]
+        resid += 2.0 * sigma[i] * C[i]
+    return float(resid @ resid), sigma
+
+
+def rank_box_max(C: np.ndarray, bound: float, n_starts: int = 5):
+    """Greedy vertex maximum of ||C^T sigma||^2 * bound^2 over sign vectors.
+
+    C has one row per box variable and one column per residual; the quadratic
+    form C C^T is maximized over the box by spectral sign rounding plus
+    single-flip ascent, all in the rank-(columns) factorization.  The starts
+    are the sign of a three-step power iteration from C's column sum and the
+    signs of C's first n_starts - 1 nonzero columns.
+    """
+    nq = C.shape[0]
+    if nq == 0 or bound == 0 or not np.any(C):
+        return 0.0, np.zeros(nq)
+    v = C.sum(axis=0)
+    if not np.any(v):
+        v = C[0].copy()
+    for _ in range(3):
+        sigma = np.where(C @ v >= 0, 1.0, -1.0)
+        v = C.T @ sigma
+    row_norms = np.einsum("ij,ij->i", C, C)
+    starts = [np.where(C @ v >= 0, 1.0, -1.0)]
+    for j in range(min(C.shape[1], max(n_starts - 1, 0))):
+        col = C[:, j]
+        if np.any(col):
+            starts.append(np.where(col >= 0, 1.0, -1.0))
+    best_val, best_sigma = -np.inf, starts[0]
+    for s0 in starts:
+        val, sig = _ascend(C, row_norms, s0.copy())
+        if val > best_val:
+            best_val, best_sigma = val, sig
+    return float(bound * bound * best_val), bound * best_sigma
+
+
+def _two_flip(H: np.ndarray, C: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Two-coordinate sign-flip ascent of sigma^T H sigma, H = C C^T.
+
+    Each round takes the best pair from one d x d gain table
+    g_i + g_j + 8 sigma_i sigma_j H_ij (g the single-flip gains), flips it,
+    re-ascends with single flips, and keeps the result only if it raises the
+    value on H, so the rounds end.  Escapes some single-flip local optima.
+    """
+    row_norms = np.einsum("ij,ij->i", C, C)
+    diag4 = 4.0 * np.diag(H)
+    value = float(sigma @ H @ sigma)
+    while True:
+        g = diag4 - 4.0 * sigma * (H @ sigma)
+        gains = g[:, None] + g[None, :] + 8.0 * np.outer(sigma, sigma) * H
+        np.fill_diagonal(gains, -np.inf)
+        i, j = divmod(int(np.argmax(gains)), len(sigma))
+        if gains[i, j] <= 1e-12:
+            return sigma
+        trial = sigma.copy()
+        trial[[i, j]] *= -1.0
+        _, trial = _ascend(C, row_norms, trial)
+        trial_value = float(trial @ H @ trial)
+        if trial_value <= value:
+            return sigma
+        sigma, value = trial, trial_value
+
+
 def solve_j1_relaxed(H: np.ndarray, delta: float):
-    """Spectral rounding with a certified upper bound for the box maximum.
+    """Factor-space rounding with a certified upper bound for the box maximum.
 
     The upper bound min(4 delta^2 sum|H_ij|, 4 delta^2 d lambda_max) dominates
-    every vertex value; the candidate comes from the sign pattern of the
-    dominant eigenvector (ties broken toward +) refined by greedy single
-    flips.  Returns (rounded value, w, relaxed - rounded gap).
+    every vertex value.  The candidate runs on the factor C = V sqrt(lambda)
+    of H (columns in descending lambda): `rank_box_max`'s single-flip ascent,
+    then `_two_flip`.  Returns (rounded value, w, relaxed - rounded gap).
     """
     H = _symmetrize_psd(H)
     d = H.shape[0]
@@ -208,20 +230,12 @@ def solve_j1_relaxed(H: np.ndarray, delta: float):
     evals, evecs = np.linalg.eigh(H)
     lam_max = max(float(evals[-1]), 0.0)
     relaxed = bound * bound * min(float(np.abs(H).sum()), d * lam_max)
-    starts = [np.where(evecs[:, -1] >= 0, 1.0, -1.0), np.ones(d)]
-    for k in (2, 3):
-        if d >= k:
-            starts.append(np.where(evecs[:, -k] >= 0, 1.0, -1.0))
-    best_sigma, best_val = None, -np.inf
-    for s0 in starts:
-        sigma = _greedy_vertex(H, s0)
-        val = float(sigma @ H @ sigma)
-        if val > best_val:
-            best_sigma, best_val = sigma, val
-    best_sigma = _pairwise_refine(H, best_sigma)
-    best_val = float(best_sigma @ H @ best_sigma)
-    rounded = bound * bound * best_val
-    return rounded, bound * best_sigma, max(relaxed - rounded, 0.0)
+    C = (evecs * np.sqrt(np.maximum(evals, 0.0)))[:, ::-1]
+    _, sigma = rank_box_max(C, 1.0)
+    # an all-zero factor (H with no positive eigenvalue) returns no vertex
+    sigma = _two_flip(H, C, np.where(sigma < 0, -1.0, 1.0))
+    rounded = bound * bound * float(sigma @ H @ sigma)
+    return rounded, bound * sigma, max(relaxed - rounded, 0.0)
 
 
 def solve_box_qp(H: np.ndarray, delta: float):
@@ -233,53 +247,67 @@ def solve_box_qp(H: np.ndarray, delta: float):
     return value, w, gap, "relaxed"
 
 
-def noise_sample_counts(cfg: EstimatorConfig, n: int, p: int):
-    """Distinct (w, e) scalar samples generating the data-matrix perturbation."""
-    s = cfg.s(n, p)
-    nw = n * (cfg.h + s - 1)
-    ne = p * (cfg.h + cfg.t + s - 1)
-    return nw, ne
+@functools.lru_cache(maxsize=None)
+def _noise_band(n: int, p: int, h: int, t: int):
+    """Where each distinct data-noise sample (w then e) sits in a window's L.
 
-
-def j2_hessian(alpha: AlphaMatrix, y_star_lead: np.ndarray, cfg: EstimatorConfig,
-               n: Optional[int] = None, p: Optional[int] = None) -> np.ndarray:
-    """Quadratic form of the inverse-perturbation term over the noise samples.
-
-    The objective sum_j ( y_lead . (-alpha dL alpha) )_j^2 over the selected
-    columns is quadratic in the distinct noise samples that generate the
-    Hankel perturbation dL = L[w, e]; this returns its PSD form matrix.  The
-    parameterization uses the distinct samples rather than the s^2 matrix
-    entries so every feasible point is a realizable noise pattern.
+    With s = n h + p (h + t), output noise component comp fills L rows
+    comp + n br (br < h) with samples comp (h+s-1) + br + col, and input
+    noise component comp fills rows n h + comp + p br (br < h + t) with
+    samples n (h+s-1) + comp (h+t+s-1) + br + col, col < s.  Returns
+    (sample, L row, L column) index arrays, one entry per L entry.
     """
-    lead = np.atleast_2d(np.asarray(y_star_lead, dtype=float))
-    s, r = alpha.s, alpha.r
-    if lead.shape[1] != s:
-        raise ConfigurationError(f"lead must have s={s} columns, got {lead.shape}")
-    if n is None:
-        n = lead.shape[0]
-    if p is None:
-        p = r // cfg.t
-    al = alpha.alpha
-    A_sel = al[:, s - r :]
-    nw, ne = noise_sample_counts(cfg, n, p)
-    H2 = np.zeros((nw + ne, nw + ne))
-    for a in range(lead.shape[0]):
-        g = al.T @ lead[a]
-        C = np.zeros((r, nw + ne))
-        for comp in range(n):
-            for q in range(cfg.h + s - 1):
-                acc = np.zeros(r)
-                for br in range(max(0, q - s + 1), min(cfg.h, q + 1)):
-                    acc += g[comp + n * br] * A_sel[q - br]
-                C[:, comp * (cfg.h + s - 1) + q] = -acc
-        for comp in range(p):
-            for q in range(cfg.h + cfg.t + s - 1):
-                acc = np.zeros(r)
-                for br in range(max(0, q - s + 1), min(cfg.h + cfg.t, q + 1)):
-                    acc += g[n * cfg.h + comp + p * br] * A_sel[q - br]
-                C[:, nw + comp * (cfg.h + cfg.t + s - 1) + q] = -acc
-        H2 += C.T @ C
-    return H2
+    s = n * h + p * (h + t)
+    nw, ne = h + s - 1, h + t + s - 1
+    br_w, col_w = np.divmod(np.arange(h * s), s)
+    br_e, col_e = np.divmod(np.arange((h + t) * s), s)
+    comp_w, comp_e = np.arange(n)[:, None], np.arange(p)[:, None]
+    sample = np.concatenate([(comp_w * nw + br_w + col_w).ravel(),
+                             (n * nw + comp_e * ne + br_e + col_e).ravel()])
+    row = np.concatenate([(comp_w + n * br_w).ravel(), (n * h + comp_e + p * br_e).ravel()])
+    col = np.concatenate([np.tile(col_w, n), np.tile(col_e, p)])
+    for index in (sample, row, col):
+        index.flags.writeable = False  # shared by every caller of the cache
+    return sample, row, col
+
+
+def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int):
+    """Factors of the two deviation quadratics for one window.
+
+    lead holds the n lead output rows (a 1-D lead is one row); the input
+    count p follows from s = n h + p (h + t).  Returns (C1, C2): C1 = A_sel
+    maps the s lead-noise samples of one output row, C2 the distinct data
+    noise samples (w then e), into the r = t p selected residual columns,
+    one block of r columns per output row: C2 = -M A_sel, where
+    M[sample, col] = g[row] over the noise band and g = alpha^T lead_row.
+    The quadratics are H1 = C1 C1^T and H2 = C2 C2^T.
+    """
+    lead = np.atleast_2d(lead)
+    s = alpha.shape[0]
+    n = lead.shape[0]
+    p = (s - n * h) // (h + t)
+    if lead.shape[1] != s or p < 1 or n * h + p * (h + t) != s:
+        raise ConfigurationError(
+            f"lead of shape {lead.shape} does not fit a {s}x{s} window at h={h}, t={t}"
+        )
+    A_sel = alpha[:, s - t * p :]
+    sample, row, col = _noise_band(n, p, h, t)
+    blocks = []
+    for a in range(n):
+        g = alpha.T @ lead[a]
+        M = np.zeros((n * (h + s - 1) + p * (h + t + s - 1), s))
+        M[sample, col] = g[row]
+        blocks.append(-(M @ A_sel))
+    return A_sel, np.concatenate(blocks, axis=1)
+
+
+def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,
+                     n_starts: int = 5):
+    """Fast J = sqrt(J1 + J2) for one SISO window via greedy rounding."""
+    C1, C2 = window_quadratic_factors(alpha, lead, h, t)
+    J1, w_star = rank_box_max(C1, 2.0 * delta, n_starts=n_starts)
+    J2, p_star = rank_box_max(C2, 2.0 * delta, n_starts=n_starts)
+    return float(np.sqrt(J1 + J2)), w_star, p_star
 
 
 def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
@@ -293,18 +321,17 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
     relaxed-with-rounding beyond it.
     """
     ya, ua = _as_2d(y_star), _as_2d(u_star)
-    n, p = ya.shape[1], ua.shape[1]
+    n = ya.shape[1]
     k = cfg.k if k is None else k
     al = alpha_matrix(ya, ua, cfg, k=k)
     lead = lead_outputs(ya, k, cfg.h, cfg.t, al.s)
 
-    H1 = lead_noise_hessian(al)
-    J1_row, w_row, gap1, method1 = solve_box_qp(H1, delta)
+    C1, C2 = window_quadratic_factors(al.alpha, lead, cfg.h, cfg.t)
+    J1_row, w_row, gap1, method1 = solve_box_qp(C1 @ C1.T, delta)
     J1 = n * J1_row
     w_star = np.tile(w_row, (n, 1))
 
-    H2 = j2_hessian(al, lead, cfg, n=n, p=p)
-    J2, p_star, gap2, method2 = solve_box_qp(H2, delta)
+    J2, p_star, gap2, method2 = solve_box_qp(C2 @ C2.T, delta)
 
     method = "exact" if method1 == method2 == "exact" else "relaxed"
     return DeviationResult(

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .deviation import _noise_band, window_deviation
 from .errors import (
     ConfigurationError,
     DesignFailureError,
@@ -147,99 +148,6 @@ def partition_from_L(L: np.ndarray, r: int) -> BorderedPartition:
 
 
 # ---------------------------------------------------------------------------
-# rank-factored box maximization (fast path used inside the loop)
-# ---------------------------------------------------------------------------
-
-
-def rank_box_max(C: np.ndarray, bound: float, iters: int = 3, n_starts: int = 5):
-    """Greedy vertex maximum of ||C^T sigma||^2 * bound^2 over sign vectors.
-
-    C has one row per box variable and one column per residual; the quadratic
-    form C C^T is maximized over the box by spectral sign rounding plus
-    single-flip ascent, all in the rank-(columns) factorization.
-    """
-    nq = C.shape[0]
-    if nq == 0 or bound == 0 or not np.any(C):
-        return 0.0, np.zeros(nq)
-    v = C.sum(axis=0)
-    if not np.any(v):
-        v = C[0].copy()
-    for _ in range(iters):
-        sigma = np.where(C @ v >= 0, 1.0, -1.0)
-        v = C.T @ sigma
-    row_norms = np.einsum("ij,ij->i", C, C)
-
-    def ascend(sigma):
-        resid = C.T @ sigma
-        for _ in range(8 * nq):
-            # best single flip: gain_i = -4 sigma_i (C_i . resid) + 4 |C_i|^2
-            gains = -4.0 * sigma * (C @ resid) + 4.0 * row_norms
-            i = int(np.argmax(gains))
-            if gains[i] <= 1e-15:
-                break
-            sigma[i] = -sigma[i]
-            resid += 2.0 * sigma[i] * C[i]
-        return float(resid @ resid), sigma
-
-    starts = [np.where(C @ v >= 0, 1.0, -1.0)]
-    for j in range(min(C.shape[1], max(n_starts - 1, 0))):
-        col = C[:, j]
-        if np.any(col):
-            starts.append(np.where(col >= 0, 1.0, -1.0))
-    best_val, best_sigma = -np.inf, starts[0]
-    for s0 in starts:
-        val, sig = ascend(s0.copy())
-        if val > best_val:
-            best_val, best_sigma = val, sig
-    return float(bound * bound * best_val), bound * best_sigma
-
-
-@functools.lru_cache(maxsize=None)
-def _noise_band(h: int, t: int, s: int):
-    """Where each distinct data-noise sample (w then e) sits in a window's L.
-
-    Row br of the output block holds w(br .. br+s-1) and row h+br of the
-    input block holds e(br .. br+s-1); returns (sample, L row, L column)
-    index arrays, one entry per L entry.
-    """
-    nw = h + s - 1
-    br_w, col_w = np.divmod(np.arange(h * s), s)
-    br_e, col_e = np.divmod(np.arange((h + t) * s), s)
-    sample = np.concatenate([br_w + col_w, nw + br_e + col_e])
-    row = np.concatenate([br_w, h + br_e])
-    col = np.concatenate([col_w, col_e])
-    for index in (sample, row, col):
-        index.flags.writeable = False  # shared by every caller of the cache
-    return sample, row, col
-
-
-def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int):
-    """Factors of the two deviation quadratics for a SISO window.
-
-    Returns (C1, C2): C1 maps the s lead-noise samples, C2 the distinct data
-    noise samples (w then e), each into the r selected residual columns.
-    C2 = -M A_sel, where M[sample, col] = g[row] over the noise band.
-    """
-    s = alpha.shape[0]
-    r = t
-    A_sel = alpha[:, s - r :]
-    g = alpha.T @ lead
-    sample, row, col = _noise_band(h, t, s)
-    M = np.zeros((2 * h + t + 2 * s - 2, s))
-    M[sample, col] = g[row]
-    return A_sel, -(M @ A_sel)
-
-
-def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,
-                     n_starts: int = 5):
-    """Fast J = sqrt(J1 + J2) for one SISO window via greedy rounding."""
-    C1, C2 = window_quadratic_factors(alpha, lead, h, t)
-    J1, w_star = rank_box_max(C1, 2.0 * delta, n_starts=n_starts)
-    J2, p_star = rank_box_max(C2, 2.0 * delta, n_starts=n_starts)
-    return float(np.sqrt(J1 + J2)), w_star, p_star
-
-
-# ---------------------------------------------------------------------------
 # output prediction
 # ---------------------------------------------------------------------------
 
@@ -358,14 +266,11 @@ def safety_interval(pred: OutputPredictor, cfg: DesignConfig, horizon: int,
     This is the loop's one safety filter.  It uses a zero continuation after
     the designed sample (sufficient condition; the estimated model is stable
     in normal operation) plus holdability of any unstable estimated modes, so
-    the set stays recursively feasible.  Returns None when no input is safe,
-    and the whole input box when the histories cannot be predicted from.
+    the set stays recursively feasible.  Returns None when no input is safe;
+    histories too short to predict from raise ConfigurationError.
     """
     interval = (-cfg.u_M, cfg.u_M)
-    try:
-        base = pred.predict(y_history, u_history, np.zeros(1 + horizon))
-    except (EstimationError, ConfigurationError):
-        return interval
+    base = pred.predict(y_history, u_history, np.zeros(1 + horizon))
     slope = pred.impulse(1 + horizon)
     for j in range(len(base)):
         interval = _affine_interval(base[j], slope[j], cfg.kappa * cfg.y_M, interval)
@@ -547,7 +452,7 @@ def build_scenarios(
     s = partition.s
     alpha = partition.alpha_of(u_probe)
     _, w_star, p_star = window_deviation(alpha, lead, h, t, delta, n_starts=1)
-    sample, row, col = _noise_band(h, t, s)
+    sample, row, col = _noise_band(1, 1, h, t)
     dL = np.zeros((s, s))
     dL[row, col] = p_star[sample]
     sel = slice(s - t, s)

@@ -2,8 +2,12 @@
 
 Everything downstream (estimation, deviation analysis, input design) is built
 on the windows and structured matrices defined here.  Time indexing is 0-based
-throughout; the 1-based block formulas from the literature are translated once,
-in `build_hankel`, and nowhere else.
+throughout; the 1-based block formulas from the literature are translated in
+`build_hankel` and `build_L`.  Three index-arithmetic copies of the same L
+layout exist for speed and must change with it: `subspace_id._stacked_windows`
+(stacked windows of the batched estimator), `input_design._loop_window` (the
+closed loop's SISO window) and `deviation._noise_band` (where each noise
+sample sits in L).
 """
 
 from __future__ import annotations

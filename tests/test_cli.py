@@ -224,5 +224,9 @@ def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys)
                  "--output", str(tmp_path / "run.csv")])
     assert code == EXIT_OK
     assert "batches used=63/63" in capsys.readouterr().out
+    rows = (tmp_path / "run.csv").read_text().splitlines()
+    dG = [row.split(",")[5] for row in rows[1:]]
+    # the external plant's Markov parameters are unknown, so no dG is reported
+    assert rows[0].split(",")[5] == "dG" and len(dG) > 0 and all(v == "nan" for v in dG)
     (plant,) = plants
     assert plant.proc.returncode is not None

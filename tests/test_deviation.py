@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subvarid.deviation import (
     alpha_matrix,
     invert_data_matrix,
-    j2_hessian,
     max_deviation,
-    noise_sample_counts,
+    rank_box_max,
     sample_variance,
     solve_box_qp,
     solve_j1_exact,
     solve_j1_relaxed,
+    window_quadratic_factors,
 )
 from subvarid.errors import ConfigurationError, EstimationError
 from subvarid.lti_core import MarkovMatrix, build_hankel, build_L, lead_outputs, simulate
@@ -193,7 +195,96 @@ class TestSolveJ1Relaxed:
         assert value == 0.0 and gap == 0.0
 
 
+def oracle_j2_hessian(alpha, lead, h, t, n, p):
+    """The earlier four-deep loop: the quadratic form of the inverse
+    perturbation term over the distinct noise samples (w then e), summed over
+    the lead rows, one selected-column residual map per row."""
+    s = alpha.shape[0]
+    r = t * p
+    A_sel = alpha[:, s - r :]
+    nw = n * (h + s - 1)
+    ne = p * (h + t + s - 1)
+    H2 = np.zeros((nw + ne, nw + ne))
+    for a in range(lead.shape[0]):
+        g = alpha.T @ lead[a]
+        C = np.zeros((r, nw + ne))
+        for comp in range(n):
+            for q in range(h + s - 1):
+                acc = np.zeros(r)
+                for br in range(max(0, q - s + 1), min(h, q + 1)):
+                    acc += g[comp + n * br] * A_sel[q - br]
+                C[:, comp * (h + s - 1) + q] = -acc
+        for comp in range(p):
+            for q in range(h + t + s - 1):
+                acc = np.zeros(r)
+                for br in range(max(0, q - s + 1), min(h + t, q + 1)):
+                    acc += g[n * h + comp + p * br] * A_sel[q - br]
+                C[:, nw + comp * (h + t + s - 1) + q] = -acc
+        H2 += C.T @ C
+    return H2
+
+
+def j2_form(al, lead, cfg):
+    """H2 = C2 C2^T from the factor builder."""
+    _, C2 = window_quadratic_factors(al.alpha, lead, cfg.h, cfg.t)
+    return C2 @ C2.T
+
+
+class TestWindowQuadraticFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_loop_oracle(self, n, p, h, t, seed):
+        rng = np.random.default_rng(seed)
+        s = n * h + p * (h + t)
+        alpha = rng.normal(size=(s, s))
+        lead = rng.normal(size=(n, s))
+        C1, C2 = window_quadratic_factors(alpha, lead, h, t)
+        ref = oracle_j2_hessian(alpha, lead, h, t, n, p)
+        assert np.array_equal(C1, alpha[:, s - t * p :])
+        assert C2.shape == (ref.shape[0], n * t * p)
+        assert np.abs(C2 @ C2.T - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_quadratic_factors_match_row_loop(self, canonical):
+        y, u, cfg = canonical_window(canonical, h=4, t=9, seed=41, amp=8.0)
+        h, t = cfg.h, cfg.t
+        al = alpha_matrix(y, u, cfg)
+        lead = lead_outputs(y, cfg.k, h, t, al.s)[0]
+        s, alpha = al.s, al.alpha
+        A_sel, C2 = window_quadratic_factors(alpha, lead, h, t)
+        g = alpha.T @ lead
+        nw = h + s - 1
+        ref = np.zeros((nw + h + t + s - 1, t))
+        for br in range(h):
+            ref[br : br + s] -= g[br] * A_sel
+        for br in range(h + t):
+            ref[nw + br : nw + br + s] -= g[h + br] * A_sel
+        assert np.abs(C2 - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_lead_that_does_not_fit_the_window_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            window_quadratic_factors(np.eye(6), np.ones((1, 5)), 2, 1)
+
+
+class TestRankBoxMax:
+    def test_matches_dense_solver(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            C = rng.normal(size=(8, 3))
+            val, w = rank_box_max(C, bound=0.1)
+            ref, _ = solve_j1_exact(C @ C.T, delta=0.05)
+            assert val <= ref + 1e-12
+            assert val >= 0.9 * ref
+            assert np.all(np.abs(w) == pytest.approx(0.1))
+
+    def test_zero_factor(self):
+        val, w = rank_box_max(np.zeros((4, 2)), bound=0.1)
+        assert val == 0.0
+
+
 class TestJ2Hessian:
+    """The data-noise quadratic H2 = C2 C2^T of the factor builder."""
+
     def small_instance(self, canonical, seed=5):
         y, u, cfg = canonical_window(canonical, h=4, t=5, seed=seed)
         al = alpha_matrix(y, u, cfg)
@@ -202,18 +293,18 @@ class TestJ2Hessian:
 
     def test_zero_outputs_give_zero(self, canonical):
         al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_hessian(al, np.zeros_like(lead), cfg)
+        H2 = j2_form(al, np.zeros_like(lead), cfg)
         assert np.all(H2 == 0.0)
 
     def test_quadratic_scaling_in_lead(self, canonical):
         al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_hessian(al, lead, cfg)
-        H2_scaled = j2_hessian(al, 3.0 * lead, cfg)
+        H2 = j2_form(al, lead, cfg)
+        H2_scaled = j2_form(al, 3.0 * lead, cfg)
         assert np.allclose(H2_scaled, 9.0 * H2)
 
     def test_psd(self, canonical):
         al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_hessian(al, lead, cfg)
+        H2 = j2_form(al, lead, cfg)
         assert np.linalg.eigvalsh(H2).min() >= -1e-12
 
     def test_finite_difference_oracle_small_toy(self):
@@ -226,8 +317,8 @@ class TestJ2Hessian:
         u = rng.normal(size=12)
         al = alpha_matrix(y, u, cfg)
         lead = lead_outputs(y, 0, 1, 1, al.s)
-        H2 = j2_hessian(al, lead, cfg)
-        nw, ne = noise_sample_counts(cfg, 1, 1)
+        H2 = j2_form(al, lead, cfg)
+        nw, ne = cfg.h + al.s - 1, cfg.h + cfg.t + al.s - 1
 
         def f(P):
             w_samples, e_samples = P[:nw], P[nw:]

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from subvarid.deviation import window_deviation
 from subvarid.errors import ConfigurationError, DesignFailureError, NearSingularError
 from subvarid.input_design import (
     BorderedPartition,
@@ -20,11 +21,8 @@ from subvarid.input_design import (
     design_input_step,
     multitone_dither,
     partition_from_L,
-    rank_box_max,
     run_closed_loop,
     safety_interval,
-    window_deviation,
-    window_quadratic_factors,
 )
 from subvarid.lti_core import (
     NoiseSpec,
@@ -94,24 +92,6 @@ class TestBorderedInverse:
         part = partition_from_L(L, r=1)
         with pytest.raises(NearSingularError):
             part.u2_of(part.c0)
-
-
-class TestRankBoxMax:
-    def test_matches_dense_solver(self):
-        from subvarid.deviation import solve_j1_exact
-
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            C = rng.normal(size=(8, 3))
-            val, w = rank_box_max(C, bound=0.1)
-            ref, _ = solve_j1_exact(C @ C.T, delta=0.05)
-            assert val <= ref + 1e-12
-            assert val >= 0.9 * ref
-            assert np.all(np.abs(w) == pytest.approx(0.1))
-
-    def test_zero_factor(self):
-        val, w = rank_box_max(np.zeros((4, 2)), bound=0.1)
-        assert val == 0.0
 
 
 class TestPredictOutput:
@@ -279,6 +259,15 @@ class TestFeasibleSetCheck:
         interval = self._interval(running, np.random.default_rng(5), cfg=tight)
         assert interval is None or not interval[0] <= 5.0 <= interval[1]
 
+    def test_history_too_short_to_predict_raises(self, running):
+        h, t = 4, 9
+        G = markov_true(running, t)
+        real = ho_kalman(G, 4)
+        pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=h)
+        y = np.zeros(h + t)  # one output short of a prediction window
+        with pytest.raises(ConfigurationError):
+            safety_interval(pred, DesignConfig(), 4, y, y[:-1])
+
     def test_conditioning_margins_reported(self, running):
         rng = np.random.default_rng(6)
         h, t = 4, 9
@@ -424,20 +413,6 @@ class TestScenarioKernels:
         log = make_run_data(running, h, t, rng, amp=8.0)
         part = partition_from_L(build_L(log.y, log.u, 0, h, t), r=t)
         return part, log.y.flatten()[h + t : h + t + s], h, t
-
-    def test_quadratic_factors_match_row_loop(self, running):
-        part, lead, h, t = self._window(running, 41)
-        s = part.s
-        alpha = part.alpha_of(part.c0 + 3.0)
-        A_sel, C2 = window_quadratic_factors(alpha, lead, h, t)
-        g = alpha.T @ lead
-        nw = h + s - 1
-        ref = np.zeros((nw + h + t + s - 1, t))
-        for br in range(h):
-            ref[br : br + s] -= g[br] * A_sel
-        for br in range(h + t):
-            ref[nw + br : nw + br + s] -= g[h + br] * A_sel
-        assert np.abs(C2 - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_sign_flipped_scenarios_are_bit_identical(self, running):
         part, lead, h, t = self._window(running, 42)
