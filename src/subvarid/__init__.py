@@ -13,12 +13,10 @@ from .errors import (
     TransformUndefinedError,
 )
 from .lti_core import (
-    HankelBlock,
     MarkovMatrix,
     NoiseSpec,
     SignalLog,
     StateSpaceModel,
-    build_hankel,
     build_L,
     extended_controllability,
     extended_observability,

@@ -2,11 +2,11 @@
 
 Subcommands: simulate, identify, deviation, design, campaign, report.
 Configuration comes from a JSON file plus flag overrides.  Exit codes:
-0 success, 1 configuration error (also a malformed CSV), 2 numeric failure
-(also a `design` run in which every batch was skipped, so no estimate was
-formed; its run CSV is still written) or an external plant that exits or
-answers with anything but one finite number, 3 acceptance-threshold failure
-in `report --check` mode.
+0 success, 1 configuration error (also a malformed CSV, or one too short for
+the data window), 2 numeric failure (also a `design` run in which every batch
+was skipped, so no estimate was formed; its run CSV is still written) or an
+external plant that exits or answers with anything but one finite number,
+3 acceptance-threshold failure in `report --check` mode.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 
 from . import experiments as exp
 from .deviation import max_deviation
-from .errors import ConfigurationError, EstimationError, NumericOverflowError, SubvaridError
+from .errors import (
+    ConfigurationError,
+    EstimationError,
+    NumericOverflowError,
+    OutOfRangeError,
+    SubvaridError,
+)
 from .input_design import DesignConfig, SimulatedPlant, run_closed_loop
 from .lti_core import NoiseSpec, SignalLog, StateSpaceModel, markov_true, simulate
 from .subspace_id import EstimatorConfig, estimate_markov_batched, ho_kalman
@@ -259,7 +265,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, OutOfRangeError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericOverflowError, EstimationError, np.linalg.LinAlgError) as exc:

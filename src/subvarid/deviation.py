@@ -19,14 +19,13 @@ multiplies.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .lti_core import DEFAULT_COND_LIMIT, _as_2d, build_L, lead_outputs
+from .lti_core import DEFAULT_COND_LIMIT, _as_2d, build_L, lead_outputs, window_gather
 from .subspace_id import EstimatorConfig, invert_windows
 
 
@@ -247,30 +246,6 @@ def solve_box_qp(H: np.ndarray, delta: float):
     return value, w, gap, "relaxed"
 
 
-@functools.lru_cache(maxsize=None)
-def _noise_band(n: int, p: int, h: int, t: int):
-    """Where each distinct data-noise sample (w then e) sits in a window's L.
-
-    With s = n h + p (h + t), output noise component comp fills L rows
-    comp + n br (br < h) with samples comp (h+s-1) + br + col, and input
-    noise component comp fills rows n h + comp + p br (br < h + t) with
-    samples n (h+s-1) + comp (h+t+s-1) + br + col, col < s.  Returns
-    (sample, L row, L column) index arrays, one entry per L entry.
-    """
-    s = n * h + p * (h + t)
-    nw, ne = h + s - 1, h + t + s - 1
-    br_w, col_w = np.divmod(np.arange(h * s), s)
-    br_e, col_e = np.divmod(np.arange((h + t) * s), s)
-    comp_w, comp_e = np.arange(n)[:, None], np.arange(p)[:, None]
-    sample = np.concatenate([(comp_w * nw + br_w + col_w).ravel(),
-                             (n * nw + comp_e * ne + br_e + col_e).ravel()])
-    row = np.concatenate([(comp_w + n * br_w).ravel(), (n * h + comp_e + p * br_e).ravel()])
-    col = np.concatenate([np.tile(col_w, n), np.tile(col_e, p)])
-    for index in (sample, row, col):
-        index.flags.writeable = False  # shared by every caller of the cache
-    return sample, row, col
-
-
 def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int):
     """Factors of the two deviation quadratics for one window.
 
@@ -279,8 +254,9 @@ def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int
     maps the s lead-noise samples of one output row, C2 the distinct data
     noise samples (w then e), into the r = t p selected residual columns,
     one block of r columns per output row: C2 = -M A_sel, where
-    M[sample, col] = g[row] over the noise band and g = alpha^T lead_row.
-    The quadratics are H1 = C1 C1^T and H2 = C2 C2^T.
+    M[G[row, col], col] = g[row] over the window's gather table G
+    (`window_gather`) and g = alpha^T lead_row.  The quadratics are
+    H1 = C1 C1^T and H2 = C2 C2^T.
     """
     lead = np.atleast_2d(lead)
     s = alpha.shape[0]
@@ -291,19 +267,24 @@ def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int
             f"lead of shape {lead.shape} does not fit a {s}x{s} window at h={h}, t={t}"
         )
     A_sel = alpha[:, s - t * p :]
-    sample, row, col = _noise_band(n, p, h, t)
+    G = window_gather(n, p, h, t)
+    cols = np.arange(s)
     blocks = []
     for a in range(n):
         g = alpha.T @ lead[a]
-        M = np.zeros((n * (h + s - 1) + p * (h + t + s - 1), s))
-        M[sample, col] = g[row]
+        M = np.zeros((G[-1, -1] + 1, s))
+        M[G, cols] = g[:, None]
         blocks.append(-(M @ A_sel))
     return A_sel, np.concatenate(blocks, axis=1)
 
 
 def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,
                      n_starts: int = 5):
-    """Fast J = sqrt(J1 + J2) for one SISO window via greedy rounding."""
+    """Fast J = sqrt(J1 + J2) for one window via greedy rounding.
+
+    J1 and w_star cover the lead noise of one output row, which is all of it
+    for a single output; `max_deviation` scales J1 by the n rows.
+    """
     C1, C2 = window_quadratic_factors(alpha, lead, h, t)
     J1, w_star = rank_box_max(C1, 2.0 * delta, n_starts=n_starts)
     J2, p_star = rank_box_max(C2, 2.0 * delta, n_starts=n_starts)

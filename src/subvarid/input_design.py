@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .deviation import _noise_band, window_deviation
+from .deviation import window_deviation
 from .errors import (
     ConfigurationError,
     DesignFailureError,
@@ -35,9 +35,11 @@ from .lti_core import (
     MarkovMatrix,
     NoiseSpec,
     StateSpaceModel,
+    build_L,
     extended_controllability,
     extended_observability,
     toeplitz_T,
+    window_gather,
 )
 from .subspace_id import (
     EstimatorConfig,
@@ -452,9 +454,7 @@ def build_scenarios(
     s = partition.s
     alpha = partition.alpha_of(u_probe)
     _, w_star, p_star = window_deviation(alpha, lead, h, t, delta, n_starts=1)
-    sample, row, col = _noise_band(1, 1, h, t)
-    dL = np.zeros((s, s))
-    dL[row, col] = p_star[sample]
+    dL = p_star[window_gather(1, 1, h, t)]
     sel = slice(s - t, s)
     Fw, cw = _lead_noise_terms(partition, w_star, sel)
     F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
@@ -690,21 +690,6 @@ def _validate_model(pred: OutputPredictor, y, u, n_check: int = 12) -> float:
     return float(np.mean(errs)) / scale
 
 
-@functools.lru_cache(maxsize=None)
-def _window_rows(h: int, t: int, s: int):
-    """Index arrays that cut the output and input blocks of a SISO L from y, u."""
-    rows = (np.arange(h)[:, None] + np.arange(s), np.arange(h + t)[:, None] + np.arange(s))
-    for index in rows:
-        index.flags.writeable = False  # shared by every caller of the cache
-    return rows
-
-
-def _loop_window(y, u, k0: int, h: int, t: int, s: int) -> np.ndarray:
-    """L[y, u] of the SISO window starting at k0."""
-    rows_y, rows_u = _window_rows(h, t, s)
-    return np.vstack([y[k0 + rows_y], u[k0 + rows_u]])
-
-
 class _BatchFold:
     """The loop's running batch average and the model validated on it.
 
@@ -732,7 +717,7 @@ class _BatchFold:
 
     def _fold(self, ya, ua, k0: int):
         cfg, h, t, s = self.cfg, self.h, self.t, self.s
-        cond, ok, alpha = invert_windows(_loop_window(ya, ua, k0, h, t, s)[None], cfg.cond_limit)
+        cond, ok, alpha = invert_windows(build_L(ya, ua, k0, h, t)[None], cfg.cond_limit)
         used, regime, J_b = bool(ok[0]), False, np.nan
         if used:
             alpha = alpha[0]
@@ -783,7 +768,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         future = np.concatenate([ua[k0:tau], [0.0]])
         y_design = np.concatenate([ya[: k0 + 1], predictor.predict(ya[: k0 + 1], ua[:k0], future)])
     try:
-        part = partition_from_L(_loop_window(y_design, ua, k0, h, t, s), t)
+        part = partition_from_L(build_L(y_design, ua, k0, h, t), t)
         lead = y_design[k0 + h + t : k0 + h + t + s]
         if len(lead) < s:
             # y(tau+1) is still ahead: predict it, or repeat the last output

@@ -1,18 +1,18 @@
-"""State-space models, simulation, and block-Hankel constructions.
+"""State-space models, simulation, and the data-window layout.
 
 Everything downstream (estimation, deviation analysis, input design) is built
 on the windows and structured matrices defined here.  Time indexing is 0-based
 throughout; the 1-based block formulas from the literature are translated in
-`build_hankel` and `build_L`.  Three index-arithmetic copies of the same L
-layout exist for speed and must change with it: `subspace_id._stacked_windows`
-(stacked windows of the batched estimator), `input_design._loop_window` (the
-closed loop's SISO window) and `deviation._noise_band` (where each noise
-sample sits in L).
+`window_gather`.  That table is the one record of where each sample of a
+window's sample vector sits in L[y, u]: `build_L` (one window, the closed
+loop's window, or the batched estimator's stack of windows) and the
+deviation engine's noise band all gather through it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -76,22 +76,9 @@ class StateSpaceModel:
     def n(self) -> int:
         return self.C.shape[0]
 
-    def controllability_matrix(self) -> np.ndarray:
-        """[B, AB, ..., A^{m-1}B], shape (m, m*p)."""
-        blocks = []
-        Ak = np.eye(self.m)
-        for _ in range(self.m):
-            blocks.append(Ak @ self.B)
-            Ak = self.A @ Ak
-        return np.hstack(blocks)
-
-    def observability_matrix(self) -> np.ndarray:
-        """[C; CA; ...; CA^{m-1}], shape (m*n, m)."""
-        return extended_observability(self, self.m)
-
     def is_minimal(self, tol: float = 1e-9) -> bool:
-        rc = np.linalg.matrix_rank(self.controllability_matrix(), tol=tol)
-        ro = np.linalg.matrix_rank(self.observability_matrix(), tol=tol)
+        rc = np.linalg.matrix_rank(extended_controllability(self, self.m), tol=tol)
+        ro = np.linalg.matrix_rank(extended_observability(self, self.m), tol=tol)
         return rc == self.m and ro == self.m
 
     def to_dict(self) -> dict:
@@ -243,16 +230,6 @@ def _bad_csv_cell(path, columns, rows) -> str:
 
 
 @dataclass(frozen=True)
-class HankelBlock:
-    """Block Hankel matrix with its defining window parameters."""
-
-    data: np.ndarray
-    k: int
-    h: int
-    s: int
-
-
-@dataclass(frozen=True)
 class MarkovMatrix:
     """Extended Markov parameter matrix G(t) = [CA^{t-1}B, ..., CAB, CB]."""
 
@@ -350,40 +327,66 @@ def simulate(
     return SignalLog(u=U, y=ys, x=xs if keep_state else None, v=V, w=W)
 
 
-def build_hankel(signal, k: int, h: int, s: int) -> HankelBlock:
-    """Block Hankel matrix of `h` block rows and `s` columns starting at k.
-
-    Block (i, j), 0-based, holds the signal value at time k + i + j, so the
-    data must cover indices k .. k+h+s-2.
-    """
-    sig = _as_2d(signal)
-    if h < 1 or s < 1:
-        raise ConfigurationError("h and s must be positive")
-    if k < 0 or k + h + s - 1 > len(sig):
-        raise OutOfRangeError(
-            f"signal of length {len(sig)} does not cover window {k}..{k + h + s - 2}"
-        )
-    dim = sig.shape[1]
-    data = np.empty((h * dim, s))
-    for i in range(h):
-        data[i * dim : (i + 1) * dim, :] = sig[k + i : k + i + s].T
-    return HankelBlock(data=data, k=k, h=h, s=s)
-
-
-def build_L(y, u, k: int, h: int, t: int) -> np.ndarray:
-    """Square data matrix stacking H_y(k;h;s) over H_u(k;h+t;s), s = h*n+(h+t)*p."""
-    ya = _as_2d(y)
-    ua = _as_2d(u)
-    n, p = ya.shape[1], ua.shape[1]
-    s = h * n + (h + t) * p
-    Hy = build_hankel(ya, k, h, s).data
-    Hu = build_hankel(ua, k, h + t, s).data
-    return np.vstack([Hy, Hu])
-
-
 def window_size(h: int, t: int, n: int, p: int) -> int:
     """s = h*n + (h+t)*p."""
     return h * n + (h + t) * p
+
+
+@functools.lru_cache(maxsize=None)
+def window_gather(n: int, p: int, h: int, t: int) -> np.ndarray:
+    """Read-only (s, s) table G with L[y, u] = z[G] for one window.
+
+    z is the window's sample vector
+    [y_1(k..k+h+s-2), ..., y_n(...), u_1(k..k+h+t+s-2), ..., u_p(...)].
+    L stacks the h block rows of outputs over the h+t block rows of inputs;
+    block row br, component comp, column col holds the sample at time
+    k + br + col.  Every sample of z appears in G, and G[-1, -1] is the
+    last one, so a window holds G[-1, -1] + 1 samples.
+    """
+    if h < 1 or t < 0:
+        raise ConfigurationError(f"need h >= 1 and t >= 0, got h={h}, t={t}")
+    s = window_size(h, t, n, p)
+    col = np.arange(s)
+    br_y, comp_y = np.divmod(np.arange(h * n), n)
+    br_u, comp_u = np.divmod(np.arange((h + t) * p), p)
+    G = np.vstack([
+        (comp_y * (h + s - 1) + br_y)[:, None] + col,
+        (n * (h + s - 1) + comp_u * (h + t + s - 1) + br_u)[:, None] + col,
+    ])
+    G.flags.writeable = False  # shared by every caller of the cache
+    return G
+
+
+def build_L(y, u, k, h: int, t: int) -> np.ndarray:
+    """Square data matrix stacking H_y(k;h;s) over H_u(k;h+t;s), s = h*n+(h+t)*p.
+
+    Block (i, j), 0-based, of each Hankel block holds the signal at time
+    k + i + j.  k is one start, or a 1-D integer array of starts for a
+    stack of windows of shape (len(k), s, s).  Each window is its sample
+    vector z gathered through `window_gather`.
+    """
+    ya, ua = _as_2d(y), _as_2d(u)
+    n, p = ya.shape[1], ua.shape[1]
+    s = window_size(h, t, n, p)
+    ny, nu = h + s - 1, h + t + s - 1
+    stack = getattr(k, "ndim", 0) > 0
+    first, last = (int(k.min()), int(k.max())) if stack else (k, k)
+    if first < 0 or len(ya) < last + ny or len(ua) < last + nu:
+        raise OutOfRangeError(
+            f"window at k={first if first < 0 else last} needs {last + ny} output"
+            f" and {last + nu} input samples, got {len(ya)} and {len(ua)}"
+        )
+    G = window_gather(n, p, h, t)
+    # one window is cut by slices, a stack by one fancy index: each is the
+    # faster cut on its side (the closed loop's windows, the batched estimator)
+    if not stack:
+        return np.concatenate([ya[k : k + ny].T.ravel(), ua[k : k + nu].T.ravel()])[G]
+    z = np.concatenate(
+        [np.swapaxes(sig[k[:, None] + np.arange(m)], 1, 2).reshape(len(k), -1)
+         for sig, m in ((ya, ny), (ua, nu))],
+        axis=1,
+    )
+    return z[:, G]
 
 
 def lead_outputs(y, k: int, h: int, t: int, s: int) -> np.ndarray:

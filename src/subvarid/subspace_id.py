@@ -18,9 +18,11 @@ from .errors import ConfigurationError, EstimationError, OrderDeficiencyError
 from .lti_core import (
     DEFAULT_COND_LIMIT,
     MarkovMatrix,
+    StateSpaceModel,
     _as_2d,
     build_L,
     lead_outputs,
+    markov_true,
     window_size,
 )
 
@@ -80,12 +82,7 @@ class Realization:
     similarity_free: bool = True
 
     def markov(self, t: int) -> MarkovMatrix:
-        blocks = []
-        CAk = self.C_hat
-        for _ in range(t):
-            blocks.append(CAk @ self.B_hat)
-            CAk = CAk @ self.A_hat
-        return MarkovMatrix(G=np.hstack(blocks[::-1]), t=t)
+        return markov_true(StateSpaceModel(self.A_hat, self.B_hat, self.C_hat), t)
 
 
 # windows inverted per batched call; bounds memory at O(BATCH_CHUNK s^2)
@@ -119,16 +116,6 @@ def _singular_window(k, cond: float) -> EstimationError:
         f"data matrix at k={k} is numerically singular (cond={cond:.3e})",
         condition_number=cond,
     )
-
-
-def _stacked_windows(ya, ua, starts: np.ndarray, h: int, t: int, s: int):
-    """Data matrices L[y, u] (c, s, s) and lead outputs (c, n, s) at `starts`."""
-    c = len(starts)
-    cols = starts[:, None, None] + np.arange(s)
-    Hy = ya[cols + np.arange(h)[:, None]].transpose(0, 1, 3, 2).reshape(c, -1, s)
-    Hu = ua[cols + np.arange(h + t)[:, None]].transpose(0, 1, 3, 2).reshape(c, -1, s)
-    lead = ya[starts[:, None] + h + t + np.arange(s)].transpose(0, 2, 1)
-    return np.concatenate([Hy, Hu], axis=1), lead
 
 
 def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
@@ -171,7 +158,8 @@ def estimate_markov_batched(
     for first in range(0, cfg.N, BATCH_CHUNK):
         batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
         starts = cfg.batch_start(batch, n, p)
-        L, lead = _stacked_windows(ya, ua, starts, cfg.h, cfg.t, s)
+        L = build_L(ya, ua, starts, cfg.h, cfg.t)
+        lead = ya[starts[:, None] + cfg.h + cfg.t + np.arange(s)].transpose(0, 2, 1)
         cond, ok, alpha = invert_windows(L, cfg.cond_limit)
         for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
             warnings.warn(

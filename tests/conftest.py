@@ -38,3 +38,17 @@ def random_minimal_model(rng, m, n=1, p=1, spectral_radius=0.95):
         if model.is_minimal():
             return model
     raise RuntimeError("failed to draw a minimal model")
+
+
+def oracle_hankel(signal, k, h, s):
+    """Block Hankel matrix of h block rows and s columns starting at k, by the
+    row loop: block (i, j), 0-based, holds the signal value at time k + i + j."""
+    sig = np.asarray(signal, dtype=float)
+    if sig.ndim == 1:
+        sig = sig[:, None]
+    assert 0 <= k and k + h + s - 1 <= len(sig)
+    dim = sig.shape[1]
+    data = np.empty((h * dim, s))
+    for i in range(h):
+        data[i * dim : (i + 1) * dim, :] = sig[k + i : k + i + s].T
+    return data

@@ -124,6 +124,22 @@ def test_non_numeric_cell_is_config_error(tmp_path, capsys, command):
     assert "line 8" in err and "'y_1'" in err and "'abc'" in err
 
 
+# default h=4, t=5: s = 13; 12 rows miss the data window (16 outputs and
+# 21 inputs), 21 rows cover it but miss the lead outputs y(9..21)
+@pytest.mark.parametrize("rows, message", [(12, "needs 16 output and 21 input samples"),
+                                           (21, "lead window 9..21")])
+@pytest.mark.parametrize("command", ["identify", "deviation"])
+def test_csv_shorter_than_a_window_is_config_error(tmp_path, capsys, command, rows, message):
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", str(rows), "--output", str(sig)])
+    capsys.readouterr()
+    assert main([command, str(sig)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    if command == "deviation":
+        assert message in err
+
+
 def test_design_with_exited_plant_is_numeric_failure(tmp_path, capsys):
     code = main(["design", "--plant-cmd", "true", "--output", str(tmp_path / "run.csv")])
     assert code == EXIT_NUMERIC

@@ -15,9 +15,9 @@ from subvarid.deviation import (
     window_quadratic_factors,
 )
 from subvarid.errors import ConfigurationError, EstimationError
-from subvarid.lti_core import MarkovMatrix, build_hankel, build_L, lead_outputs, simulate
+from subvarid.lti_core import MarkovMatrix, build_L, lead_outputs, simulate
 from subvarid.subspace_id import EstimatorConfig
-from conftest import CANONICAL_X0
+from conftest import CANONICAL_X0, oracle_hankel
 
 
 def brute_force_box_max(H, delta):
@@ -324,8 +324,8 @@ class TestJ2Hessian:
             w_samples, e_samples = P[:nw], P[nw:]
             dL = np.vstack(
                 [
-                    build_hankel(w_samples, 0, cfg.h, al.s).data,
-                    build_hankel(e_samples, 0, cfg.h + cfg.t, al.s).data,
+                    oracle_hankel(w_samples, 0, cfg.h, al.s),
+                    oracle_hankel(e_samples, 0, cfg.h + cfg.t, al.s),
                 ]
             )
             inner = lead @ (-al.alpha @ dL @ al.alpha)

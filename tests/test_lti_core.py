@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subvarid.errors import ConfigurationError, NumericOverflowError, OutOfRangeError
 from subvarid.lti_core import (
@@ -7,16 +9,16 @@ from subvarid.lti_core import (
     NoiseSpec,
     SignalLog,
     StateSpaceModel,
-    build_hankel,
     build_L,
     extended_controllability,
     extended_observability,
     markov_true,
     simulate,
     toeplitz_T,
+    window_gather,
 )
 from subvarid.subspace_id import invert_windows
-from conftest import CANONICAL_X0, random_minimal_model
+from conftest import CANONICAL_X0, oracle_hankel, random_minimal_model
 
 
 def stack_window(sig, k, h):
@@ -74,32 +76,69 @@ class TestSimulate:
 
 
 class TestBuildHankel:
+    """The output and input Hankel blocks of build_L, against hand-expanded values."""
+
     def test_scalar_definition_unrolled(self):
-        blk = build_hankel([1.0, 2.0, 3.0, 4.0], k=0, h=2, s=3)
-        assert np.array_equal(blk.data, [[1, 2, 3], [2, 3, 4]])
+        # h=1, t=1, SISO: s = 3; the input block has h + t = 2 rows
+        L = build_L([5.0, 6.0, 7.0], [1.0, 2.0, 3.0, 4.0], k=0, h=1, t=1)
+        assert np.array_equal(L[1:], [[1, 2, 3], [2, 3, 4]])
 
     def test_constant_signal_rank_one(self):
-        blk = build_hankel(np.full(10, 2.5), k=0, h=3, s=4)
-        assert np.all(blk.data == 2.5)
-        assert np.linalg.matrix_rank(blk.data) == 1
+        rng = np.random.default_rng(0)
+        L = build_L(np.full(20, 2.5), rng.normal(size=20), k=0, h=3, t=1)
+        assert np.all(L[:3] == 2.5)
+        assert np.linalg.matrix_rank(L[:3]) == 1
 
     def test_vector_signal_stacked_blocks(self):
-        # hand-expanded 2-dim signal, h=2, s=2
-        sig = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        blk = build_hankel(sig, k=0, h=2, s=2)
-        expected = np.array([[1, 2], [10, 20], [2, 3], [20, 30]])
-        assert np.array_equal(blk.data, expected)
+        # hand-expanded 2-dim input, n=1, h=1, t=1: s = 5, input rows
+        # u_1(k+br), u_2(k+br) for br = 0, 1
+        u = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0],
+                      [4.0, 40.0], [5.0, 50.0], [6.0, 60.0]])
+        L = build_L(np.zeros(6), u, k=0, h=1, t=1)
+        expected = np.array([[1, 2, 3, 4, 5], [10, 20, 30, 40, 50],
+                             [2, 3, 4, 5, 6], [20, 30, 40, 50, 60]])
+        assert np.array_equal(L[1:], expected)
 
     def test_insufficient_data_raises(self):
+        # h=1, t=1: s = 3 needs 3 outputs and 4 inputs
+        with pytest.raises(OutOfRangeError, match="needs 3 output and 4 input samples"):
+            build_L([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], k=0, h=1, t=1)
         with pytest.raises(OutOfRangeError):
-            build_hankel([1.0, 2.0, 3.0], k=0, h=2, s=3)
+            build_L(np.ones(9), np.ones(9), k=-1, h=1, t=1)
 
     def test_shift_structure(self):
         rng = np.random.default_rng(1)
-        sig = rng.normal(size=12)
-        a = build_hankel(sig, k=0, h=3, s=5).data
-        b = build_hankel(sig, k=1, h=3, s=5).data
+        y, u = rng.normal(size=30), rng.normal(size=30)
+        a = build_L(y, u, k=0, h=3, t=2)
+        b = build_L(y, u, k=1, h=3, t=2)
         assert np.array_equal(a[:, 1:], b[:, :-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_window_layout_matches_the_row_loop(n, p, h, t, k, seed):
+    """build_L, the estimator's stacked windows and the gathered noise band
+    are all the row-loop Hankel layout."""
+    rng = np.random.default_rng(seed)
+    s = n * h + p * (h + t)
+    T = k + 3 * s + h + t
+    y, u = rng.normal(size=(T, n)), rng.normal(size=(T, p))
+    L = build_L(y, u, k, h, t)
+    assert np.array_equal(L, np.vstack([oracle_hankel(y, k, h, s),
+                                        oracle_hankel(u, k, h + t, s)]))
+    starts = k + s * np.arange(3)
+    stacked = build_L(y, u, starts, h, t)
+    for i, k_i in enumerate(starts):
+        assert np.array_equal(stacked[i], build_L(y, u, int(k_i), h, t))
+    # one noise vector: n output components of h+s-1 samples, then p input
+    # components of h+t+s-1 samples
+    G = window_gather(n, p, h, t)
+    P = rng.normal(size=n * (h + s - 1) + p * (h + t + s - 1))
+    w = P[: n * (h + s - 1)].reshape(n, -1).T
+    e = P[n * (h + s - 1) :].reshape(p, -1).T
+    dL = np.vstack([oracle_hankel(w, 0, h, s), oracle_hankel(e, 0, h + t, s)])
+    assert np.array_equal(P[G], dL)
 
 
 class TestBuildL:
