@@ -2,17 +2,21 @@
 
 Subcommands: simulate, identify, deviation, design, campaign, report.
 Configuration comes from a JSON file plus flag overrides.  Exit codes:
-0 success, 1 configuration error (also a malformed CSV, or one too short for
-the data window), 2 numeric failure (also a `design` run in which every batch
-was skipped, so no estimate was formed; its run CSV is still written) or an
-external plant that exits or answers with anything but one finite number,
-3 acceptance-threshold failure in `report --check` mode.
+0 success (also when the reader of standard output closes it early, as
+`subvarid identify s.csv | head -3` does), 1 configuration error (also a
+malformed CSV: a header without u_* or y_* columns, a short row, a refused or
+non-finite cell; or one too short for the data window), 2 numeric failure
+(also a `design` run in which every batch was skipped, so no estimate was
+formed; its run CSV is still written) or an external plant that exits or
+answers with anything but one finite number, 3 acceptance-threshold failure
+in `report --check` mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -264,7 +268,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader chose to stop; point stdout at devnull so that the
+        # interpreter's exit-time flush of what is left stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConfigurationError, OutOfRangeError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

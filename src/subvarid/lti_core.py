@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,35 +198,73 @@ class SignalLog:
 
     @classmethod
     def from_csv(cls, path) -> "SignalLog":
-        """Read k,u_*,y_* rows; a missing or non-numeric cell is a ConfigurationError."""
+        """Read the `k,u_1..u_p,y_1..y_n` rows that `to_csv` writes.
+
+        The header is csv-parsed and its u_*/y_* columns counted; the data
+        rows are parsed in one `np.loadtxt` call, which skips blank lines,
+        honours quoted cells and ignores cells past the header's width.  A
+        header without u_* or y_* columns, a short row, a cell that
+        `_csv_cell_value` refuses and a non-finite cell are ConfigurationErrors.
+        """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigurationError(f"{path}: empty file, expected a k,u_*,y_* header")
-            p = sum(1 for h in header if h.startswith("u_"))
-            n = sum(1 for h in header if h.startswith("y_"))
-            rows = [(reader.line_num, row) for row in reader if row]
-        if not rows:
-            return cls(u=np.zeros((0, p)), y=np.zeros((0, n)))
+            header = next(csv.reader(fh), None)
+        if header is None:
+            raise ConfigurationError(f"{path}: empty file, expected a k,u_*,y_* header")
+        p = sum(1 for h in header if h.startswith("u_"))
+        n = sum(1 for h in header if h.startswith("y_"))
+        if p == 0 or n == 0:
+            raise ConfigurationError(
+                f"{path}: header {','.join(header)!r} has {p} u_* and {n} y_* columns, "
+                "expected k,u_1..u_p,y_1..y_n with p, n >= 1"
+            )
         width = 1 + p + n
         try:
-            data = np.array([[float(v) for v in row[:width]] for _, row in rows])
+            with warnings.catch_warnings():
+                # a header-only file is an empty log, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                                  usecols=range(width), ndmin=2, quotechar='"')
         except ValueError:
-            raise ConfigurationError(_bad_csv_cell(path, header[:width], rows)) from None
+            data = None
+        if data is None or not np.isfinite(data).all():
+            raise ConfigurationError(_bad_csv_cell(path, header[:width]))
+        if len(data) == 0:
+            return cls(u=np.zeros((0, p)), y=np.zeros((0, n)))
         return cls(u=data[:, 1 : 1 + p].copy(), y=data[:, 1 + p :].copy(), t0=int(data[0, 0]))
 
 
-def _bad_csv_cell(path, columns, rows) -> str:
-    """Name the first short row or non-numeric cell of a signal CSV."""
-    for line, row in rows:
-        if len(row) < len(columns):
-            return f"{path}: line {line} has {len(row)} cells, expected {len(columns)}"
-        for column, cell in zip(columns, row):
-            try:
-                float(cell)
-            except ValueError:
-                return f"{path}: line {line}, column {column!r}: non-numeric value {cell!r}"
+def _csv_cell_value(cell: str) -> Optional[float]:
+    """The value `np.loadtxt` reads from one cell, or None if it refuses it.
+
+    That is Python's `float` of the stripped cell without its two extras:
+    digit-group underscores (`1_5`) and non-ASCII digits.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _bad_csv_cell(path, columns) -> str:
+    """Name the first short row, refused cell or non-finite cell of a signal CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) < len(columns):
+                return f"{where} has {len(row)} cells, expected {len(columns)}"
+            for column, cell in zip(columns, row):
+                value = _csv_cell_value(cell)
+                if value is None:
+                    return f"{where}, column {column!r}: non-numeric value {cell!r}"
+                if not np.isfinite(value):
+                    return f"{where}, column {column!r}: non-finite value {cell!r}"
     return f"{path}: unreadable signal rows"
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +141,43 @@ def test_csv_shorter_than_a_window_is_config_error(tmp_path, capsys, command, ro
     assert err.startswith("configuration error:")
     if command == "deviation":
         assert message in err
+
+
+@pytest.mark.parametrize("command, header, message", [
+    # every row one cell short of the header: y would have no column
+    ("deviation", "k,u_1,y_1", "line 2 has 2 cells, expected 3"),
+    # no input column
+    ("identify", "k,y_1", "has 0 u_* and 1 y_* columns"),
+])
+def test_csv_column_layout_is_config_error(tmp_path, capsys, command, header, message):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(header + "\n" + "".join(f"{i},1.{i}\n" for i in range(41)))
+    assert main([command, str(sig)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["identify", "deviation"])
+def test_closed_stdout_exits_quietly(tmp_path, capsys, command):
+    """The console entry, writing into a pipe whose reader is already gone,
+    exits 0 with nothing on stderr."""
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", "200", "--prestabilized", "--amplitude", "5",
+          "--output", str(sig)])
+    capsys.readouterr()
+    import subvarid
+
+    env = dict(os.environ, PYTHONPATH=str(Path(subvarid.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "subvarid.cli", command, str(sig)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == EXIT_OK
 
 
 def test_design_with_exited_plant_is_numeric_failure(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from subvarid.lti_core import (
     NoiseSpec,
     SignalLog,
     StateSpaceModel,
+    _csv_cell_value,
     build_L,
     extended_controllability,
     extended_observability,
@@ -257,12 +261,145 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         assert header == "k,u_1,y_1"
         loaded = SignalLog.from_csv(path)
-        assert np.allclose(loaded.u, log.u)
-        assert np.allclose(loaded.y, log.y)
+        assert np.array_equal(loaded.u, log.u)
+        assert np.array_equal(loaded.y, log.y)
 
     def test_signal_log_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):
             SignalLog(u=np.array([np.nan]), y=np.array([1.0]))
+
+
+def oracle_from_csv(path) -> SignalLog:
+    """The row-by-row reader that `SignalLog.from_csv` replaced: csv-module
+    rows, `float()` on every cell, one `np.array` over the nested list."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        p = sum(1 for h in header if h.startswith("u_"))
+        n = sum(1 for h in header if h.startswith("y_"))
+        rows = [row for row in reader if row]
+    if not rows:
+        return SignalLog(u=np.zeros((0, p)), y=np.zeros((0, n)))
+    data = np.array([[float(v) for v in row[: 1 + p + n]] for row in rows])
+    return SignalLog(u=data[:, 1 : 1 + p].copy(), y=data[:, 1 + p :].copy(), t0=int(data[0, 0]))
+
+
+def assert_same_log(a: SignalLog, b: SignalLog):
+    """Equal shapes, bit-equal values (so -0.0 differs from 0.0) and equal t0."""
+    for name in ("u", "y"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(x, y) and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.t0 == b.t0
+
+
+def _mimo_csv_text(tmp_path) -> str:
+    rng = np.random.default_rng(14)
+    log = SignalLog(u=rng.normal(size=(7, 2)), y=rng.normal(size=(7, 2)) * 1e-3, t0=5)
+    log.to_csv(tmp_path / "mimo.csv")
+    return (tmp_path / "mimo.csv").read_text()
+
+
+def _quote_u_cells(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    out = [lines[0]]
+    for line in lines[1:]:
+        k, u1, rest = line.split(",", 2)
+        out.append(f'{k},"{u1}",{rest}')
+    return "".join(out)
+
+
+def _extra_cells(text: str) -> str:
+    lines = text.splitlines()
+    return "\n".join(lines[:1] + [line + ',9,"x,y",abc' for line in lines[1:]]) + "\n"
+
+
+CSV_VARIANTS = {
+    "to_csv of a MIMO log": lambda text: text,
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    "blank lines": lambda text: text.replace("\n", "\n\n", 3) + "\n\n",
+    "quoted numeric cells": _quote_u_cells,
+    "extra trailing cells": _extra_cells,
+    "missing final newline": lambda text: text.rstrip("\n"),
+    "header-only file": lambda text: text.splitlines(keepends=True)[0],
+}
+
+
+class TestSignalCsvReader:
+    @pytest.mark.parametrize("variant", sorted(CSV_VARIANTS))
+    def test_matches_row_by_row_oracle(self, tmp_path, variant):
+        path = tmp_path / "variant.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(CSV_VARIANTS[variant](_mimo_csv_text(tmp_path)))
+        loaded = SignalLog.from_csv(path)
+        assert_same_log(loaded, oracle_from_csv(path))
+        assert loaded.u.shape[1] == loaded.y.shape[1] == 2
+        assert len(loaded) == (0 if variant == "header-only file" else 7)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(-3, 10**6),
+        st.data(),
+    )
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, T, p, n, t0, data):
+        """to_csv then from_csv over float64 values with subnormals, signed
+        zeros and the largest finite values."""
+        edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308])
+        value = edge | st.floats(allow_nan=False, allow_infinity=False)
+        u = np.array(data.draw(st.lists(value, min_size=T * p, max_size=T * p))).reshape(T, p)
+        y = np.array(data.draw(st.lists(value, min_size=T * n, max_size=T * n))).reshape(T, n)
+        log = SignalLog(u=u, y=y, t0=t0 if T else 0)
+        path = tmp_path_factory.mktemp("roundtrip") / "log.csv"
+        log.to_csv(path)
+        assert_same_log(SignalLog.from_csv(path), log)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="0123456789.eE+-_ \tnaifty\xa0١x", max_size=10)
+        | st.floats().map(repr)
+        | st.sampled_from(["1_5", "1e1_0", "١", " 1.5 ", "\xa01", "-Infinity", "nan", "1e999"])
+    )
+    def test_error_helper_accepts_what_the_parse_accepts(self, cell):
+        """`_csv_cell_value` refuses exactly the cells `np.loadtxt` refuses and
+        reads the same value from the rest."""
+        try:
+            row = np.loadtxt([f"0,{cell},2"], delimiter=",", comments=None,
+                             usecols=range(3), ndmin=2, quotechar='"')
+            parsed = row[0, 1]
+        except ValueError:
+            parsed = None
+        value = _csv_cell_value(cell)
+        if parsed is None:
+            assert value is None
+        else:
+            assert value is not None
+            assert np.float64(value).tobytes() == parsed.tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,2\n1,1_5,2\n", "line 3, column 'u_1': non-numeric value '1_5'"),
+        ("0,1,2\n\n1,1,abc\n", "line 4, column 'y_1': non-numeric value 'abc'"),
+        ("0,1,2\n1,nan,2\n", "line 3, column 'u_1': non-finite value 'nan'"),
+        ("0,1,-inf\n", "line 2, column 'y_1': non-finite value '-inf'"),
+        ("inf,1,2\n", "line 2, column 'k': non-finite value 'inf'"),
+        ("0,1,2\n1,1\n", "line 3 has 2 cells, expected 3"),
+        ("0,1\n1,1\n", "line 2 has 2 cells, expected 3"),
+    ])
+    def test_bad_cells_name_line_and_column(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("k,u_1,y_1\n" + rows)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            SignalLog.from_csv(path)
+
+    @pytest.mark.parametrize("header, counts", [("k,y_1", "0 u_* and 1 y_*"),
+                                                ("k,u_1,u_2", "2 u_* and 0 y_*")])
+    def test_header_needs_input_and_output_columns(self, tmp_path, header, counts):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n0,1,2\n")
+        with pytest.raises(ConfigurationError, match=re.escape(counts)):
+            SignalLog.from_csv(path)
 
 
 class TestMinimality:
