@@ -35,9 +35,7 @@ from .subspace_id import (
 )
 from .noise_equiv import EquivalentNoise, process_to_input_noise
 from .deviation import (
-    AlphaMatrix,
     DeviationResult,
-    alpha_matrix,
     max_deviation,
     sample_variance,
     solve_j1_exact,

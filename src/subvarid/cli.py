@@ -4,8 +4,10 @@ Subcommands: simulate, identify, deviation, design, campaign, report.
 Configuration comes from a JSON file plus flag overrides.  Exit codes:
 0 success (also when the reader of standard output closes it early, as
 `subvarid identify s.csv | head -3` does), 1 configuration error (also a
-malformed CSV: a header without u_* or y_* columns, a short row, a refused or
-non-finite cell; or one too short for the data window), 2 numeric failure
+malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
+a refused or non-finite cell; or one too short for the data window; and a
+campaign config that is not a JSON object, has an unknown key or a value of
+the wrong type), 2 numeric failure
 (also a `design` run in which every batch was skipped, so no estimate was
 formed; its run CSV is still written) or an external plant that exits or
 answers with anything but one finite number, 3 acceptance-threshold failure
@@ -121,7 +123,7 @@ def cmd_design(args) -> int:
     try:
         run = run_closed_loop(
             plant, design, est, args.iterations, args.order,
-            mode="designed" if args.mode == "designed" else "white",
+            mode=args.mode,
             rng=exp.trial_rng(args.seed, 0, stream=1),
             # an external plant's Markov parameters are unknown unless --model gives them
             G_star=markov_true(model, args.t) if args.model or not args.plant_cmd else None,

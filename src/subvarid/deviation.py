@@ -20,34 +20,15 @@ multiplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
-from .lti_core import DEFAULT_COND_LIMIT, _as_2d, build_L, lead_outputs, window_gather
-from .subspace_id import EstimatorConfig, invert_windows
+from .errors import ConfigurationError
+from .lti_core import window_gather
+from .subspace_id import EstimatorConfig, invert_window
 
 
 ENUMERATION_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class AlphaMatrix:
-    """Inverse data matrix with its selection geometry and conditioning."""
-
-    alpha: np.ndarray
-    r: int
-    s: int
-    condition_number: float
-
-    def __post_init__(self):
-        if self.alpha.shape != (self.s, self.s):
-            raise ConfigurationError(
-                f"alpha must be {self.s}x{self.s}, got {self.alpha.shape}"
-            )
-        if not 0 < self.r < self.s:
-            raise ConfigurationError(f"need 0 < r < s, got r={self.r}, s={self.s}")
 
 
 @dataclass(frozen=True)
@@ -68,31 +49,6 @@ class DeviationResult:
     relaxation_gap: float
     method: str
     amplification: float
-
-
-def invert_data_matrix(L: np.ndarray, r: int,
-                       cond_limit: float = DEFAULT_COND_LIMIT) -> AlphaMatrix:
-    """Inverse of a square data matrix, under the skip rule of `invert_windows`."""
-    L = np.asarray(L, dtype=float)
-    cond, ok, alpha = invert_windows(L[None], cond_limit)
-    cond = float(cond[0])
-    if not ok[0]:
-        raise EstimationError(
-            f"data matrix numerically singular (cond={cond:.3e})", condition_number=cond
-        )
-    return AlphaMatrix(alpha=alpha[0], r=r, s=L.shape[0], condition_number=cond)
-
-
-def alpha_matrix(y_star, u_star, cfg: EstimatorConfig, k: Optional[int] = None) -> AlphaMatrix:
-    """Inverse of L[y*, u*] at window start k (default cfg.k)."""
-    ya, ua = _as_2d(y_star), _as_2d(u_star)
-    n, p = ya.shape[1], ua.shape[1]
-    k = cfg.k if k is None else k
-    L = build_L(ya, ua, k, cfg.h, cfg.t)
-    al = invert_data_matrix(L, cfg.r(p), cfg.cond_limit)
-    if al.s != cfg.s(n, p):
-        raise ConfigurationError("window size mismatch")
-    return al
 
 
 def _symmetrize_psd(H: np.ndarray) -> np.ndarray:
@@ -291,9 +247,8 @@ def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta:
     return float(np.sqrt(J1 + J2)), w_star, p_star
 
 
-def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
-                  k: Optional[int] = None) -> DeviationResult:
-    """Maximum identification deviation J for one data window.
+def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float) -> DeviationResult:
+    """Maximum identification deviation J for the data window at start 0.
 
     J = sqrt(J1 + J2): J1 maximizes the lead-noise term (summed over the n
     output channels, which decouple), J2 the inverse-perturbation term; both
@@ -301,13 +256,10 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
     realizations).  Sub-solvers are exact up to the enumeration limit and
     relaxed-with-rounding beyond it.
     """
-    ya, ua = _as_2d(y_star), _as_2d(u_star)
-    n = ya.shape[1]
-    k = cfg.k if k is None else k
-    al = alpha_matrix(ya, ua, cfg, k=k)
-    lead = lead_outputs(ya, k, cfg.h, cfg.t, al.s)
+    alpha, lead = invert_window(y_star, u_star, cfg)
+    n, s = lead.shape
 
-    C1, C2 = window_quadratic_factors(al.alpha, lead, cfg.h, cfg.t)
+    C1, C2 = window_quadratic_factors(alpha, lead, cfg.h, cfg.t)
     J1_row, w_row, gap1, method1 = solve_box_qp(C1 @ C1.T, delta)
     J1 = n * J1_row
     w_star = np.tile(w_row, (n, 1))
@@ -323,7 +275,7 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float,
         p_star=p_star,
         relaxation_gap=float(gap1 + gap2),
         method=method,
-        amplification=2.0 * delta * al.s * float(np.abs(al.alpha).max()),
+        amplification=2.0 * delta * s * float(np.abs(alpha).max()),
     )
 
 

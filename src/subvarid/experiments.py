@@ -45,7 +45,6 @@ BENCHMARK_X0 = np.array([0.0, 0.5, 0.3, 1.0])
 BENCHMARK_DELTA = 0.05
 BENCHMARK_Y_MAX = 100.0
 BENCHMARK_U_MAX = 10.0
-BENCHMARK_INIT_LEN = 44
 
 # companion benchmark for the random-system demonstration (also open-loop
 # unstable; run it through `stabilized` for closed-loop experiments)
@@ -71,11 +70,10 @@ def random_demo_model() -> StateSpaceModel:
     return StateSpaceModel(A=DEMO_RANDOM_A, B=DEMO_RANDOM_B, C=DEMO_RANDOM_C)
 
 
-def lqr_gain(model: StateSpaceModel, state_weight: float = 1.0, input_weight: float = 1.0) -> np.ndarray:
-    """Discrete LQR state-feedback gain for the incumbent regulator."""
-    Q = state_weight * np.eye(model.m)
-    R = input_weight * np.eye(model.p)
-    P = solve_discrete_are(model.A, model.B, Q, R)
+def lqr_gain(model: StateSpaceModel) -> np.ndarray:
+    """Discrete LQR state-feedback gain (Q = I, R = I) for the incumbent regulator."""
+    R = np.eye(model.p)
+    P = solve_discrete_are(model.A, model.B, np.eye(model.m), R)
     return np.linalg.solve(model.B.T @ P @ model.B + R, model.B.T @ P @ model.A)
 
 
@@ -100,6 +98,11 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # configuration and results
 # ---------------------------------------------------------------------------
+
+
+# JSON value types a top-level setting may take, by the type of its default;
+# a JSON true is not an int setting, nor 1 a bool one
+_JSON_KINDS = {bool: bool, int: int, float: (int, float), str: str, tuple: list}
 
 
 @dataclass
@@ -157,46 +160,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Config from the dict `to_dict` writes; omitted settings keep their defaults.
+
+        An unknown key or a value of the wrong JSON type is a
+        ConfigurationError.  A config without a design block reads the
+        design's first five settings from the top level.
+        """
+        flat_design = ("delta", "y_M", "u_M", "epsilon", "alpha_M")
+        known = {f.name for f in fields(cls)} - {"noise"} | {"noise_kind", *flat_design}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigurationError(f"unknown campaign settings {sorted(unknown)}")
         design = data.get("design")
         if design is None:
-            # configs saved without a design block kept these five at top level
-            design = {
-                "delta": data.get("delta", BENCHMARK_DELTA),
-                "y_M": data.get("y_M", BENCHMARK_Y_MAX),
-                "u_M": data.get("u_M", BENCHMARK_U_MAX),
-                "epsilon": data.get("epsilon", 0.01),
-                "alpha_M": data.get("alpha_M"),
-            }
+            design = {key: data[key] for key in flat_design if key in data}
         if not isinstance(design, dict):
             raise ConfigurationError("the design block must be a JSON object")
         unknown = set(design) - {f.name for f in fields(DesignConfig)}
         if unknown:
             raise ConfigurationError(f"unknown design settings {sorted(unknown)}")
-        design = DesignConfig(**design)
-        noise = NoiseSpec(delta=data.get("delta", BENCHMARK_DELTA),
-                          kind=data.get("noise_kind", "uniform"))
+        settings = {}
+        for f in fields(cls):
+            if f.name not in data or f.name in ("design", "model"):
+                continue
+            value, kinds = data[f.name], _JSON_KINDS.get(type(f.default))
+            if kinds and not (isinstance(value, kinds)
+                              and isinstance(value, bool) == isinstance(f.default, bool)):
+                raise ConfigurationError(
+                    f"campaign setting {f.name!r} must be {type(f.default).__name__}, "
+                    f"got {value!r}"
+                )
+            settings[f.name] = tuple(value) if f.name == "N_schedule" else value
         model = None
         if isinstance(data.get("model"), dict):
             model = StateSpaceModel.from_dict(data["model"])
         elif data.get("model") == "demo-random":
             model = random_demo_model()
-        return cls(
-            model=model,
-            trials=data.get("trials", 100),
-            N_schedule=tuple(data.get("N_schedule", (10, 20, 40, 80, 160, 320))),
-            input_mode=data.get("input_mode", "designed"),
-            rng_seed=data.get("rng_seed", 2024),
-            h=data.get("h", 4),
-            t=data.get("t", 9),
-            order=data.get("order", 4),
-            noise=noise,
-            design=design,
-            prestabilize=data.get("prestabilize", True),
-            init_len=data.get("init_len"),
-            dither_amplitude=data.get("dither_amplitude", 8.0),
-            workers=data.get("workers", 1),
-            max_failure_fraction=data.get("max_failure_fraction", 0.10),
-        )
+        noise = NoiseSpec(delta=data.get("delta", BENCHMARK_DELTA),
+                          kind=data.get("noise_kind", "uniform"))
+        return cls(model=model, noise=noise, design=DesignConfig(**design), **settings)
 
 
 @dataclass
@@ -465,6 +467,8 @@ def save_config(config: ExperimentConfig, path) -> None:
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: a campaign config must be a JSON object")
     schema = data.pop("schema", "subvarid-experiment-v1")
     if schema != "subvarid-experiment-v1":
         raise ConfigurationError(f"unsupported config schema {schema!r}")

@@ -46,7 +46,7 @@ from .subspace_id import (
     Realization,
     ho_kalman,
     identification_error,
-    invert_windows,
+    window_inverses,
 )
 
 
@@ -105,7 +105,6 @@ class BorderedPartition:
     Y: np.ndarray
     y: np.ndarray
     u0: np.ndarray
-    r: int
     Y_inv: np.ndarray = field(init=False)
     y1: np.ndarray = field(init=False)
     w0: np.ndarray = field(init=False)
@@ -143,10 +142,10 @@ class BorderedPartition:
         return self.base + self.u2_of(u) * np.outer(self.R1, self.R2)
 
 
-def partition_from_L(L: np.ndarray, r: int) -> BorderedPartition:
+def partition_from_L(L: np.ndarray) -> BorderedPartition:
     L = np.asarray(L, dtype=float)
     k = L.shape[0] - 1
-    return BorderedPartition(Y=L[:k, :k], y=L[:k, k], u0=L[k, :k], r=r)
+    return BorderedPartition(Y=L[:k, :k], y=L[:k, k], u0=L[k, :k])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +693,7 @@ class _BatchFold:
     """The loop's running batch average and the model validated on it.
 
     Batch i is the window starting at i*s; it is folded in once its lead
-    outputs exist.  A window is skipped when `invert_windows` drops it at the
+    outputs exist.  A window is skipped when `window_inverses` drops it at the
     loop's cond_limit, or when its noise amplification 2 delta s max|alpha|
     exceeds batch_amplification_limit.
     """
@@ -717,15 +716,14 @@ class _BatchFold:
 
     def _fold(self, ya, ua, k0: int):
         cfg, h, t, s = self.cfg, self.h, self.t, self.s
-        cond, ok, alpha = invert_windows(build_L(ya, ua, k0, h, t)[None], cfg.cond_limit)
+        cond, ok, alpha, lead = window_inverses(ya, ua, np.array([k0]), h, t, cfg.cond_limit)
         used, regime, J_b = bool(ok[0]), False, np.nan
         if used:
-            alpha = alpha[0]
+            alpha, lead = alpha[0], lead[0, 0]
             amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
             # skip windows whose noise amplification swamps the estimate
             used = amp <= cfg.batch_amplification_limit
         if used:
-            lead = ya[k0 + h + t : k0 + h + t + s]
             self.G_sum += (lead @ alpha)[s - t :]
             self.n_used += 1
             # deviation statistics only where the first-order inverse
@@ -768,7 +766,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         future = np.concatenate([ua[k0:tau], [0.0]])
         y_design = np.concatenate([ya[: k0 + 1], predictor.predict(ya[: k0 + 1], ua[:k0], future)])
     try:
-        part = partition_from_L(build_L(y_design, ua, k0, h, t), t)
+        part = partition_from_L(build_L(y_design, ua, k0, h, t))
         lead = y_design[k0 + h + t : k0 + h + t + s]
         if len(lead) < s:
             # y(tau+1) is still ahead: predict it, or repeat the last output

@@ -200,11 +200,13 @@ class SignalLog:
     def from_csv(cls, path) -> "SignalLog":
         """Read the `k,u_1..u_p,y_1..y_n` rows that `to_csv` writes.
 
-        The header is csv-parsed and its u_*/y_* columns counted; the data
-        rows are parsed in one `np.loadtxt` call, which skips blank lines,
-        honours quoted cells and ignores cells past the header's width.  A
-        header without u_* or y_* columns, a short row, a cell that
-        `_csv_cell_value` refuses and a non-finite cell are ConfigurationErrors.
+        The header is csv-parsed and its u_*/y_* columns counted; its first
+        1+p+n cells must then read exactly k,u_1..u_p,y_1..y_n, since the
+        columns are read by position.  The data rows are parsed in one
+        `np.loadtxt` call, which skips blank lines, honours quoted cells and
+        ignores cells past y_n.  A header without u_* or y_* columns or out of
+        that order, a short row, a cell that `_csv_cell_value` refuses and a
+        non-finite cell are ConfigurationErrors.
         """
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
@@ -212,12 +214,14 @@ class SignalLog:
             raise ConfigurationError(f"{path}: empty file, expected a k,u_*,y_* header")
         p = sum(1 for h in header if h.startswith("u_"))
         n = sum(1 for h in header if h.startswith("y_"))
-        if p == 0 or n == 0:
+        expected = ["k"] + [f"u_{i + 1}" for i in range(p)] + [f"y_{i + 1}" for i in range(n)]
+        width = len(expected)
+        if p == 0 or n == 0 or header[:width] != expected:
+            want = ",".join(expected) if p and n else "k,u_1..u_p,y_1..y_n with p, n >= 1"
             raise ConfigurationError(
                 f"{path}: header {','.join(header)!r} has {p} u_* and {n} y_* columns, "
-                "expected k,u_1..u_p,y_1..y_n with p, n >= 1"
+                f"expected it to begin {want}"
             )
-        width = 1 + p + n
         try:
             with warnings.catch_warnings():
                 # a header-only file is an empty log, not a warning
@@ -310,7 +314,6 @@ def simulate(
     V=None,
     W=None,
     rng: Optional[np.random.Generator] = None,
-    keep_state: bool = True,
 ) -> SignalLog:
     """Simulate the model forward under inputs U.
 
@@ -322,8 +325,8 @@ def simulate(
     V, W : explicit process/output noise sequences (T, m) and (T, n).
     rng : generator used when `noise` is given.
 
-    Returns a SignalLog with y[k] = C x(k) + w(k) for k = 0..T-1; the state
-    trajectory (including the terminal state) is retained when requested.
+    Returns a SignalLog with y[k] = C x(k) + w(k) for k = 0..T-1 and the
+    state trajectory, including the terminal state.
     """
     U = _as_2d(U)
     T = len(U)
@@ -363,7 +366,7 @@ def simulate(
         raise NumericOverflowError(
             "simulation produced non-finite values (unstable plant with unbounded input?)"
         )
-    return SignalLog(u=U, y=ys, x=xs if keep_state else None, v=V, w=W)
+    return SignalLog(u=U, y=ys, x=xs, v=V, w=W)
 
 
 def window_size(h: int, t: int, n: int, p: int) -> int:
@@ -428,15 +431,22 @@ def build_L(y, u, k, h: int, t: int) -> np.ndarray:
     return z[:, G]
 
 
-def lead_outputs(y, k: int, h: int, t: int, s: int) -> np.ndarray:
-    """Output matrix Y(k+h+t; s): columns y(k+h+t) .. y(k+h+t+s-1), shape (n, s)."""
+def lead_outputs(y, k, h: int, t: int, s: int) -> np.ndarray:
+    """Output matrix Y(k+h+t; s): columns y(k+h+t) .. y(k+h+t+s-1), shape (n, s).
+
+    k is one start, or a 1-D integer array of starts for a stack of lead
+    windows of shape (len(k), n, s), as in `build_L`.
+    """
     ya = _as_2d(y)
-    start = k + h + t
+    stack = getattr(k, "ndim", 0) > 0
+    start = (int(k.max()) if stack else k) + h + t
     if start + s > len(ya):
         raise OutOfRangeError(
             f"signal of length {len(ya)} does not cover lead window {start}..{start + s - 1}"
         )
-    return ya[start : start + s].T
+    if not stack:
+        return ya[start : start + s].T
+    return ya[k[:, None] + h + t + np.arange(s)].transpose(0, 2, 1)
 
 
 def markov_true(model: StateSpaceModel, t: int) -> MarkovMatrix:

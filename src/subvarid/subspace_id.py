@@ -2,8 +2,10 @@
 
 The estimator reads G(t) off the last t*p columns of Y(k+h+t;s) L^{-1}[y,u];
 the batched variant averages per-batch estimates with batch i starting at
-k = s*i.  Every data window is inverted by `invert_windows`, under one
-condition-number skip rule.
+k = s*i.  Every estimator window goes through `window_inverses` (gather L and
+the lead outputs, invert, skip) or its raising one-window form
+`invert_window`, and every data window is inverted by `invert_windows`, under
+one condition-number skip rule.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ class EstimatorConfig:
     """Window geometry for the subspace estimator.
 
     h block rows of outputs (h >= model order for exactness), t Markov blocks
-    to identify, N batches starting at k, k + s, k + 2s, ...  The derived
-    window width is s = h*n + (h+t)*p and one batch consumes the data range
+    to identify, N batches starting at 0, s, 2s, ...  The derived window
+    width is s = h*n + (h+t)*p and one batch consumes the data range
     [start, start + s + h + t - 1].
     """
 
     h: int
     t: int
     N: int = 1
-    k: int = 0
     cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
@@ -48,8 +49,6 @@ class EstimatorConfig:
             raise ConfigurationError("h and t must be >= 1")
         if self.N < 1:
             raise ConfigurationError("batch count N must be >= 1")
-        if self.k < 0:
-            raise ConfigurationError("start time k must be >= 0")
 
     def s(self, n: int, p: int) -> int:
         return window_size(self.h, self.t, n, p)
@@ -58,13 +57,9 @@ class EstimatorConfig:
         """Columns selected for G(t); dimensional consistency forces r = t*p."""
         return self.t * p
 
-    def batch_start(self, i: int, n: int, p: int) -> int:
-        return self.k + self.s(n, p) * i
-
     def samples_needed(self, n: int, p: int) -> int:
         """Data length covering all N batches (y up to the last lead window)."""
-        s = self.s(n, p)
-        return self.batch_start(self.N - 1, n, p) + s + self.h + self.t
+        return self.s(n, p) * self.N + self.h + self.t
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,6 @@ class Realization:
     B_hat: np.ndarray
     C_hat: np.ndarray
     singular_values: np.ndarray
-    similarity_free: bool = True
 
     def markov(self, t: int) -> MarkovMatrix:
         return markov_true(StateSpaceModel(self.A_hat, self.B_hat, self.C_hat), t)
@@ -111,11 +105,37 @@ def invert_windows(L: np.ndarray, cond_limit: float):
     return cond, ok, np.linalg.inv(L[ok])
 
 
+def window_inverses(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float):
+    """Gather, invert and skip the estimator's windows at a 1-D array of starts.
+
+    Gathers the stack of data matrices L[y, u] (`build_L`) and inverts it
+    under the one skip rule of `invert_windows`.  Returns (cond, ok, alpha,
+    lead): the condition numbers and kept mask of every window, then the
+    inverses (c, s, s) and lead outputs Y(k+h+t; s) (c, n, s,
+    `lead_outputs`) of the kept windows only, in start order.
+    """
+    L = build_L(y, u, starts, h, t)
+    cond, ok, alpha = invert_windows(L, cond_limit)
+    return cond, ok, alpha, lead_outputs(y, starts, h, t, L.shape[-1])[ok]
+
+
 def _singular_window(k, cond: float) -> EstimationError:
     return EstimationError(
         f"data matrix at k={k} is numerically singular (cond={cond:.3e})",
         condition_number=cond,
     )
+
+
+def invert_window(y, u, cfg: EstimatorConfig):
+    """(alpha, lead) of the window at start 0, by `window_inverses`.
+
+    Raises EstimationError (carrying the condition number) when the skip
+    rule drops the window.
+    """
+    cond, ok, alpha, lead = window_inverses(y, u, np.array([0]), cfg.h, cfg.t, cfg.cond_limit)
+    if not ok[0]:
+        raise _singular_window(0, float(cond[0]))
+    return alpha[0], lead[0]
 
 
 def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
@@ -124,14 +144,9 @@ def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
     Raises EstimationError (carrying the condition number) when the data
     matrix is numerically singular.
     """
-    ya, ua = _as_2d(y), _as_2d(u)
-    n, p = ya.shape[1], ua.shape[1]
-    s, r = cfg.s(n, p), cfg.r(p)
-    cond, ok, alpha = invert_windows(build_L(ya, ua, cfg.k, cfg.h, cfg.t)[None], cfg.cond_limit)
-    if not ok[0]:
-        raise _singular_window(cfg.k, float(cond[0]))
-    lead = lead_outputs(ya, cfg.k, cfg.h, cfg.t, s)
-    return MarkovMatrix(G=lead @ alpha[0][:, s - r :], t=cfg.t)
+    alpha, lead = invert_window(y, u, cfg)
+    r = cfg.r(_as_2d(u).shape[1])
+    return MarkovMatrix(G=lead @ alpha[:, -r:], t=cfg.t)
 
 
 def estimate_markov_batched(
@@ -140,7 +155,7 @@ def estimate_markov_batched(
     """Average of per-batch estimates lead L^{-1} over N batches.
 
     The windows are stacked, BATCH_CHUNK at a time, and go through
-    `invert_windows`: one stacked condition number and one stacked LU
+    `window_inverses`: one stacked condition number and one stacked LU
     inverse.  Windows beyond cond_limit are skipped with a warning and the
     average renormalized; if every batch degenerates an EstimationError is
     raised.
@@ -157,16 +172,14 @@ def estimate_markov_batched(
     worst_cond = 0.0
     for first in range(0, cfg.N, BATCH_CHUNK):
         batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
-        starts = cfg.batch_start(batch, n, p)
-        L = build_L(ya, ua, starts, cfg.h, cfg.t)
-        lead = ya[starts[:, None] + cfg.h + cfg.t + np.arange(s)].transpose(0, 2, 1)
-        cond, ok, alpha = invert_windows(L, cfg.cond_limit)
+        starts = s * batch
+        cond, ok, alpha, lead = window_inverses(ya, ua, starts, cfg.h, cfg.t, cfg.cond_limit)
         for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
             warnings.warn(
                 f"skipping degenerate batch {i}: {_singular_window(k_i, c_i)}", stacklevel=2
             )
             worst_cond = max(worst_cond, float(c_i))
-        total += (lead[ok] @ alpha[:, :, s - r :]).sum(axis=0)
+        total += (lead @ alpha[:, :, s - r :]).sum(axis=0)
         used += int(ok.sum())
         if diagnostics is not None:
             diagnostics.skipped.extend(int(i) for i in batch[~ok])

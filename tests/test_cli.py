@@ -157,6 +157,42 @@ def test_csv_column_layout_is_config_error(tmp_path, capsys, command, header, me
     assert err.startswith("configuration error:") and message in err
 
 
+@pytest.mark.parametrize("header, message", [
+    # the right cells in the wrong order would swap u and y
+    ("k,y_1,u_1", "expected it to begin k,u_1,y_1"),
+    # a cell between the inputs and the outputs would be read as y_1
+    ("k,u_1,x,y_1", "expected it to begin k,u_1,y_1"),
+])
+def test_csv_header_out_of_order_is_config_error(tmp_path, capsys, header, message):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(header + "\n" + "".join(f"{i},1.{i},5.{i},6.{i}\n" for i in range(41)))
+    assert main(["identify", str(sig)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+def run_console(*argv):
+    """`python -m subvarid.cli argv`, with the package's source on the path."""
+    import subvarid
+
+    env = dict(os.environ, PYTHONPATH=str(Path(subvarid.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "subvarid.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("config, message", [
+    ("[1, 2]", "must be a JSON object"),
+    ('{"trials": "5"}', "'trials' must be int"),
+    ('{"trails": 5}', "unknown campaign settings ['trails']"),
+])
+def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
+    path = tmp_path / "campaign.json"
+    path.write_text(config)
+    proc = run_console("campaign", "--config", str(path), "--prefix", str(tmp_path / "c_"))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["identify", "deviation"])
 def test_closed_stdout_exits_quietly(tmp_path, capsys, command):
     """The console entry, writing into a pipe whose reader is already gone,

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subvarid.deviation import (
-    alpha_matrix,
-    invert_data_matrix,
     max_deviation,
     rank_box_max,
     sample_variance,
@@ -14,9 +12,9 @@ from subvarid.deviation import (
     solve_j1_relaxed,
     window_quadratic_factors,
 )
-from subvarid.errors import ConfigurationError, EstimationError
-from subvarid.lti_core import MarkovMatrix, build_L, lead_outputs, simulate
-from subvarid.subspace_id import EstimatorConfig
+from subvarid.errors import ConfigurationError
+from subvarid.lti_core import MarkovMatrix, build_L, simulate
+from subvarid.subspace_id import EstimatorConfig, invert_window
 from conftest import CANONICAL_X0, oracle_hankel
 
 
@@ -67,28 +65,6 @@ def canonical_window(canonical, h=4, t=5, seed=11, amp=10.0):
     U = amp * rng.choice([-1.0, 1.0], size=T)
     log = simulate(canonical, CANONICAL_X0, U)
     return log.y, log.u, cfg
-
-
-class TestAlphaMatrix:
-    def test_identity(self):
-        al = invert_data_matrix(np.eye(4), r=2)
-        assert np.array_equal(al.alpha, np.eye(4))
-        assert al.condition_number == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        al = invert_data_matrix(np.diag([2.0, 4.0]), r=1)
-        assert np.allclose(al.alpha, np.diag([0.5, 0.25]))
-
-    def test_residual_on_data_window(self, canonical):
-        y, u, cfg = canonical_window(canonical)
-        al = alpha_matrix(y, u, cfg)
-        L = build_L(y, u, cfg.k, cfg.h, cfg.t)
-        assert np.abs(al.alpha @ L - np.eye(al.s)).max() < 1e-10
-
-    def test_singular_raises_with_cond(self):
-        with pytest.raises(EstimationError) as err:
-            invert_data_matrix(np.zeros((3, 3)), r=1)
-        assert err.value.condition_number is not None
 
 
 class TestSolveJ1Exact:
@@ -224,9 +200,9 @@ def oracle_j2_hessian(alpha, lead, h, t, n, p):
     return H2
 
 
-def j2_form(al, lead, cfg):
+def j2_form(alpha, lead, cfg):
     """H2 = C2 C2^T from the factor builder."""
-    _, C2 = window_quadratic_factors(al.alpha, lead, cfg.h, cfg.t)
+    _, C2 = window_quadratic_factors(alpha, lead, cfg.h, cfg.t)
     return C2 @ C2.T
 
 
@@ -248,9 +224,8 @@ class TestWindowQuadraticFactors:
     def test_quadratic_factors_match_row_loop(self, canonical):
         y, u, cfg = canonical_window(canonical, h=4, t=9, seed=41, amp=8.0)
         h, t = cfg.h, cfg.t
-        al = alpha_matrix(y, u, cfg)
-        lead = lead_outputs(y, cfg.k, h, t, al.s)[0]
-        s, alpha = al.s, al.alpha
+        alpha, lead = invert_window(y, u, cfg)
+        lead, s = lead[0], len(alpha)
         A_sel, C2 = window_quadratic_factors(alpha, lead, h, t)
         g = alpha.T @ lead
         nw = h + s - 1
@@ -287,24 +262,23 @@ class TestJ2Hessian:
 
     def small_instance(self, canonical, seed=5):
         y, u, cfg = canonical_window(canonical, h=4, t=5, seed=seed)
-        al = alpha_matrix(y, u, cfg)
-        lead = lead_outputs(y, cfg.k, cfg.h, cfg.t, al.s)
-        return al, lead, cfg
+        alpha, lead = invert_window(y, u, cfg)
+        return alpha, lead, cfg
 
     def test_zero_outputs_give_zero(self, canonical):
-        al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_form(al, np.zeros_like(lead), cfg)
+        alpha, lead, cfg = self.small_instance(canonical)
+        H2 = j2_form(alpha, np.zeros_like(lead), cfg)
         assert np.all(H2 == 0.0)
 
     def test_quadratic_scaling_in_lead(self, canonical):
-        al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_form(al, lead, cfg)
-        H2_scaled = j2_form(al, 3.0 * lead, cfg)
+        alpha, lead, cfg = self.small_instance(canonical)
+        H2 = j2_form(alpha, lead, cfg)
+        H2_scaled = j2_form(alpha, 3.0 * lead, cfg)
         assert np.allclose(H2_scaled, 9.0 * H2)
 
     def test_psd(self, canonical):
-        al, lead, cfg = self.small_instance(canonical)
-        H2 = j2_form(al, lead, cfg)
+        alpha, lead, cfg = self.small_instance(canonical)
+        H2 = j2_form(alpha, lead, cfg)
         assert np.linalg.eigvalsh(H2).min() >= -1e-12
 
     def test_finite_difference_oracle_small_toy(self):
@@ -315,21 +289,21 @@ class TestJ2Hessian:
         cfg = EstimatorConfig(h=1, t=1)
         y = rng.normal(size=12)
         u = rng.normal(size=12)
-        al = alpha_matrix(y, u, cfg)
-        lead = lead_outputs(y, 0, 1, 1, al.s)
-        H2 = j2_form(al, lead, cfg)
-        nw, ne = cfg.h + al.s - 1, cfg.h + cfg.t + al.s - 1
+        alpha, lead = invert_window(y, u, cfg)
+        H2 = j2_form(alpha, lead, cfg)
+        s, r = len(alpha), cfg.r(1)
+        nw, ne = cfg.h + s - 1, cfg.h + cfg.t + s - 1
 
         def f(P):
             w_samples, e_samples = P[:nw], P[nw:]
             dL = np.vstack(
                 [
-                    oracle_hankel(w_samples, 0, cfg.h, al.s),
-                    oracle_hankel(e_samples, 0, cfg.h + cfg.t, al.s),
+                    oracle_hankel(w_samples, 0, cfg.h, s),
+                    oracle_hankel(e_samples, 0, cfg.h + cfg.t, s),
                 ]
             )
-            inner = lead @ (-al.alpha @ dL @ al.alpha)
-            return float(np.sum(inner[:, al.s - al.r :] ** 2))
+            inner = lead @ (-alpha @ dL @ alpha)
+            return float(np.sum(inner[:, s - r :] ** 2))
 
         dim = nw + ne
         eps = 1e-5
@@ -416,7 +390,7 @@ class TestMaxDeviation:
     def test_amplification_flags_the_first_order_regime(self, canonical, amp, above_one):
         y, u, cfg = canonical_window(canonical, amp=amp)
         res = max_deviation(y, u, cfg, delta=0.05)
-        alpha = np.linalg.inv(build_L(y, u, cfg.k, cfg.h, cfg.t))
+        alpha = np.linalg.inv(build_L(y, u, 0, cfg.h, cfg.t))
         expected = 2 * 0.05 * cfg.s(1, 1) * np.abs(alpha).max()
         assert res.amplification == pytest.approx(expected, rel=1e-9)
         assert (res.amplification > 1.0) == above_one
@@ -443,7 +417,7 @@ class TestLinearizationRegime:
         # first-order inverse perturbation accurate for delta = 0.05 on a
         # strongly excited window; tolerance is the default design epsilon
         y, u, cfg = canonical_window(canonical)
-        L = build_L(y, u, cfg.k, cfg.h, cfg.t)
+        L = build_L(y, u, 0, cfg.h, cfg.t)
         alpha = np.linalg.inv(L)
         rng = np.random.default_rng(9)
         worst = 0.0

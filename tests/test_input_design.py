@@ -70,14 +70,14 @@ class TestDesignConfig:
 class TestBorderedInverse:
     def test_diagonal_2x2(self):
         L = np.array([[2.0, 0.0], [0.0, 4.0]])
-        part = partition_from_L(L, r=1)
+        part = partition_from_L(L)
         assert part.u2_of(4.0) == pytest.approx(0.25)
         assert np.allclose(part.alpha_of(4.0), np.diag([0.5, 0.25]))
 
     def test_random_partition_many_corners(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(6, 6)) + 3 * np.eye(6)
-        part = partition_from_L(A, r=2)
+        part = partition_from_L(A)
         for _ in range(100):
             u_new = rng.normal(scale=5.0)
             if abs(u_new - part.c0) < 1e-3:
@@ -89,7 +89,7 @@ class TestBorderedInverse:
 
     def test_singular_corner_raises(self):
         L = np.array([[2.0, 1.0], [1.0, 0.5]])
-        part = partition_from_L(L, r=1)
+        part = partition_from_L(L)
         with pytest.raises(NearSingularError):
             part.u2_of(part.c0)
 
@@ -273,7 +273,7 @@ class TestFeasibleSetCheck:
         h, t = 4, 9
         # strong excitation, so the window's inverse can meet the alpha bound
         log = make_run_data(running, h, t, rng, amp=500.0)
-        part = partition_from_L(build_L(log.y, log.u, 0, h, t), r=t)
+        part = partition_from_L(build_L(log.y, log.u, 0, h, t))
         sets = conditioning_u_sets(part, DesignConfig())
         assert sets
         for lo, hi in sets:
@@ -388,7 +388,7 @@ class TestScenarioTerms:
         log = make_run_data(running, h, t, rng, amp=8.0)
         s = h + (h + t)
         L = build_L(log.y, log.u, 0, h, t)
-        part = partition_from_L(L, r=t)
+        part = partition_from_L(L)
         lead = log.y.flatten()[h + t : h + t + s]
         w_lead = 0.1 * rng.choice([-1.0, 1.0], size=s)
         dL = 0.1 * rng.normal(size=(s, s))
@@ -411,7 +411,7 @@ class TestScenarioKernels:
         h, t = 4, 9
         s = 2 * h + t
         log = make_run_data(running, h, t, rng, amp=8.0)
-        part = partition_from_L(build_L(log.y, log.u, 0, h, t), r=t)
+        part = partition_from_L(build_L(log.y, log.u, 0, h, t))
         return part, log.y.flatten()[h + t : h + t + s], h, t
 
     def test_sign_flipped_scenarios_are_bit_identical(self, running):
@@ -436,7 +436,7 @@ class TestScenarioKernels:
 class TestDesignInputStep:
     def _step_args(self, F, c, intervals=None):
         """(partition, intervals, form) for design_input_step."""
-        part = partition_from_L(np.diag([2.0, 3.0, 4.0]), r=1)
+        part = partition_from_L(np.diag([2.0, 3.0, 4.0]))
         form = CostAffineForm(F_terms=np.atleast_2d(F), c_terms=np.atleast_2d(c))
         return part, [(-10.0, 10.0)] if intervals is None else intervals, form
 

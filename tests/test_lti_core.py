@@ -16,6 +16,7 @@ from subvarid.lti_core import (
     build_L,
     extended_controllability,
     extended_observability,
+    lead_outputs,
     markov_true,
     simulate,
     toeplitz_T,
@@ -143,6 +144,20 @@ def test_window_layout_matches_the_row_loop(n, p, h, t, k, seed):
     e = P[n * (h + s - 1) :].reshape(p, -1).T
     dL = np.vstack([oracle_hankel(w, 0, h, s), oracle_hankel(e, 0, h + t, s)])
     assert np.array_equal(P[G], dL)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_lead_outputs_equal_the_scalar_calls(n):
+    rng = np.random.default_rng(70 + n)
+    h, t, s = 2, 3, 7
+    y = rng.normal(size=(40, n))
+    starts = np.array([0, 4, 9, 40 - (h + t + s)])
+    stacked = lead_outputs(y, starts, h, t, s)
+    assert stacked.shape == (len(starts), n, s)
+    for lead, k in zip(stacked, starts):
+        assert np.array_equal(lead, lead_outputs(y, int(k), h, t, s))
+    with pytest.raises(OutOfRangeError, match="lead window 34..40"):
+        lead_outputs(y, starts + 1, h, t, s)
 
 
 class TestBuildL:

@@ -25,7 +25,9 @@ from subvarid.subspace_id import (
     estimate_markov_noise_free,
     ho_kalman,
     identification_error,
+    invert_window,
     invert_windows,
+    window_inverses,
 )
 from conftest import CANONICAL_X0, random_minimal_model
 
@@ -102,7 +104,7 @@ def oracle_batched(y, u, cfg):
     s, r = cfg.s(n, p), cfg.r(p)
     total, skipped, conds = 0.0, [], []
     for i in range(cfg.N):
-        k = cfg.batch_start(i, n, p)
+        k = s * i
         L = build_L(ya, ua, k, cfg.h, cfg.t)
         cond = float(np.linalg.cond(L))
         if not np.isfinite(cond) or cond > cfg.cond_limit:
@@ -169,6 +171,63 @@ class TestInvertWindows:
         cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
         assert ok[0] and cond[0] == pytest.approx(1e10)
         assert np.allclose(alpha[0] @ L[0], np.eye(3))
+
+
+class TestInvertWindow:
+    """The raising one-window form of the estimator's window."""
+
+    def test_exchange_window_is_its_own_inverse(self):
+        # h=1, t=1, SISO: L = [y(0..2); u(0..2); u(1..3)] is the exchange matrix
+        y, u = np.array([0.0, 0.0, 1.0, 5.0, 6.0]), np.array([0.0, 1.0, 0.0, 0.0])
+        alpha, lead = invert_window(y, u, EstimatorConfig(h=1, t=1))
+        assert np.array_equal(alpha, np.eye(3)[::-1])
+        assert np.array_equal(lead, [[1.0, 5.0, 6.0]])
+
+    def test_antidiagonal_window(self):
+        y, u = np.array([0.0, 0.0, 2.0, 0.0, 0.0]), np.array([0.0, 4.0, 0.0, 0.0])
+        cond, ok, alpha, _ = window_inverses(y, u, np.array([0]), 1, 1, DEFAULT_COND_LIMIT)
+        assert ok[0] and cond[0] == pytest.approx(2.0)
+        assert np.allclose(alpha[0], [[0.0, 0.0, 0.25], [0.0, 0.25, 0.0], [0.5, 0.0, 0.0]])
+
+    def test_residual_on_data_window(self, canonical):
+        cfg = EstimatorConfig(h=4, t=5)
+        log = excite(canonical, cfg, np.random.default_rng(11), amp=10.0, x0=CANONICAL_X0)
+        alpha, lead = invert_window(log.y, log.u, cfg)
+        L = build_L(log.y, log.u, 0, cfg.h, cfg.t)
+        assert np.abs(alpha @ L - np.eye(len(alpha))).max() < 1e-10
+        assert np.array_equal(lead, lead_outputs(log.y, 0, cfg.h, cfg.t, len(alpha)))
+
+    def test_singular_raises_with_cond(self):
+        with pytest.raises(EstimationError, match="at k=0 is numerically singular") as err:
+            invert_window(np.zeros(5), np.zeros(4), EstimatorConfig(h=1, t=1))
+        assert err.value.condition_number == np.inf
+
+
+class TestWindowInverses:
+    @pytest.mark.parametrize("n, p", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_per_start_calls(self, n, p):
+        rng = np.random.default_rng(60 + 2 * n + p)
+        h, t = 2, 3
+        s = n * h + p * (h + t)
+        width = s + h + t  # samples one window and its lead outputs span
+        starts = np.array([0, width + 1, 2 * width, 3 * width + 2])
+        y = rng.normal(size=(starts[-1] + width, n))
+        u = rng.normal(size=(starts[-1] + width, p))
+        # a zeroed window: L is all zero there, so the skip rule drops it
+        y[2 * width : 3 * width] = u[2 * width : 3 * width] = 0.0
+        cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        assert ok.tolist() == [True, True, False, True]
+        kept = [k for k, keep in zip(starts, ok) if keep]
+        assert alpha.shape == (3, s, s) and lead.shape == (3, n, s)
+        for i, k in enumerate(starts):
+            ref_cond, ref_ok, _ = invert_windows(build_L(y, u, int(k), h, t)[None],
+                                                 DEFAULT_COND_LIMIT)
+            assert np.array_equal(cond[i], ref_cond[0]) and ok[i] == ref_ok[0]
+        for a, l, k in zip(alpha, lead, kept):
+            _, _, ref_alpha = invert_windows(build_L(y, u, int(k), h, t)[None],
+                                             DEFAULT_COND_LIMIT)
+            assert np.array_equal(a, ref_alpha[0])
+            assert np.array_equal(l, lead_outputs(y, int(k), h, t, s))
 
 
 class TestBatchedEstimatorOracle:
