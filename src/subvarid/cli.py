@@ -188,9 +188,8 @@ def cmd_report(args) -> int:
         if args.check and ratio >= args.ratio_threshold:
             status = EXIT_THRESHOLD
     devs = designed.get("dev_median", {})
-    Ns = sorted(N for N, v in devs.items() if np.isfinite(v) and v > 0)
-    if len(Ns) >= 3:
-        slope = exp.convergence_slope([devs[N] for N in Ns], Ns)
+    slope = exp.usable_slope(devs, sorted(devs))
+    if slope is not None:
         lines.append(f"designed deviation slope: {slope:.3f}")
         if args.check and slope > args.slope_threshold:
             status = EXIT_THRESHOLD

@@ -99,13 +99,17 @@ def solve_j1_exact(H: np.ndarray, delta: float):
 def _ascend(C: np.ndarray, row_norms: np.ndarray, sigma: np.ndarray):
     """Best-single-flip ascent of ||C^T sigma||^2, in place; returns (value, sigma)."""
     resid = C.T @ sigma
+    norms4 = 4.0 * row_norms
+    neg4_sigma = -4.0 * sigma  # flipped with sigma
     for _ in range(8 * C.shape[0]):
         # best single flip: gain_i = -4 sigma_i (C_i . resid) + 4 |C_i|^2
-        gains = -4.0 * sigma * (C @ resid) + 4.0 * row_norms
-        i = int(np.argmax(gains))
+        gains = neg4_sigma * (C @ resid)
+        gains += norms4
+        i = gains.argmax()
         if gains[i] <= 1e-15:
             break
         sigma[i] = -sigma[i]
+        neg4_sigma[i] = -neg4_sigma[i]
         resid += 2.0 * sigma[i] * C[i]
     return float(resid @ resid), sigma
 

@@ -105,6 +105,10 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
 _JSON_KINDS = {bool: bool, int: int, float: (int, float), str: str, tuple: list}
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 @dataclass
 class ExperimentConfig:
     """One campaign: model, trial count, batch schedule, input mode, noise."""
@@ -163,8 +167,10 @@ class ExperimentConfig:
         """Config from the dict `to_dict` writes; omitted settings keep their defaults.
 
         An unknown key or a value of the wrong JSON type is a
-        ConfigurationError.  A config without a design block reads the
-        design's first five settings from the top level.
+        ConfigurationError, and so is an N_schedule entry or an init_len
+        (which may also be null) that is not a positive int.  A config
+        without a design block reads the design's first five settings from
+        the top level.
         """
         flat_design = ("delta", "y_M", "u_M", "epsilon", "alpha_M")
         known = {f.name for f in fields(cls)} - {"noise"} | {"noise_kind", *flat_design}
@@ -190,6 +196,10 @@ class ExperimentConfig:
                     f"campaign setting {f.name!r} must be {type(f.default).__name__}, "
                     f"got {value!r}"
                 )
+            if f.name == "N_schedule" and not all(_positive_int(N) for N in value):
+                raise ConfigurationError(f"N_schedule must hold positive ints, got {value!r}")
+            if f.name == "init_len" and not (value is None or _positive_int(value)):
+                raise ConfigurationError(f"init_len must be null or a positive int, got {value!r}")
             settings[f.name] = tuple(value) if f.name == "N_schedule" else value
         model = None
         if isinstance(data.get("model"), dict):
@@ -379,6 +389,17 @@ def convergence_slope(values, N_values) -> float:
     return float(np.polyfit(np.log(N), np.log(v), 1)[0])
 
 
+def usable_slope(by_N: dict, N_values) -> Optional[float]:
+    """`convergence_slope` over the N of N_values whose value is finite and > 0.
+
+    Returns None when fewer than 3 N are usable.
+    """
+    usable = [N for N in N_values if np.isfinite(by_N[N]) and by_N[N] > 0]
+    if len(usable) < 3:
+        return None
+    return convergence_slope([by_N[N] for N in usable], usable)
+
+
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
@@ -433,10 +454,8 @@ def emit_summary(designed: ErrorCurves, white: Optional[ErrorCurves] = None,
     for N in Ns:
         lines.append(f"  N={N:4d}  err_mean={designed.stat('err_mean', N):.6g}  "
                      f"dev_median={designed.stat('dev_median', N):.6g}")
-    usable = [N for N in Ns if np.isfinite(designed.stat("dev_median", N))
-              and designed.stat("dev_median", N) > 0]
-    if len(usable) >= 3:
-        slope = convergence_slope([designed.stat("dev_median", N) for N in usable], usable)
+    slope = usable_slope(designed.stats["dev_median"], Ns)
+    if slope is not None:
         lines.append(f"designed deviation slope (log-log): {slope:.3f}")
     if white is not None:
         lines.append("white-noise mean error by N:")
@@ -446,10 +465,8 @@ def emit_summary(designed: ErrorCurves, white: Optional[ErrorCurves] = None,
         if ratio_N in Ns:
             ratio = designed.stat("err_mean", ratio_N) / white.stat("err_mean", ratio_N)
             lines.append(f"designed/white error ratio at N={ratio_N}: {ratio:.4f}")
-        usable_w = [N for N in Ns if np.isfinite(white.stat("dev_median", N))
-                    and white.stat("dev_median", N) > 0]
-        if len(usable_w) >= 3:
-            slope_w = convergence_slope([white.stat("dev_median", N) for N in usable_w], usable_w)
+        slope_w = usable_slope(white.stats["dev_median"], Ns)
+        if slope_w is not None:
             lines.append(f"white deviation slope (log-log): {slope_w:.3f}")
     lines.append(
         "note: the PEM / Fisher-information input-design baseline from the "

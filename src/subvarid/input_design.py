@@ -35,6 +35,7 @@ from .lti_core import (
     MarkovMatrix,
     NoiseSpec,
     StateSpaceModel,
+    _as_2d,
     build_L,
     extended_controllability,
     extended_observability,
@@ -228,15 +229,27 @@ class OutputPredictor:
         z = np.concatenate([yw[-n:], uh[len(uh) - (n - 1) :], un])
         return self.prediction_map(len(un)) @ z
 
-    def estimate_state(self, y_hist, u_hist) -> np.ndarray:
-        """x(now) from the last h outputs and inputs via the observability map."""
+    def estimate_state(self, y, u, ends) -> np.ndarray:
+        """States x(e-1), one row per window end e of the 1-D array ends.
+
+        Each state is observed from the outputs y(e-h..e-1) through the
+        observability map, less the inputs u(e-h..e-2) through T, and carried
+        h-1 steps forward with those inputs.  All ends share one stacked
+        product and one h-1 step recursion over the stack.
+        """
         h, model = self.h, self.model
-        yw = np.asarray(y_hist[-h:], dtype=float).flatten()
-        uw = np.concatenate([np.asarray(u_hist[-(h - 1):], dtype=float).flatten(), [0.0]]) if h > 1 else np.zeros(1)
-        x = self.Oc_left @ (yw - self.T @ uw)
+        ends = np.asarray(ends)
+        if np.any(ends < h):
+            raise ConfigurationError(f"a state window needs h={h} outputs before its end")
+        ya, ua = _as_2d(y), _as_2d(u)
+        c, r = len(ends), (h - 1) * ua.shape[1]
+        steps = ends[:, None] + np.arange(-h, 0)
+        Y = ya[steps].reshape(c, h * ya.shape[1])
+        U = ua[steps[:, :-1]]
+        X = (Y - U.reshape(c, r) @ self.T[:, :r].T) @ self.Oc_left.T
         for j in range(h - 1):
-            x = model.A @ x + model.B @ np.atleast_1d(uw[j])
-        return x
+            X = X @ model.A.T + U[:, j] @ model.B.T
+        return X
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +292,8 @@ def safety_interval(pred: OutputPredictor, cfg: DesignConfig, horizon: int,
             return None
     if not pred.unstable.any():
         return interval
-    return _unstable_mode_interval(pred, cfg, pred.estimate_state(y_history, u_history),
-                                   interval)
+    x_now = pred.estimate_state(y_history, u_history, [len(y_history)])[0]
+    return _unstable_mode_interval(pred, cfg, x_now, interval)
 
 
 def _unstable_mode_interval(pred: OutputPredictor, cfg: DesignConfig, x_now, interval):
@@ -676,17 +689,16 @@ def _validate_model(pred: OutputPredictor, y, u, n_check: int = 12) -> float:
     """Relative one-step prediction error of a candidate model's predictor.
 
     Checks the last n_check one-step predictions, or as many as a short
-    history holds (the earliest state window starts at y(0)).
+    history holds (the earliest state window starts at y(0)).  One stacked
+    `estimate_state` call gives x(e-1) at every checked end e; each state
+    is advanced once more with u(e-1) to predict y(e).
     """
     model, h = pred.model, pred.h
-    errs = []
     scale = max(float(np.abs(y[-(n_check + h + 1):]).max()), 1.0)
-    for k0 in range(max(len(y) - n_check - h, 0), len(y) - h):
-        # x(k0+h-1) from y(k0 .. k0+h-1); advance once more with u(k0+h-1)
-        x = pred.estimate_state(y[: k0 + h], u[: k0 + h - 1])
-        y_next = (model.C @ (model.A @ x + model.B @ np.atleast_1d(u[k0 + h - 1])))[0]
-        errs.append(abs(float(y_next) - float(y[k0 + h])))
-    return float(np.mean(errs)) / scale
+    ends = np.arange(max(len(y) - n_check, h), len(y))
+    X = pred.estimate_state(y, u, ends)
+    y_next = (X @ model.A.T + _as_2d(u)[ends - 1] @ model.B.T) @ model.C[0]
+    return float(np.mean(np.abs(y_next - _as_2d(y)[ends, 0]))) / scale
 
 
 class _BatchFold:
@@ -830,6 +842,7 @@ def run_closed_loop(
         y_buf[k + 1] = plant.step(float(u0))
 
     fold = _BatchFold(cfg, h, t, s, order)
+    dG, dG_of = np.nan, None  # dG changes only when a fold replaces G_hat
     iterations: list = []
     infeasible_events = violations = fallbacks = 0
     for it in range(n_iterations):
@@ -862,9 +875,9 @@ def run_closed_loop(
         y_pred = 0.0 if predictor is None else float(predictor.predict(ya, u_hist, [u_tau])[0])
         u_buf[tau] = u_tau
         y_buf[tau + 1] = plant.step(u_tau)
-        dG = np.nan
-        if G_star is not None and fold.G_hat is not None:
-            dG = identification_error(fold.G_hat, G_star)
+        if G_star is not None and fold.G_hat is not dG_of:
+            dG_of = fold.G_hat
+            dG = identification_error(dG_of, G_star)
         iterations.append(
             IterationRecord(index=it, u=u_tau, y=float(y_buf[tau + 1]), y_pred=y_pred,
                             J=fold.latest_J, dG=dG, feasible=feasible)

@@ -10,6 +10,7 @@ one condition-number skip rule.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -193,6 +194,21 @@ def estimate_markov_batched(
     return MarkovMatrix(G=total / used, t=cfg.t)
 
 
+@functools.lru_cache(maxsize=None)
+def _hankel_gather(n: int, p: int, m: int, t: int):
+    """Read-only (rows, cols) with G.G[rows, cols] = [H, H_shift], shape (2, m n, m p).
+
+    Block (a, b) of H is g[a + b] and of H_shift g[a + b + 1], where
+    g[i] = C A^i B is block t - 1 - i of G(t); needs t >= 2m.
+    """
+    a, i = np.divmod(np.arange(m * n), n)
+    b, j = np.divmod(np.arange(m * p), p)
+    lag = a[:, None] + b
+    rows, cols = i[:, None], (t - 1 - np.stack([lag, lag + 1])) * p + j
+    rows.flags.writeable = cols.flags.writeable = False  # shared by every caller
+    return rows, cols
+
+
 def ho_kalman(G: MarkovMatrix, m: int, rank_tol: float = 1e-9) -> Realization:
     """Balanced realization of order m from the Markov blocks of G.
 
@@ -205,10 +221,8 @@ def ho_kalman(G: MarkovMatrix, m: int, rank_tol: float = 1e-9) -> Realization:
     if G.t < 2 * m:
         raise ConfigurationError(f"need t >= 2m = {2 * m} Markov blocks, got t = {G.t}")
     n, p = G.n, G.p
-    g = [G.markov_parameter(i + 1) for i in range(G.t)]  # g[i] = C A^i B
-    q = m
-    H = np.block([[g[a + b] for b in range(q)] for a in range(q)])
-    H_shift = np.block([[g[a + b + 1] for b in range(q)] for a in range(q)])
+    rows, cols = _hankel_gather(n, p, m, G.t)
+    H, H_shift = G.G[rows, cols]
     U, sv, Vt = np.linalg.svd(H)
     if sv[0] <= 0 or sv[m - 1] <= rank_tol * sv[0]:
         raise OrderDeficiencyError(

@@ -52,3 +52,13 @@ def oracle_hankel(signal, k, h, s):
     for i in range(h):
         data[i * dim : (i + 1) * dim, :] = sig[k + i : k + i + s].T
     return data
+
+
+def curves_with_unusable_devs(mode="designed"):
+    """Campaign curves whose dev_median is nan at N=10 and 0 at N=20, 1/N after."""
+    from subvarid.experiments import ErrorCurves
+
+    Ns = [10, 20, 40, 80, 160]
+    devs = {10: np.nan, 20: 0.0, 40: 1 / 40, 80: 1 / 80, 160: 1 / 160}
+    stats = {"err_mean": {N: 1.0 for N in Ns}, "dev_median": devs}
+    return ErrorCurves(N_values=Ns, mode=mode, stats=stats, raw=[])

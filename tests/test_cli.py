@@ -80,6 +80,15 @@ def test_campaign_and_report_check(tmp_path):
     assert code == EXIT_THRESHOLD
 
 
+def test_report_slope_skips_nan_and_zero_deviations(tmp_path, capsys):
+    from subvarid.experiments import emit_csv
+    from conftest import curves_with_unusable_devs
+
+    emit_csv(curves_with_unusable_devs(), tmp_path / "curves.csv")
+    assert main(["report", str(tmp_path / "curves.csv")]) == EXIT_OK
+    assert capsys.readouterr().out == "designed deviation slope: -1.000\n"
+
+
 def test_missing_file_is_config_error(tmp_path):
     assert main(["identify", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
 
@@ -184,6 +193,9 @@ def run_console(*argv):
     ("[1, 2]", "must be a JSON object"),
     ('{"trials": "5"}', "'trials' must be int"),
     ('{"trails": 5}', "unknown campaign settings ['trails']"),
+    ('{"N_schedule": ["a"], "trials": 1}', "N_schedule must hold positive ints"),
+    ('{"init_len": "x", "trials": 1, "N_schedule": [2]}', "init_len must be null or a positive int"),
+    ('{"N_schedule": [true, 2, 3], "trials": 1}', "N_schedule must hold positive ints"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subvarid.deviation import (
+    _ascend,
     max_deviation,
     rank_box_max,
     sample_variance,
@@ -255,6 +256,36 @@ class TestRankBoxMax:
     def test_zero_factor(self):
         val, w = rank_box_max(np.zeros((4, 2)), bound=0.1)
         assert val == 0.0
+
+
+def oracle_ascend(C, row_norms, sigma):
+    """The earlier single-flip loop: gains rebuilt from sigma every pass."""
+    resid = C.T @ sigma
+    for _ in range(8 * C.shape[0]):
+        gains = -4.0 * sigma * (C @ resid) + 4.0 * row_norms
+        i = int(np.argmax(gains))
+        if gains[i] <= 1e-15:
+            break
+        sigma[i] = -sigma[i]
+        resid += 2.0 * sigma[i] * C[i]
+    return float(resid @ resid), sigma
+
+
+class TestAscend:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 60), r=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           integral=st.booleans())
+    def test_matches_the_earlier_loop_bit_for_bit(self, d, r, seed, integral):
+        # integer-valued factors make exact gain ties, so argmax tie-breaking
+        # is compared too
+        rng = np.random.default_rng(seed)
+        C = rng.integers(-2, 3, size=(d, r)).astype(float) if integral else rng.normal(size=(d, r))
+        row_norms = np.einsum("ij,ij->i", C, C)
+        sigma = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+        ref_val, ref_sigma = oracle_ascend(C, row_norms, sigma.copy())
+        val, got_sigma = _ascend(C, row_norms, sigma.copy())
+        assert val == ref_val
+        assert np.array_equal(got_sigma, ref_sigma)
 
 
 class TestJ2Hessian:

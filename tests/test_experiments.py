@@ -21,8 +21,10 @@ from subvarid.experiments import (
     running_canonical,
     save_config,
     trial_rng,
+    usable_slope,
     white_noise_baseline,
 )
+from conftest import curves_with_unusable_devs
 
 
 class TestBenchmarkSystem:
@@ -83,6 +85,18 @@ class TestConvergenceSlope:
     def test_too_few_points(self):
         with pytest.raises(ConfigurationError):
             convergence_slope([1.0, 2.0], [1, 2])
+
+
+    def test_usable_slope_skips_nan_and_zero(self):
+        devs = {10: np.nan, 20: 0.0, 40: 1.0, 80: 0.5, 160: 0.25}
+        assert usable_slope(devs, sorted(devs)) == pytest.approx(-1.0, abs=1e-12)
+        assert usable_slope(devs, [10, 20, 40, 80]) is None
+
+
+def test_summary_slopes_skip_nan_and_zero_deviations():
+    text = emit_summary(curves_with_unusable_devs(), curves_with_unusable_devs("white"))
+    assert "designed deviation slope (log-log): -1.000" in text
+    assert "white deviation slope (log-log): -1.000" in text
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from subvarid.input_design import (
     OutputPredictor,
     SimulatedPlant,
     _data_noise_terms,
+    _validate_model,
     _lead_noise_terms,
     build_scenarios,
     conditioning_u_sets,
@@ -228,6 +229,73 @@ class TestPredictorCache:
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
             narrowed += got != (-10.0, 10.0)
         assert narrowed >= 2
+
+
+def oracle_estimate_state(pred, y_hist, u_hist):
+    """The per-window observer that `estimate_state` stacks: x(now) from the
+    last h outputs and inputs of the histories."""
+    h, model = pred.h, pred.model
+    yw = np.asarray(y_hist[-h:], dtype=float).flatten()
+    uw = np.concatenate([np.asarray(u_hist[-(h - 1):], dtype=float).flatten(), [0.0]]) if h > 1 else np.zeros(1)
+    x = pred.Oc_left @ (yw - pred.T @ uw)
+    for j in range(h - 1):
+        x = model.A @ x + model.B @ np.atleast_1d(uw[j])
+    return x
+
+
+def oracle_validate_model(pred, y, u, n_check=12):
+    """The per-window validation loop: one observer call per checked end."""
+    model, h = pred.model, pred.h
+    errs = []
+    scale = max(float(np.abs(y[-(n_check + h + 1):]).max()), 1.0)
+    for k0 in range(max(len(y) - n_check - h, 0), len(y) - h):
+        x = oracle_estimate_state(pred, y[: k0 + h], u[: k0 + h - 1])
+        y_next = (model.C @ (model.A @ x + model.B @ np.atleast_1d(u[k0 + h - 1])))[0]
+        errs.append(abs(float(y_next) - float(y[k0 + h])))
+    return float(np.mean(errs)) / scale
+
+
+class TestStackedObserver:
+    """`estimate_state` over a stack of window ends against the per-window
+    recursion, to 1e-12 of the data scale."""
+
+    T = 9
+
+    def _cases(self, h):
+        rng = np.random.default_rng(50 + h)
+        for m in (1, 2, 3, 4)[:h]:  # the observer needs m <= h
+            model = random_minimal_model(rng, m)
+            G = markov_true(model, self.T)
+            real = ho_kalman(G, m)
+            pred = OutputPredictor(real.A_hat, real.B_hat, real.C_hat, G, h=h)
+            log = simulate(model, rng.normal(size=m), 5.0 * rng.uniform(-1, 1, size=40),
+                           noise=NoiseSpec(delta=0.05), rng=rng)
+            yield pred, log.y.flatten(), log.u.flatten()
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_stack_matches_per_window_recursion(self, h):
+        for pred, y, u in self._cases(h):
+            ends = np.arange(h, len(y) + 1)
+            X = pred.estimate_state(y, u, ends)
+            assert X.shape == (len(ends), pred.model.m)
+            for e, x in zip(ends, X):
+                ref = oracle_estimate_state(pred, y[:e], u[: e - 1])
+                scale = max(np.abs(y[:e]).max(), np.abs(ref).max())
+                assert np.abs(x - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("length", [5, 12, 16, 40])
+    def test_validation_matches_per_window_loop(self, h, length):
+        # length 5 and 12 hold fewer than n_check + h outputs
+        for pred, y, u in self._cases(h):
+            got = _validate_model(pred, y[:length], u[:length])
+            ref = oracle_validate_model(pred, y[:length], u[:length])
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_end_without_h_outputs_rejected(self):
+        pred, y, u = next(self._cases(4))
+        with pytest.raises(ConfigurationError):
+            pred.estimate_state(y, u, [3, 10])
 
 
 class TestFeasibleSetCheck:

@@ -21,6 +21,7 @@ from subvarid.subspace_id import (
     BATCH_CHUNK,
     BatchDiagnostics,
     EstimatorConfig,
+    _hankel_gather,
     estimate_markov_batched,
     estimate_markov_noise_free,
     ho_kalman,
@@ -380,6 +381,25 @@ class TestHoKalman:
         G_star = markov_true(model, 7)
         real = ho_kalman(G_star, m=3)
         assert np.abs(real.markov(7).G - G_star.G).max() < 1e-6
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_gathered_hankel_equals_block_assembly(self, n, p, m):
+        """The index table copies the same entries as the np.block assembly."""
+        from subvarid.lti_core import MarkovMatrix
+
+        rng = np.random.default_rng(10 * n + p + 100 * m)
+        for t in (2 * m, 2 * m + 1):
+            G = MarkovMatrix(G=rng.normal(size=(n, t * p)), t=t)
+            g = [G.markov_parameter(i + 1) for i in range(t)]
+            H_ref = np.block([[g[a + b] for b in range(m)] for a in range(m)])
+            H_shift_ref = np.block([[g[a + b + 1] for b in range(m)] for a in range(m)])
+            rows, cols = _hankel_gather(n, p, m, t)
+            H, H_shift = G.G[rows, cols]
+            assert np.array_equal(H, H_ref) and np.array_equal(H_shift, H_shift_ref)
+            assert not rows.flags.writeable and not cols.flags.writeable
 
 
 class TestIdentificationError:
