@@ -124,10 +124,10 @@ def rank_box_max(C: np.ndarray, bound: float, n_starts: int = 5):
     signs of C's first n_starts - 1 nonzero columns.
     """
     nq = C.shape[0]
-    if nq == 0 or bound == 0 or not np.any(C):
+    if nq == 0 or bound == 0 or not C.any():
         return 0.0, np.zeros(nq)
     v = C.sum(axis=0)
-    if not np.any(v):
+    if not v.any():
         v = C[0].copy()
     for _ in range(3):
         sigma = np.where(C @ v >= 0, 1.0, -1.0)
@@ -235,7 +235,7 @@ def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int
         M = np.zeros((G[-1, -1] + 1, s))
         M[G, cols] = g[:, None]
         blocks.append(-(M @ A_sel))
-    return A_sel, np.concatenate(blocks, axis=1)
+    return A_sel, blocks[0] if n == 1 else np.concatenate(blocks, axis=1)
 
 
 def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
-from .errors import ConfigurationError, NumericOverflowError
+from .errors import ConfigurationError, NumericOverflowError, SubvaridError
 from .input_design import DesignConfig, IdentificationRun, SimulatedPlant, run_closed_loop
 from .lti_core import MarkovMatrix, NoiseSpec, StateSpaceModel, markov_true
 from .subspace_id import EstimatorConfig
@@ -282,7 +282,12 @@ def error_curve(run: IdentificationRun, N_schedule, G_star: MarkovMatrix) -> dic
 
 
 def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
-    """One closed-loop trial; noise and dither streams keyed by trial index."""
+    """One closed-loop trial; noise and dither streams keyed by trial index.
+
+    A ConfigurationError from the loop propagates, since every trial of the
+    campaign would meet it; any other SubvaridError makes this trial a
+    failed one, which the campaign counts against max_failure_fraction.
+    """
     model = config.resolved_model()
     est = config.estimator_config()
     s = est.s(model.n, model.p)
@@ -312,7 +317,9 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
             G_star=G_star,
             init_inputs=init_u,
         )
-    except (NumericOverflowError, ConfigurationError):
+    except ConfigurationError:
+        raise  # the campaign's configuration is at fault, not this trial
+    except SubvaridError:
         return TrialResult(trial=trial, mode=mode, errors={}, deviations={},
                            violations=0, steps=0, infeasible_events=0, failed=True)
     return TrialResult(

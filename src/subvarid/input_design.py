@@ -15,8 +15,11 @@ multi-output data is supported elsewhere but not designed for.
 
 from __future__ import annotations
 
-import functools
+import math
+import os
+import selectors
 import subprocess
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,7 +103,8 @@ class BorderedPartition:
     """Partition [[Y, y], [u0^T, u]] of a data window with the corner free.
 
     Caches Y^{-1} products so the inverse for any corner value costs a rank-1
-    update: alpha(u2) = base + u2 * outer(R1, R2) with u2 = 1/(u - c0).
+    update: alpha(u2) = base + u2 * outer with outer = np.outer(R1, R2), the
+    rank-1 direction formed once, and u2 = 1/(u - c0).
     """
 
     Y: np.ndarray
@@ -113,6 +117,7 @@ class BorderedPartition:
     R1: np.ndarray = field(init=False)
     R2: np.ndarray = field(init=False)
     base: np.ndarray = field(init=False)
+    outer: np.ndarray = field(init=False)
 
     def __post_init__(self):
         k = self.Y.shape[0]
@@ -126,6 +131,7 @@ class BorderedPartition:
         self.R2 = np.concatenate([self.w0, [-1.0]])
         self.base = np.zeros((k + 1, k + 1))
         self.base[:k, :k] = self.Y_inv
+        self.outer = np.outer(self.R1, self.R2)
 
     @property
     def s(self) -> int:
@@ -140,7 +146,7 @@ class BorderedPartition:
         return 1.0 / denom
 
     def alpha_of(self, u: float) -> np.ndarray:
-        return self.base + self.u2_of(u) * np.outer(self.R1, self.R2)
+        return self.base + self.u2_of(u) * self.outer
 
 
 def partition_from_L(L: np.ndarray) -> BorderedPartition:
@@ -217,9 +223,9 @@ class OutputPredictor:
     def predict(self, y_history, u_history, u_next) -> np.ndarray:
         """y_history holds y(0..T); u_history holds u(0..T-1); u_next starts at u(T)."""
         n = self.h + self.t
-        yw = np.asarray(y_history, dtype=float).flatten()
-        un = np.asarray(u_next, dtype=float).flatten()
-        uh = np.asarray(u_history, dtype=float).flatten()
+        yw = np.asarray(y_history, dtype=float).ravel()
+        un = np.asarray(u_next, dtype=float).ravel()
+        uh = np.asarray(u_history, dtype=float).ravel()
         if len(uh) != len(yw) - 1:
             raise ConfigurationError(
                 "u_history must lag y_history by exactly one sample"
@@ -286,8 +292,9 @@ def safety_interval(pred: OutputPredictor, cfg: DesignConfig, horizon: int,
     interval = (-cfg.u_M, cfg.u_M)
     base = pred.predict(y_history, u_history, np.zeros(1 + horizon))
     slope = pred.impulse(1 + horizon)
-    for j in range(len(base)):
-        interval = _affine_interval(base[j], slope[j], cfg.kappa * cfg.y_M, interval)
+    bound = cfg.kappa * cfg.y_M
+    for a, b in zip(base.tolist(), slope.tolist()):
+        interval = _affine_interval(a, b, bound, interval)
         if interval is None:
             return None
     if not pred.unstable.any():
@@ -336,16 +343,16 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
     # invert the inflation a * (1 + 2 delta s a) <= a_lim for the raw bound
     ds = 2.0 * cfg.delta * partition.s
     raw = a_lim if ds == 0 else (-1.0 + np.sqrt(1.0 + 4.0 * ds * a_lim)) / (2.0 * ds)
-    if np.abs(partition.base).max() > raw:
+    # base is Y^{-1} bordered by zeros, so its largest |entry| is Y^{-1}'s
+    if np.abs(partition.Y_inv).max() > raw:
         return []
-    b = partition.base.ravel()
-    d = np.outer(partition.R1, partition.R2).ravel()
+    d = partition.outer.ravel()
     mask = np.abs(d) >= 1e-15
     if mask.any():
-        lo_candidates = np.minimum((-raw - b[mask]) / d[mask], (raw - b[mask]) / d[mask])
-        hi_candidates = np.maximum((-raw - b[mask]) / d[mask], (raw - b[mask]) / d[mask])
-        lo = float(lo_candidates.max())
-        hi = float(hi_candidates.min())
+        b, d = partition.base.ravel()[mask], d[mask]
+        lower, upper = (-raw - b) / d, (raw - b) / d
+        lo = float(np.minimum(lower, upper).max())
+        hi = float(np.maximum(lower, upper).min())
         if lo > hi:
             return []
     else:
@@ -375,7 +382,11 @@ class CostAffineForm:
     """Per-scenario affine residuals: J0(u2) = max_k sum_j (F_kj u2 + c_kj)^2.
 
     Summing the squared residuals collapses each scenario to one parabola
-    a u2^2 + b u2 + d; the coefficients are cached for fast evaluation.
+    a u2^2 + b u2 + d.  The coefficients are cached as arrays and once more
+    as a list of (a, b, d) Python floats, on which the envelope runs: with a
+    handful of scenarios, per-call numpy overhead would dominate.  The float
+    envelope performs numpy's operations in numpy's order, so its values and
+    its minimizer are those of the array form, bit for bit.
     """
 
     F_terms: np.ndarray  # (n_scenarios, r)
@@ -385,45 +396,62 @@ class CostAffineForm:
         self._a = np.einsum("ij,ij->i", self.F_terms, self.F_terms)
         self._b = 2.0 * np.einsum("ij,ij->i", self.F_terms, self.c_terms)
         self._d = np.einsum("ij,ij->i", self.c_terms, self.c_terms)
+        self._abd = list(zip(self._a.tolist(), self._b.tolist(), self._d.tolist()))
 
     def residuals(self, u2: float) -> np.ndarray:
         return self.F_terms * u2 + self.c_terms
 
     def value(self, u2: float) -> float:
-        return float(np.max((self._a * u2 + self._b) * u2 + self._d))
+        """max_k (a_k u2 + b_k) u2 + d_k; a NaN parabola makes it NaN, as np.max does."""
+        top = -math.inf
+        for a, b, d in self._abd:
+            v = (a * u2 + b) * u2 + d
+            if v > top:
+                top = v
+            elif v != v:
+                return v
+        return top
 
     def minimizer(self) -> float:
         """Exact argmin of J0 over u2.
 
         The max of convex parabolas is minimized at a vertex of one parabola
-        or where two of them cross; every such candidate is evaluated at
-        once.  With every a_k = 0 the cost is constant and 0.0 is returned.
+        or where two of them cross.  The candidates are the vertices of the
+        curved rows, then every q / da and then every dd / q over the row
+        pairs i < j in row-major order (the cancellation-free roots of
+        da u^2 + db u + dd; da = 0 leaves the linear root -dd / db, which
+        is dd / q); zero divisors and non-finite candidates are dropped.
+        The first candidate of least value wins, and a NaN value wins at
+        once, as with np.argmin.  With every a_k = 0 the cost is constant
+        and 0.0 is returned.
         """
-        a, b, d = self._a, self._b, self._d
-        curved = a > 0
-        if not curved.any():
+        abd = self._abd
+        cand = [-b / (2.0 * a) for a, b, _ in abd if a > 0]
+        if not cand:
             return 0.0
-        i, j = _pairs(len(a))
-        da, db, dd = a[i] - a[j], b[i] - b[j], d[i] - d[j]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # crossings: roots of da u^2 + db u + dd in the cancellation-free
-            # form q / da, dd / q; da = 0 leaves only the linear root -dd / db
-            disc = db * db - 4.0 * da * dd
-            q = -0.5 * (db + np.copysign(np.sqrt(np.maximum(disc, 0.0)), db))
-            crossings = np.concatenate([q / da, dd / q])[np.tile(disc >= 0, 2)]
-            cand = np.concatenate([-b[curved] / (2.0 * a[curved]), crossings])
-            cand = cand[np.isfinite(cand)]
-            vals = ((a[:, None] * cand + b[:, None]) * cand + d[:, None]).max(axis=0)
-        return float(cand[np.argmin(vals)])
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int):
-    """Index pairs i < j of n scenarios."""
-    pairs = np.triu_indices(n, k=1)
-    for index in pairs:
-        index.flags.writeable = False  # shared by every caller of the cache
-    return pairs
+        roots, recip = [], []
+        for i, (ai, bi, di) in enumerate(abd):
+            for aj, bj, dj in abd[i + 1:]:
+                da, db, dd = ai - aj, bi - bj, di - dj
+                disc = db * db - 4.0 * da * dd
+                if disc >= 0:
+                    q = -0.5 * (db + math.copysign(math.sqrt(disc), db))
+                    if da != 0:
+                        roots.append(q / da)
+                    if q != 0:
+                        recip.append(dd / q)
+        best, best_v = None, math.inf
+        for c in cand + roots + recip:
+            if not math.isfinite(c):
+                continue
+            v = self.value(c)
+            if v != v:
+                return c
+            if best is None or v < best_v:
+                best, best_v = c, v
+        if best is None:
+            raise ValueError("no finite candidate for the minimizer of J0")
+        return best
 
 
 def cost_j0(u2: float, form: CostAffineForm) -> float:
@@ -444,10 +472,16 @@ def _data_noise_terms(partition: BorderedPartition, lead: np.ndarray, dL: np.nda
     order that makes sign-flipped scenarios exact negations.
     """
     base, R1, R2 = partition.base, partition.R1, partition.R2
-    g_inf = base.T @ lead
+    g_dL = (base.T @ lead) @ dL
     F1 = float(lead @ R1) * (R2 @ dL @ base)[sel]
-    F2 = float(g_inf @ dL @ R1) * R2[sel]
-    return F1, F2, (g_inf @ dL @ base)[sel]
+    F2 = float(g_dL @ R1) * R2[sel]
+    return F1, F2, (g_dL @ base)[sel]
+
+
+# signs of (w_star, dL) in the four scenarios (+-w_star, +-dL)
+_SCENARIO_SW = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+_SCENARIO_SP = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+_SCENARIO_SW.flags.writeable = _SCENARIO_SP.flags.writeable = False
 
 
 def build_scenarios(
@@ -472,8 +506,7 @@ def build_scenarios(
     F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
     # scenarios (+-w_star, +-dL): negation is exact, so each row equals the
     # terms of the signed noise, formed on their own, bit for bit
-    sw = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
-    sp = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    sw, sp = _SCENARIO_SW, _SCENARIO_SP
     return CostAffineForm(F_terms=sw * Fw - sp * F1 - sp * F2, c_terms=sw * cw - sp * cd)
 
 
@@ -504,7 +537,7 @@ def design_input_step(partition: BorderedPartition, u_intervals: list,
                 candidates.append(min(max(u_free, lo), hi))
     for lo, hi in intervals:
         for edge in (lo, hi):
-            if np.isfinite(edge):
+            if math.isfinite(edge):
                 candidates.append(edge)
     if not candidates:
         raise DesignFailureError("feasible set contains no finite candidate")
@@ -558,13 +591,19 @@ class SimulatedPlant:
 class LineProtocolPlant:
     """External plant speaking one line per step: send u, receive y.
 
-    Accepts either an existing subprocess.Popen with text pipes or a command
-    to spawn.  The first line read (before any input is sent) is y(0).  A
-    plant that exits or answers with anything but one finite number raises
-    PlantProtocolError.  close() ends the input and waits CLOSE_TIMEOUT_S
-    seconds for the plant to exit, then kills it.
+    Accepts either an existing subprocess.Popen with pipes or a command to
+    spawn.  The first line read (before any input is sent) is y(0).  A plant
+    that exits, answers with anything but one finite number, or sends no
+    line within READ_TIMEOUT_S seconds raises PlantProtocolError; a plant
+    that timed out is killed and reaped first.  The output is read from the
+    pipe's file descriptor into the object's own line buffer, so a line
+    already buffered is returned without waiting on the descriptor; lines
+    read through proc.stdout by someone else are not seen.  close() ends
+    the input and waits CLOSE_TIMEOUT_S seconds for the plant to exit, then
+    kills it.
     """
 
+    READ_TIMEOUT_S = 30.0
     CLOSE_TIMEOUT_S = 10.0
 
     def __init__(self, command=None, proc: Optional[subprocess.Popen] = None):
@@ -575,16 +614,39 @@ class LineProtocolPlant:
                 command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
             )
         self.proc = proc
+        self._pending = b""  # bytes read from the plant past the last line returned
+
+    def _readline(self) -> bytes:
+        """Next line of the plant's output, or what is left of it at its end."""
+        fd = self.proc.stdout.fileno()
+        deadline = time.monotonic() + self.READ_TIMEOUT_S
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not sel.select(remaining):
+                    self.proc.kill()
+                    self.proc.wait()
+                    raise PlantProtocolError(
+                        f"plant sent no line within {self.READ_TIMEOUT_S:g} s (process killed)"
+                    )
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    line, self._pending = self._pending, b""
+                    return line
+                self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line + b"\n"
 
     def _read(self) -> float:
-        line = self.proc.stdout.readline()
+        line = self._readline().decode(errors="replace")
         if not line:
             raise PlantProtocolError("plant closed its output (process exited)")
         try:
             y = float(line)
         except ValueError:
             raise PlantProtocolError(f"plant sent a non-numeric line {line!r}") from None
-        if not np.isfinite(y):
+        if not math.isfinite(y):
             raise PlantProtocolError(f"plant sent a non-finite value {line!r}")
         return y
 
@@ -792,7 +854,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         ]
         if not u_sets:
             return None
-        probe = u_sets[0][1] if np.isfinite(u_sets[0][1]) else u_sets[0][0]
+        probe = u_sets[0][1] if math.isfinite(u_sets[0][1]) else u_sets[0][0]
         form = build_scenarios(part, lead, h, t, cfg.delta, probe)
         return design_input_step(part, u_sets, form)
     except (NearSingularError, EstimationError, np.linalg.LinAlgError, DesignFailureError):

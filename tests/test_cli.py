@@ -205,6 +205,52 @@ def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     assert "Traceback" not in proc.stderr and message in proc.stderr
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_short_initial_sequence_is_config_error(tmp_path, workers):
+    """A ConfigurationError inside a trial ends the campaign as one, also from
+    a worker process, with the trial's own message."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"init_len": 3, "trials": 2, "N_schedule": [2],
+                                "workers": workers}))
+    proc = run_console("campaign", "--config", str(path), "--prefix", str(tmp_path / "c_"))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "initial sequence must hold >= 29 inputs" in proc.stderr
+
+
+def test_other_trial_errors_are_failed_trials(tmp_path, capsys, monkeypatch):
+    """Any other SubvaridError from the loop fails its trial only: within
+    max_failure_fraction the campaign completes without that trial."""
+    from subvarid import experiments
+    from subvarid.errors import DesignFailureError
+
+    real_loop, calls = experiments.run_closed_loop, []
+
+    def loop_failing_first_trial(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DesignFailureError("no feasible input")
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_closed_loop", loop_failing_first_trial)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"trials": 2, "N_schedule": [2],
+                                "max_failure_fraction": 0.5}))
+    prefix = str(tmp_path / "c_")
+    assert main(["campaign", "--config", str(path), "--prefix", prefix]) == EXIT_OK
+    rows = [row.split(",") for row in (tmp_path / "c_trials.csv").read_text().splitlines()[1:]]
+    assert sorted((mode, trial) for trial, _, mode, *_ in rows) == [
+        ("designed", "1"), ("white", "0"), ("white", "1"),
+    ]
+
+    # above the tolerated fraction the campaign aborts as a numeric failure
+    calls.clear()
+    path.write_text(json.dumps({"trials": 2, "N_schedule": [2]}))
+    capsys.readouterr()
+    assert main(["campaign", "--config", str(path), "--prefix", prefix]) == EXIT_NUMERIC
+    assert "1/2 trials failed; campaign aborted" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["identify", "deviation"])
 def test_closed_stdout_exits_quietly(tmp_path, capsys, command):
     """The console entry, writing into a pipe whose reader is already gone,

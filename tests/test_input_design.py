@@ -1,11 +1,21 @@
+import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subvarid.deviation import window_deviation
-from subvarid.errors import ConfigurationError, DesignFailureError, NearSingularError
+from subvarid import input_design
+from subvarid.errors import (
+    ConfigurationError,
+    DesignFailureError,
+    NearSingularError,
+    PlantProtocolError,
+)
 from subvarid.input_design import (
     BorderedPartition,
     CostAffineForm,
@@ -33,6 +43,7 @@ from subvarid.lti_core import (
     markov_true,
     simulate,
     toeplitz_T,
+    window_gather,
 )
 from subvarid.subspace_id import EstimatorConfig, ho_kalman
 
@@ -419,6 +430,95 @@ class TestCostMinimizer:
         assert form.minimizer() == 0.0
 
 
+def oracle_envelope_value(form, u2):
+    """J0(u2) on the cached coefficient arrays, one numpy expression."""
+    return float(np.max((form._a * u2 + form._b) * u2 + form._d))
+
+
+def oracle_envelope_minimizer(form):
+    """argmin of J0 over the vertex and crossing candidates, as numpy arrays."""
+    a, b, d = form._a, form._b, form._d
+    curved = a > 0
+    if not curved.any():
+        return 0.0
+    i, j = np.triu_indices(len(a), k=1)
+    da, db, dd = a[i] - a[j], b[i] - b[j], d[i] - d[j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = db * db - 4.0 * da * dd
+        q = -0.5 * (db + np.copysign(np.sqrt(np.maximum(disc, 0.0)), db))
+        crossings = np.concatenate([q / da, dd / q])[np.tile(disc >= 0, 2)]
+        cand = np.concatenate([-b[curved] / (2.0 * a[curved]), crossings])
+        cand = cand[np.isfinite(cand)]
+        vals = ((a[:, None] * cand + b[:, None]) * cand + d[:, None]).max(axis=0)
+    return float(cand[np.argmin(vals)])
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the error it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _same(x, y):
+    """Equal floats with equal sign bits, or both NaN, or the same error type."""
+    if isinstance(x, float) and isinstance(y, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x == y
+
+
+class TestFloatEnvelope:
+    """The float envelope of CostAffineForm against the array form, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(k=st.integers(1, 6), r=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           integral=st.booleans(), flat=st.booleans(), negated=st.booleans(),
+           same_a=st.booleans(), scale=st.sampled_from([1.0, 1.0, 1e-150, 1e100, 1e150, 1e200]))
+    def test_matches_the_array_form(self, k, r, seed, integral, flat, negated, same_a, scale):
+        # integer-valued coefficients make exact ties among candidates; huge
+        # and tiny scales overflow and underflow the coefficients and roots
+        rng = np.random.default_rng(seed)
+        if integral:
+            F = rng.integers(-2, 3, size=(k, r)).astype(float)
+            c = rng.integers(-3, 4, size=(k, r)).astype(float)
+        else:
+            F = rng.normal(size=(k, r))
+            c = rng.normal(scale=3.0, size=(k, r))
+        if k >= 2 and flat:
+            F[rng.integers(k)] = 0.0  # a zero-curvature row
+        if k >= 2 and negated:
+            i, j = rng.choice(k, size=2, replace=False)
+            F[j], c[j] = -F[i], -c[i]  # the sign-flipped scenario's row
+        if k >= 2 and same_a:
+            i, j = rng.choice(k, size=2, replace=False)
+            F[j] = rng.choice([-1.0, 1.0], size=r) * rng.permutation(F[i])
+        form = CostAffineForm(F_terms=scale * F, c_terms=scale * c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_star = _outcome(form.minimizer)
+            assert _same(u_star, _outcome(lambda: oracle_envelope_minimizer(form)))
+            probes = [0.0, -0.0, 1.0, -2.5, 1e-3, *rng.normal(scale=4.0, size=3)]
+            if isinstance(u_star, float):
+                probes.append(u_star)
+            for u2 in probes:
+                assert _same(form.value(float(u2)), oracle_envelope_value(form, u2))
+
+    @pytest.mark.parametrize("F, c, u_star", [
+        # (u-1)^2, (2u-10)^2 and a flat 9: the envelope is 9 on [3.5, 4], and
+        # three candidates reach it exactly, in this order: the q / da root
+        # 4 of rows 0, 2, then the dd / q roots 11/3 of rows 0, 1 and 3.5
+        # of rows 1, 2; the first one wins
+        ([[1.0], [2.0], [0.0]], [[-1.0], [-10.0], [3.0]], 4.0),
+        # equal curvature: the crossing is the linear root, dd / q
+        ([[1.0], [-1.0]], [[-1.0], [-3.0]], -1.0),
+    ])
+    def test_candidate_order_and_first_minimum(self, F, c, u_star):
+        form = CostAffineForm(F_terms=np.array(F), c_terms=np.array(c))
+        assert form.minimizer() == oracle_envelope_minimizer(form) == u_star
+
+
 def test_saved_config_keeps_the_design_step(tmp_path):
     from subvarid.experiments import ExperimentConfig, load_config, save_config
 
@@ -499,6 +599,111 @@ class TestScenarioKernels:
             F, c = scenario_affine_terms(part, lead, sw * w_star, sp * dL, r=t)
             assert np.array_equal(form.F_terms[k], F)
             assert np.array_equal(form.c_terms[k], c)
+
+
+def oracle_conditioning_u_sets(partition, cfg):
+    """conditioning_u_sets with every gather and division formed per use."""
+    a_lim = cfg.alpha_M
+    if not np.isfinite(a_lim):
+        return [(-np.inf, np.inf)]
+    ds = 2.0 * cfg.delta * partition.s
+    raw = a_lim if ds == 0 else (-1.0 + np.sqrt(1.0 + 4.0 * ds * a_lim)) / (2.0 * ds)
+    if np.abs(partition.base).max() > raw:
+        return []
+    b = partition.base.ravel()
+    d = np.outer(partition.R1, partition.R2).ravel()
+    mask = np.abs(d) >= 1e-15
+    if mask.any():
+        lo_candidates = np.minimum((-raw - b[mask]) / d[mask], (raw - b[mask]) / d[mask])
+        hi_candidates = np.maximum((-raw - b[mask]) / d[mask], (raw - b[mask]) / d[mask])
+        lo = float(lo_candidates.max())
+        hi = float(hi_candidates.min())
+        if lo > hi:
+            return []
+    else:
+        lo, hi = -np.inf, np.inf
+    c0 = partition.c0
+    out = []
+    if lo <= 0.0 <= hi:
+        if hi > 0:
+            out.append((c0 + 1.0 / hi, np.inf))
+        if lo < 0:
+            out.append((-np.inf, c0 + 1.0 / lo))
+        if lo == 0 and hi == 0:
+            return []
+    else:
+        out.append((c0 + 1.0 / hi, c0 + 1.0 / lo))
+    return out
+
+
+def oracle_data_noise_terms(partition, lead, dL, sel):
+    """_data_noise_terms with g_inf @ dL formed twice."""
+    base, R1, R2 = partition.base, partition.R1, partition.R2
+    g_inf = base.T @ lead
+    F1 = float(lead @ R1) * (R2 @ dL @ base)[sel]
+    F2 = float(g_inf @ dL @ R1) * R2[sel]
+    return F1, F2, (g_inf @ dL @ base)[sel]
+
+
+def oracle_build_scenarios(partition, lead, h, t, delta, u_probe):
+    """build_scenarios with alpha from a fresh outer product and fresh sign columns."""
+    s = partition.s
+    alpha = partition.base + partition.u2_of(u_probe) * np.outer(partition.R1, partition.R2)
+    _, w_star, p_star = window_deviation(alpha, lead, h, t, delta, n_starts=1)
+    dL = p_star[window_gather(1, 1, h, t)]
+    sel = slice(s - t, s)
+    Fw, cw = _lead_noise_terms(partition, w_star, sel)
+    F1, F2, cd = oracle_data_noise_terms(partition, lead, dL, sel)
+    sw = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+    sp = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    return CostAffineForm(F_terms=sw * Fw - sp * F1 - sp * F2, c_terms=sw * cw - sp * cd)
+
+
+class TestDesignStageOracles:
+    """The design stage on the windows of a designed run, against its array oracles."""
+
+    def test_recorded_windows_match_the_oracles(self, running, monkeypatch):
+        seen = {"sets": 0, "scenarios": 0}
+        conditioning, scenarios = input_design.conditioning_u_sets, input_design.build_scenarios
+
+        def checked_sets(part, cfg):
+            got = conditioning(part, cfg)
+            assert got == oracle_conditioning_u_sets(part, cfg)
+            assert np.array_equal(part.outer, np.outer(part.R1, part.R2))
+            seen["sets"] += 1
+            return got
+
+        def checked_scenarios(part, lead, h, t, delta, u_probe):
+            got = scenarios(part, lead, h, t, delta, u_probe)
+            want = oracle_build_scenarios(part, lead, h, t, delta, u_probe)
+            assert np.array_equal(got.F_terms, want.F_terms)
+            assert np.array_equal(got.c_terms, want.c_terms)
+            for u2 in (0.0, part.u2_of(u_probe)):
+                assert got.value(u2) == oracle_envelope_value(got, u2)
+            assert got.minimizer() == oracle_envelope_minimizer(got)
+            seen["scenarios"] += 1
+            return got
+
+        monkeypatch.setattr(input_design, "conditioning_u_sets", checked_sets)
+        monkeypatch.setattr(input_design, "build_scenarios", checked_scenarios)
+        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(40),
+                               x0=np.zeros(4))
+        run_closed_loop(plant, DesignConfig(), est, 300, 4, rng=np.random.default_rng(41))
+        assert seen["sets"] >= 200 and seen["scenarios"] >= 150
+
+    def test_data_noise_terms_match_the_oracle(self, running):
+        rng = np.random.default_rng(42)
+        h, t = 4, 9
+        s = 2 * h + t
+        log = make_run_data(running, h, t, rng, amp=8.0)
+        for k0 in range(0, 30, 3):
+            part = partition_from_L(build_L(log.y, log.u, k0, h, t))
+            lead = log.y.flatten()[k0 + h + t : k0 + h + t + s]
+            dL = 0.1 * rng.normal(size=(s, s))
+            got = _data_noise_terms(part, lead, dL, slice(s - t, s))
+            want = oracle_data_noise_terms(part, lead, dL, slice(s - t, s))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestDesignInputStep:
@@ -614,6 +819,44 @@ class TestLineProtocolPlant:
         assert plant.reset() == 0.0
         plant.close()
         assert plant.proc.poll() is not None
+
+
+    SILENT_PLANT = "import time; print({lines!r}, flush=True); time.sleep(60)"
+
+    def test_silent_plant_times_out_and_is_reaped(self, monkeypatch):
+        monkeypatch.setattr(LineProtocolPlant, "READ_TIMEOUT_S", 0.5)
+        plant = LineProtocolPlant(command=[
+            sys.executable, "-c", self.SILENT_PLANT.format(lines="0.0"),
+        ])
+        assert plant.reset() == 0.0
+        start = time.monotonic()
+        with pytest.raises(PlantProtocolError, match="no line within 0.5 s"):
+            plant.step(1.0)
+        assert time.monotonic() - start < 5.0
+        assert plant.proc.poll() is not None
+        plant.close()
+
+    def test_buffered_line_is_read_without_waiting(self, monkeypatch):
+        # both lines arrive in one write; the second must not wait on the
+        # pipe, which stays silent after it
+        monkeypatch.setattr(LineProtocolPlant, "READ_TIMEOUT_S", 0.5)
+        plant = LineProtocolPlant(command=[
+            sys.executable, "-c", self.SILENT_PLANT.format(lines="0.0\n1.5"),
+        ])
+        assert plant.reset() == 0.0
+        assert plant.step(1.0) == 1.5
+        with pytest.raises(PlantProtocolError, match="no line within"):
+            plant.step(1.0)
+        plant.close()
+
+    def test_design_with_silent_plant_is_numeric_failure(self, monkeypatch, tmp_path, capsys):
+        from subvarid.cli import EXIT_NUMERIC, main
+
+        monkeypatch.setattr(LineProtocolPlant, "READ_TIMEOUT_S", 0.5)
+        command = f"{sys.executable} -c \"{self.SILENT_PLANT.format(lines='0.0')}\""
+        code = main(["design", "--plant-cmd", command, "--output", str(tmp_path / "run.csv")])
+        assert code == EXIT_NUMERIC
+        assert "no line within" in capsys.readouterr().err
 
 
 class TestMultitone:
