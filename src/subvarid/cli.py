@@ -6,12 +6,12 @@ Configuration comes from a JSON file plus flag overrides.  Exit codes:
 `subvarid identify s.csv | head -3` does), 1 configuration error (also a
 malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
 a refused or non-finite cell; or one too short for the data window; and a
-campaign config that is not a JSON object, has an unknown key or a value of
-the wrong type), 2 numeric failure
-(also a `design` run in which every batch was skipped, so no estimate was
-formed; its run CSV is still written) or an external plant that exits or
-answers with anything but one finite number, 3 acceptance-threshold failure
-in `report --check` mode.
+campaign config, or campaign flags, with a value of the wrong type or out of
+range, and a config that is not a JSON object or has an unknown key), 2
+numeric failure (also a `design` run in which every batch was skipped, so no
+estimate was formed; its run CSV is still written) or an external plant that
+exits or answers with anything but one finite number, 3 acceptance-threshold
+failure in `report --check` mode.
 """
 
 from __future__ import annotations
@@ -148,19 +148,26 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str):
+    """One --schedule entry as an int, or as the text, which the config check names."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def cmd_campaign(args) -> int:
     if args.config:
         config = exp.load_config(args.config)
     else:
         config = exp.ExperimentConfig()
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.schedule is not None:
-        config.N_schedule = tuple(int(v) for v in args.schedule.split(","))
-    if args.seed is not None:
-        config.rng_seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
+    schedule = None if args.schedule is None else [_count(v) for v in args.schedule.split(",")]
+    overrides = {"trials": args.trials, "N_schedule": schedule, "rng_seed": args.seed,
+                 "workers": args.workers}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        # the flags pass the checks that a config file's settings pass
+        config = exp.ExperimentConfig.from_dict({**config.to_dict(), **overrides})
     designed = exp.run_campaign(config)
     white = exp.white_noise_baseline(config)
     exp.emit_csv(designed, args.prefix + "curves_designed.csv")

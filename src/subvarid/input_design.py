@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .deviation import window_deviation
+from .deviation import window_deviation, window_deviations
 from .errors import (
     ConfigurationError,
     DesignFailureError,
@@ -423,7 +423,8 @@ class CostAffineForm:
         is dd / q); zero divisors and non-finite candidates are dropped.
         The first candidate of least value wins, and a NaN value wins at
         once, as with np.argmin.  With every a_k = 0 the cost is constant
-        and 0.0 is returned.
+        and 0.0 is returned.  When no candidate is finite (coefficients
+        near 1e154 overflow), DesignFailureError: the loop falls back.
         """
         abd = self._abd
         cand = [-b / (2.0 * a) for a, b, _ in abd if a > 0]
@@ -450,7 +451,7 @@ class CostAffineForm:
             if best is None or v < best_v:
                 best, best_v = c, v
         if best is None:
-            raise ValueError("no finite candidate for the minimizer of J0")
+            raise DesignFailureError("no finite candidate for the minimizer of J0")
         return best
 
 
@@ -769,7 +770,9 @@ class _BatchFold:
     Batch i is the window starting at i*s; it is folded in once its lead
     outputs exist.  A window is skipped when `window_inverses` drops it at the
     loop's cond_limit, or when its noise amplification 2 delta s max|alpha|
-    exceeds batch_amplification_limit.
+    exceeds batch_amplification_limit.  The loop never reads a batch's
+    deviation J, so the fold keeps each regime batch's window and
+    `regime_deviations` solves them all in one stack once the loop ends.
     """
 
     def __init__(self, cfg: DesignConfig, h: int, t: int, s: int, order: int):
@@ -780,7 +783,7 @@ class _BatchFold:
         self.G_hat: Optional[MarkovMatrix] = None
         self.accepted: Optional[Realization] = None
         self.predictor: Optional[OutputPredictor] = None
-        self.latest_J = 0.0
+        self.regime_windows: list = []  # (BatchRecord, alpha, lead) of each regime batch
 
     def catch_up(self, ya, ua):
         """Fold in every batch whose window the outputs ya complete."""
@@ -791,7 +794,7 @@ class _BatchFold:
     def _fold(self, ya, ua, k0: int):
         cfg, h, t, s = self.cfg, self.h, self.t, self.s
         cond, ok, alpha, lead = window_inverses(ya, ua, np.array([k0]), h, t, cfg.cond_limit)
-        used, regime, J_b = bool(ok[0]), False, np.nan
+        used, regime = bool(ok[0]), False
         if used:
             alpha, lead = alpha[0], lead[0, 0]
             amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
@@ -803,13 +806,12 @@ class _BatchFold:
             # deviation statistics only where the first-order inverse
             # perturbation converges (Neumann-series validity)
             regime = amp <= 0.9
-            if regime:
-                J_b, _, _ = window_deviation(alpha, lead, h, t, cfg.delta)
-                self.latest_J = J_b
-        self.batches.append(
-            BatchRecord(index=len(self.batches), G=self.G_sum / max(self.n_used, 1), J=J_b,
-                        condition_number=float(cond[0]), used=used, regime=regime)
-        )
+        record = BatchRecord(index=len(self.batches), G=self.G_sum / max(self.n_used, 1),
+                             J=np.nan, condition_number=float(cond[0]), used=used,
+                             regime=regime)
+        self.batches.append(record)
+        if regime:
+            self.regime_windows.append((record, alpha, lead))
         if not self.n_used:
             return
         self.G_hat = MarkovMatrix(G=(self.G_sum / self.n_used)[None, :], t=t)
@@ -820,6 +822,22 @@ class _BatchFold:
                 self.accepted, self.predictor = cand, pred
         except (SubvaridError, np.linalg.LinAlgError):
             pass
+
+    def regime_deviations(self) -> list:
+        """J of each regime batch in fold order, also written to its BatchRecord.
+
+        One `window_deviations` call over the stack of kept windows gives
+        each window's five-start `window_deviation` J, bit for bit.
+        """
+        if not self.regime_windows:
+            return []
+        records, alphas, leads = zip(*self.regime_windows)
+        J, _, _ = window_deviations(np.stack(alphas), np.stack(leads), self.h, self.t,
+                                    self.cfg.delta)
+        J = J.tolist()
+        for record, J_b in zip(records, J):
+            record.J = J_b
+        return J
 
 
 def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya, ua,
@@ -906,11 +924,13 @@ def run_closed_loop(
     fold = _BatchFold(cfg, h, t, s, order)
     dG, dG_of = np.nan, None  # dG changes only when a fold replaces G_hat
     iterations: list = []
+    n_regime: list = []  # regime batches folded before each iteration
     infeasible_events = violations = fallbacks = 0
     for it in range(n_iterations):
         tau = init_len + it  # time index of the input being designed
         ya, ua, u_hist = y_buf[: tau + 1], u_buf[: tau + 1], u_buf[:tau]
         fold.catch_up(ya, ua)
+        n_regime.append(len(fold.regime_windows))
         predictor = fold.predictor
         violations += int(abs(float(ya[-1])) > cfg.y_M)
 
@@ -942,8 +962,12 @@ def run_closed_loop(
             dG = identification_error(dG_of, G_star)
         iterations.append(
             IterationRecord(index=it, u=u_tau, y=float(y_buf[tau + 1]), y_pred=y_pred,
-                            J=fold.latest_J, dG=dG, feasible=feasible)
+                            J=0.0, dG=dG, feasible=feasible)
         )
+    # each iteration reports the J of the last regime batch folded before it
+    J_of = [0.0, *fold.regime_deviations()]
+    for rec, n in zip(iterations, n_regime):
+        rec.J = J_of[n]
 
     end = init_len + n_iterations
     return IdentificationRun(

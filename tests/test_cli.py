@@ -205,6 +205,18 @@ def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     assert "Traceback" not in proc.stderr and message in proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--schedule", "a"], "N_schedule must hold positive ints, got ['a']"),
+    (["--schedule", "0"], "N_schedule must hold positive ints, got [0]"),
+    (["--trials", "-1"], "need at least one trial"),
+])
+def test_malformed_campaign_flags_are_config_errors(tmp_path, flags, message):
+    """The campaign flags pass the checks that a config file passes."""
+    proc = run_console("campaign", *flags, "--prefix", str(tmp_path / "c_"))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_short_initial_sequence_is_config_error(tmp_path, workers):
     """A ConfigurationError inside a trial ends the campaign as one, also from

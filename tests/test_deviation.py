@@ -7,10 +7,13 @@ from subvarid.deviation import (
     _ascend,
     max_deviation,
     rank_box_max,
+    rank_box_max_stack,
     sample_variance,
     solve_box_qp,
     solve_j1_exact,
     solve_j1_relaxed,
+    window_deviation,
+    window_deviations,
     window_quadratic_factors,
 )
 from subvarid.errors import ConfigurationError
@@ -286,6 +289,55 @@ class TestAscend:
         val, got_sigma = _ascend(C, row_norms, sigma.copy())
         assert val == ref_val
         assert np.array_equal(got_sigma, ref_sigma)
+
+
+class TestStackedDeviations:
+    """The stacked solve against the one-window path, window by window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(B=st.integers(1, 6), h=st.integers(1, 4), t=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), integral=st.booleans(),
+           zero_window=st.booleans(), zero_column=st.booleans(), zero_lead=st.booleans(),
+           delta=st.sampled_from([0.05, 0.05, 1.0, 0.0]))
+    def test_window_deviations_match_window_deviation(self, B, h, t, seed, integral,
+                                                      zero_window, zero_column, zero_lead,
+                                                      delta):
+        # integer-valued windows make exact ties in the gains and among the
+        # starts; zero windows, columns and leads take the guards and give
+        # a window fewer starts than its neighbours
+        rng = np.random.default_rng(seed)
+        s = 2 * h + t
+        if integral:
+            alphas = rng.integers(-2, 3, size=(B, s, s)).astype(float)
+            leads = rng.integers(-3, 4, size=(B, s)).astype(float)
+        else:
+            alphas = rng.normal(size=(B, s, s))
+            leads = rng.normal(scale=3.0, size=(B, s))
+        if zero_window:
+            alphas[rng.integers(B)] = 0.0
+        if zero_column:
+            alphas[rng.integers(B), :, s - t + rng.integers(min(t, 4))] = 0.0
+        if zero_lead:
+            leads[rng.integers(B)] = 0.0
+        J, w_star, p_star = window_deviations(alphas, leads, h, t, delta)
+        for k in range(B):
+            J_k, w_k, p_k = window_deviation(alphas[k], leads[k], h, t, delta)
+            assert J[k] == J_k
+            assert np.array_equal(w_star[k], w_k) and np.array_equal(p_star[k], p_k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(B=st.integers(0, 5), d=st.integers(1, 30), r=st.integers(1, 8),
+           n_starts=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+           integral=st.booleans())
+    def test_rank_box_max_stack_matches_rank_box_max(self, B, d, r, n_starts, seed, integral):
+        rng = np.random.default_rng(seed)
+        C = (rng.integers(-1, 2, size=(B, d, r)).astype(float) if integral
+             else rng.normal(size=(B, d, r)))
+        values, sigmas = rank_box_max_stack(C, 0.1, n_starts=n_starts)
+        assert values.shape == (B,) and sigmas.shape == (B, d)
+        for k in range(B):
+            value, sigma = rank_box_max(C[k], 0.1, n_starts=n_starts)
+            assert values[k] == value and np.array_equal(sigmas[k], sigma)
 
 
 class TestJ2Hessian:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subvarid.deviation import window_deviation
+from subvarid.deviation import window_deviation, window_deviations
 from subvarid import input_design
 from subvarid.errors import (
     ConfigurationError,
@@ -45,7 +45,7 @@ from subvarid.lti_core import (
     toeplitz_T,
     window_gather,
 )
-from subvarid.subspace_id import EstimatorConfig, ho_kalman
+from subvarid.subspace_id import EstimatorConfig, ho_kalman, window_inverses
 
 from conftest import CANONICAL_A, CANONICAL_B, CANONICAL_C, random_minimal_model
 
@@ -454,11 +454,15 @@ def oracle_envelope_minimizer(form):
 
 
 def _outcome(fn):
-    """fn()'s value, or the type of the error it raised."""
+    """fn()'s value, or "no minimizer" when it finds no finite candidate.
+
+    The array oracle's argmin over no candidates raises ValueError and the
+    float envelope DesignFailureError; both are the same outcome.
+    """
     try:
         return fn()
-    except ValueError as exc:
-        return type(exc)
+    except (ValueError, DesignFailureError):
+        return "no minimizer"
 
 
 def _same(x, y):
@@ -517,6 +521,31 @@ class TestFloatEnvelope:
     def test_candidate_order_and_first_minimum(self, F, c, u_star):
         form = CostAffineForm(F_terms=np.array(F), c_terms=np.array(c))
         assert form.minimizer() == oracle_envelope_minimizer(form) == u_star
+
+
+def test_overflowing_scenarios_fall_back(running, monkeypatch):
+    # scenario coefficients scaled by 1e200 overflow every minimizer
+    # candidate; the design step then falls back instead of raising
+    h, t = 4, 9
+    s = 2 * h + t
+    tau = h + t + s - 2  # the corner of the window at k0 = 0
+    rng = np.random.default_rng(1)
+    u = multitone_dither(tau, 8.0, rng)
+    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(running.m))
+    ya = np.array([plant.reset(), *(plant.step(float(v)) for v in u)])
+    args = (DesignConfig(), None, ya, np.append(u, 0.0), (-10.0, 10.0), h, t, s)
+    assert isinstance(input_design._designed_input(*args), float)
+    built = []
+
+    def overflowing(*a, **kw):
+        form = build_scenarios(*a, **kw)
+        built.append(form)
+        return CostAffineForm(F_terms=1e200 * form.F_terms, c_terms=1e200 * form.c_terms)
+
+    monkeypatch.setattr(input_design, "build_scenarios", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert input_design._designed_input(*args) is None
+    assert built, "the design stage never reached the scenarios"
 
 
 def test_saved_config_keeps_the_design_step(tmp_path):
@@ -784,6 +813,68 @@ class TestClosedLoop:
         errs = np.array([abs(rec.y - rec.y_pred) for rec in recs])
         scale = np.abs(run.y).max()
         assert np.median(errs) < 0.1 * scale
+
+
+def fold_windows(run, cfg: DesignConfig, h: int, t: int):
+    """(batch, alpha, lead, fold iteration) of each regime batch of a run.
+
+    Each window is recomputed from the run's stored buffers; batch i is
+    folded in the first iteration whose outputs complete its window.
+    """
+    s = 2 * h + t
+    out = []
+    for b in run.batches:
+        if not b.regime:
+            continue
+        _, ok, alpha, lead = window_inverses(run.y, run.u, np.array([s * b.index]), h, t,
+                                             cfg.cond_limit)
+        assert ok[0]
+        folded = max((b.index + 1) * s + h + t - 1 - run.init_len, 0)
+        out.append((b, alpha[0], lead[0, 0], folded))
+    return out
+
+
+@pytest.fixture(scope="module", params=["designed", "white"])
+def loop_run(request, running):
+    h, t, cfg = 4, 9, DesignConfig()
+    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16),
+                           x0=np.zeros(4))
+    run = run_closed_loop(plant, cfg, EstimatorConfig(h=h, t=t), 200, 4,
+                          mode=request.param, rng=np.random.default_rng(17))
+    return run, cfg, h, t
+
+
+class TestDeferredDeviation:
+    """Each regime batch's J, solved in one stack once the loop has ended."""
+
+    def test_stack_matches_the_one_window_path_on_fold_windows(self, loop_run):
+        run, cfg, h, t = loop_run
+        windows = fold_windows(run, cfg, h, t)
+        assert len(windows) >= 3
+        alphas = np.stack([alpha for _, alpha, _, _ in windows])
+        leads = np.stack([lead for _, _, lead, _ in windows])
+        J, w_star, p_star = window_deviations(alphas, leads, h, t, cfg.delta)
+        for k, (_, alpha, lead, _) in enumerate(windows):
+            J_k, w_k, p_k = window_deviation(alpha, lead, h, t, cfg.delta)
+            assert J[k] == J_k
+            assert np.array_equal(w_star[k], w_k) and np.array_equal(p_star[k], p_k)
+
+    def test_run_records_the_per_window_deviations(self, loop_run):
+        run, cfg, h, t = loop_run
+        windows = fold_windows(run, cfg, h, t)
+        for b in run.batches:
+            if not b.regime:
+                assert np.isnan(b.J)
+        expected = np.zeros(len(run.iterations))
+        for b, alpha, lead, folded in windows:
+            J_b, _, _ = window_deviation(alpha, lead, h, t, cfg.delta)
+            assert b.J == J_b > 0.0
+            expected[folded:] = J_b
+        got = np.array([rec.J for rec in run.iterations])
+        assert np.array_equal(got, expected)
+        # 0.0 until the first regime batch is folded
+        first = windows[0][3]
+        assert first > 0 and not got[:first].any()
 
 
 class TestLineProtocolPlant:
