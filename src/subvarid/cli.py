@@ -7,11 +7,15 @@ Configuration comes from a JSON file plus flag overrides.  Exit codes:
 malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
 a refused or non-finite cell; or one too short for the data window; and a
 campaign config, or campaign flags, with a value of the wrong type or out of
-range, and a config that is not a JSON object or has an unknown key), 2
-numeric failure (also a `design` run in which every batch was skipped, so no
-estimate was formed; its run CSV is still written) or an external plant that
-exits or answers with anything but one finite number, 3 acceptance-threshold
-failure in `report --check` mode.
+range, and a config that is not a JSON object or has an unknown key; a
+curves CSV without an N, stat or value column or with a cell that is not a
+number; and loop settings the realization cannot meet: an order below 1 or
+above t/2, or a negative iteration count), 2 numeric failure (also a
+`design` run in which every batch was skipped, so no estimate was formed;
+its run CSV is still written) or an external plant that exits or answers
+with anything but one finite number, 3 acceptance-threshold failure in
+`report --check` mode, also a gated figure that is not finite or a designed
+slope with fewer than 3 usable N.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import os
 import shlex
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,15 +49,16 @@ EXIT_THRESHOLD = 3
 
 
 def _load_model(args) -> StateSpaceModel:
-    if getattr(args, "model", None):
-        return StateSpaceModel.from_json(args.model)
-    return exp.running_canonical() if getattr(args, "prestabilized", False) else exp.canonical_model()
+    """The --model file or the built-in benchmark, under its LQR regulator
+    (`experiments.stabilized`) with --prestabilized."""
+    model = StateSpaceModel.from_json(args.model) if args.model else exp.canonical_model()
+    return exp.stabilized(model) if args.prestabilized else model
 
 
 def _add_model_args(p):
     p.add_argument("--model", help="model JSON file (default: built-in benchmark)")
     p.add_argument("--prestabilized", action="store_true",
-                   help="wrap the benchmark in its incumbent LQR regulator")
+                   help="wrap the model in its incumbent LQR regulator")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -168,7 +174,9 @@ def cmd_campaign(args) -> int:
     if overrides:
         # the flags pass the checks that a config file's settings pass
         config = exp.ExperimentConfig.from_dict({**config.to_dict(), **overrides})
-    designed = exp.run_campaign(config)
+    # the designed arm by name: a config's input_mode selects `run_campaign`'s
+    # arm, and a white_noise one would compare white noise with itself
+    designed = exp.run_campaign(replace(config, input_mode="designed"))
     white = exp.white_noise_baseline(config)
     exp.emit_csv(designed, args.prefix + "curves_designed.csv")
     exp.emit_csv(white, args.prefix + "curves_white.csv")
@@ -190,16 +198,20 @@ def cmd_report(args) -> int:
         for curves, path in ((designed, args.designed), (white, args.white)):
             if N not in curves.get("err_mean", {}):
                 raise ConfigurationError(f"{path} has no err_mean row for N={N}")
-        ratio = designed["err_mean"][N] / white["err_mean"][N]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float(np.divide(designed["err_mean"][N], white["err_mean"][N]))
         lines.append(f"error ratio designed/white at N={N}: {ratio:.4f}")
-        if args.check and ratio >= args.ratio_threshold:
+        # a ratio that is not finite (nan or a zero white error) fails the gate
+        if args.check and not ratio < args.ratio_threshold:
             status = EXIT_THRESHOLD
     devs = designed.get("dev_median", {})
     slope = exp.usable_slope(devs, sorted(devs))
     if slope is not None:
         lines.append(f"designed deviation slope: {slope:.3f}")
-        if args.check and slope > args.slope_threshold:
-            status = EXIT_THRESHOLD
+    elif args.check:
+        lines.append("designed deviation slope: fewer than 3 usable N")
+    if args.check and (slope is None or slope > args.slope_threshold):
+        status = EXIT_THRESHOLD
     print("\n".join(lines) if lines else "nothing to report")
     return status
 

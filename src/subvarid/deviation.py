@@ -6,16 +6,15 @@ the lead matrix, one over the noise entering the data matrix through the
 first-order perturbation of its inverse (beta = -alpha dL alpha).  Both are
 maximizations of PSD quadratic forms over a box.  This module is the one
 deviation engine: `window_quadratic_factors` builds both forms as factors,
-H = C C^T, for any n outputs and p inputs, for one window or a stack, and
-one vertex ascent in factor space serves every caller.  Its one-window form
-`rank_box_max` runs in the closed loop's design stage (`window_deviation`,
-one start per step) and in `max_deviation`, which solves exactly by split
-vertex enumeration up to 20 variables and, above, by that ascent on an
-eigen-factor of H plus a two-flip step.  Its stacked form
-`rank_box_max_stack` makes the same steps on a stack of windows, bit for bit:
-`window_deviations` gives the J of every regime batch that the loop's batch
-fold kept, in one solve once the loop has ended.  Each form serves its input
-size: at one window the stacked ascent costs about 2.5 times the other.
+H = C C^T, for any n outputs and p inputs, and one vertex ascent in factor
+space, `rank_box_max`, serves every caller.  Each entry takes one window or
+a stack and picks its kernel from the shape, one-window or stacked (the
+same bits; at one window the first is over twice as cheap, on a stack the
+second takes under half the time of a per-window loop): `window_deviation`
+gives the design stage's scenarios and the J of every regime batch the
+loop's fold kept.  `max_deviation` solves exactly by split vertex
+enumeration up to 20 variables and, above, by the ascent on an
+eigen-factor of H plus a two-flip step.
 
 Index conventions: r = t*p columns are selected for G(t), so the deviation
 quadratics sum over the last r columns of alpha and over every row the noise
@@ -122,12 +121,16 @@ def _ascend(C: np.ndarray, row_norms: np.ndarray, sigma: np.ndarray):
 def rank_box_max(C: np.ndarray, bound: float, n_starts: int = 5):
     """Greedy vertex maximum of ||C^T sigma||^2 * bound^2 over sign vectors.
 
-    C has one row per box variable and one column per residual; the quadratic
-    form C C^T is maximized over the box by spectral sign rounding plus
-    single-flip ascent, all in the rank-(columns) factorization.  The starts
-    are the sign of a three-step power iteration from C's column sum and the
-    signs of C's first n_starts - 1 nonzero columns.
+    C is one factor (d, r), one row per box variable and one column per
+    residual, or a (B, d, r) stack of them, which `_rank_box_max_stack` runs
+    at once, bit for bit.  C C^T is maximized over the box by single-flip
+    ascent in factor space: start 0 is the sign of a three-step power
+    iteration from C's column sum, and start j+1, for j < n_starts - 1, the
+    sign of column j, skipped where that column is zero; the first start of
+    greatest value wins.
     """
+    if C.ndim == 3:
+        return _rank_box_max_stack(C, bound, n_starts)
     nq = C.shape[0]
     if nq == 0 or bound == 0 or not C.any():
         return 0.0, np.zeros(nq)
@@ -177,17 +180,10 @@ def _ascend_stack(C: np.ndarray, norms4: np.ndarray, sigma: np.ndarray, active: 
     return (resid[:, None, :] @ resid[..., None])[:, 0, 0], sigma
 
 
-def rank_box_max_stack(C: np.ndarray, bound: float, n_starts: int = 5):
-    """`rank_box_max` on each factor of a (B, d, r) stack, bit for bit.
-
-    Its guards, power iteration and column-sign starts run on the whole
-    stack (a window with zero columns among its leading ones gets fewer
-    starts), then one masked `_ascend_stack` per start index, over the
-    stack itself; per window, the first start of greatest value wins.
-    Returns the (B,) values and the (B, d) maximizing vertices.
-    """
+def _rank_box_max_stack(C: np.ndarray, bound: float, n_starts: int):
+    """`rank_box_max`'s steps on the whole stack: each start is masked off
+    for the windows that skip it, and runs as one `_ascend_stack`."""
     B, d, r = C.shape
-    rows = np.arange(B)
     live = C.any(axis=(1, 2)) if bound != 0 else np.zeros(B, dtype=bool)
     v = C.sum(axis=1)
     flat = ~v.any(axis=1)
@@ -197,12 +193,9 @@ def rank_box_max_stack(C: np.ndarray, bound: float, n_starts: int = 5):
         sigma = np.where(C @ v >= 0, 1.0, -1.0)
         v = np.swapaxes(C, 1, 2) @ sigma
     starts = [(np.where(C @ v >= 0, 1.0, -1.0)[..., 0], live)]
-    nonzero = C[:, :, : min(r, max(n_starts - 1, 0))].any(axis=1)
-    rank = np.cumsum(nonzero, axis=1)
-    for k in range(1, nonzero.shape[1] + 1):
-        kth = nonzero & (rank == k)  # the k-th nonzero leading column
-        col = C[rows, :, kth.argmax(axis=1)]
-        starts.append((np.where(col >= 0, 1.0, -1.0), live & kth.any(axis=1)))
+    for j in range(min(r, max(n_starts - 1, 0))):
+        col = C[:, :, j]
+        starts.append((np.where(col >= 0, 1.0, -1.0), live & col.any(axis=1)))
     norms4 = 4.0 * np.einsum("bij,bij->bi", C, C)
     best_val, best_sigma = np.full(B, -np.inf), starts[0][0].copy()
     for s0, has in starts:
@@ -316,29 +309,16 @@ def window_quadratic_factors(alpha: np.ndarray, lead: np.ndarray, h: int, t: int
 
 def window_deviation(alpha: np.ndarray, lead: np.ndarray, h: int, t: int, delta: float,
                      n_starts: int = 5):
-    """Fast J = sqrt(J1 + J2) for one window via greedy rounding.
+    """J = sqrt(J1 + J2) via greedy rounding, for one window or a stack.
 
-    J1 and w_star cover the lead noise of one output row, which is all of it
-    for a single output; `max_deviation` scales J1 by the n rows.
+    alpha and lead are those of `window_quadratic_factors`; a stacked
+    window's values are those of the window alone, bit for bit.  J1 and
+    w_star cover the lead noise of one output row, which is all of it for a
+    single output; `max_deviation` scales J1 by the n rows.
     """
     C1, C2 = window_quadratic_factors(alpha, lead, h, t)
     J1, w_star = rank_box_max(C1, 2.0 * delta, n_starts=n_starts)
     J2, p_star = rank_box_max(C2, 2.0 * delta, n_starts=n_starts)
-    return float(np.sqrt(J1 + J2)), w_star, p_star
-
-
-def window_deviations(alphas: np.ndarray, leads: np.ndarray, h: int, t: int, delta: float):
-    """`window_deviation` with five starts for a stack of one-output windows.
-
-    alphas is (B, s, s) and leads (B, s).  Both factors are built for the
-    whole stack and both maxima run through `rank_box_max_stack`, so every
-    value is that of `window_deviation` on the window alone, bit for bit.
-    Returns (J, w_star, p_star) stacked: (B,), (B, s) and (B, d2), with d2
-    the window's distinct data-noise samples.
-    """
-    C1, C2 = window_quadratic_factors(alphas, leads, h, t)
-    J1, w_star = rank_box_max_stack(C1, 2.0 * delta)
-    J2, p_star = rank_box_max_stack(C2, 2.0 * delta)
     return np.sqrt(J1 + J2), w_star, p_star
 
 

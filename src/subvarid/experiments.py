@@ -444,10 +444,22 @@ def emit_trials_csv(curves_list, path) -> None:
 
 
 def parse_curves_csv(path) -> dict:
+    """stat -> {N: value} from a curves.csv; a missing column or a cell that
+    is not a number (a short row has none) is a ConfigurationError."""
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["stat"], {})[int(row["N"])] = float(row["value"])
+        reader = csv.DictReader(fh)
+        missing = [col for col in ("N", "stat", "value") if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigurationError(f"{path}: no {', '.join(missing)} column")
+        for row in reader:
+            try:
+                out.setdefault(row["stat"], {})[int(row["N"])] = float(row["value"])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{path}, line {reader.line_num}: N {row['N']!r} or value "
+                    f"{row['value']!r} is not a number"
+                ) from None
     return out
 
 

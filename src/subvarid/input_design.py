@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .deviation import window_deviation, window_deviations
+from .deviation import window_deviation
 from .errors import (
     ConfigurationError,
     DesignFailureError,
@@ -826,14 +826,14 @@ class _BatchFold:
     def regime_deviations(self) -> list:
         """J of each regime batch in fold order, also written to its BatchRecord.
 
-        One `window_deviations` call over the stack of kept windows gives
-        each window's five-start `window_deviation` J, bit for bit.
+        One five-start `window_deviation` call over the stack of kept
+        windows gives each window's J, bit for bit as on the window alone.
         """
         if not self.regime_windows:
             return []
         records, alphas, leads = zip(*self.regime_windows)
-        J, _, _ = window_deviations(np.stack(alphas), np.stack(leads), self.h, self.t,
-                                    self.cfg.delta)
+        J, _, _ = window_deviation(np.stack(alphas), np.stack(leads), self.h, self.t,
+                                   self.cfg.delta)
         J = J.tolist()
         for record, J_b in zip(records, J):
             record.J = J_b
@@ -897,10 +897,16 @@ def run_closed_loop(
     (A, B, C)), bound the next input by the safety interval, design it (or
     draw it uniformly in `white` mode), apply it to the plant, and record
     everything.  The initial sequence is either supplied or generated as
-    multitone dither.
+    multitone dither.  The settings are checked before the plant is driven:
+    the realization needs order >= 1 and t >= 2 order Markov blocks.
     """
     if mode not in ("designed", "white"):
         raise ConfigurationError(f"unknown mode {mode!r}")
+    if order < 1 or est_cfg.t < 2 * order:
+        raise ConfigurationError(f"the realization needs 1 <= order and t >= 2 order "
+                                 f"Markov blocks, got order {order} and t = {est_cfg.t}")
+    if n_iterations < 0:
+        raise ConfigurationError(f"iteration count must be >= 0, got {n_iterations}")
     if rng is None:
         rng = np.random.default_rng()
     h, t = est_cfg.h, est_cfg.t

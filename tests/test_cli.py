@@ -392,3 +392,112 @@ def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys)
     assert rows[0].split(",")[5] == "dG" and len(dG) > 0 and all(v == "nan" for v in dG)
     (plant,) = plants
     assert plant.proc.returncode is not None
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--iterations", "120", "--order", "5"], "t >= 2 order Markov blocks, got order 5"),
+    (["--iterations", "120", "--order", "0"], "got order 0"),
+    (["--iterations", "-5"], "iteration count must be >= 0, got -5"),
+])
+def test_design_settings_are_checked_before_the_loop(tmp_path, flags, message):
+    """An order the realization cannot reach from t Markov blocks would skip
+    every model, and with it the safety filter; a negative count would crash."""
+    out = tmp_path / "run.csv"
+    proc = run_console("design", "--seed", "1", *flags, "--output", str(out))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+def test_campaign_order_above_half_t_is_config_error(tmp_path):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"order": 5, "trials": 1, "N_schedule": [2, 3, 4]}))
+    proc = run_console("campaign", "--config", str(path), "--prefix", str(tmp_path / "c_"))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr and "got order 5 and t = 9" in proc.stderr
+
+
+def write_curves(path, white_err=2.0):
+    """A designed and a white curves.csv with a usable designed slope of -1;
+    returns the report arguments that name them."""
+    rows = ["N,mode,stat,value"]
+    for N in (10, 20, 40, 80):
+        rows += [f"{N},designed,err_mean,1.0", f"{N},designed,dev_median,{1 / N}"]
+    (path / "designed.csv").write_text("\n".join(rows) + "\n")
+    white = ["N,mode,stat,value"] + [f"{N},white,err_mean,{white_err}" for N in (10, 20, 40, 80)]
+    (path / "white.csv").write_text("\n".join(white) + "\n")
+    return [str(path / "designed.csv"), "--white", str(path / "white.csv")]
+
+
+def test_report_check_passes_finite_figures(tmp_path, capsys):
+    assert main(["report", *write_curves(tmp_path), "--check"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "error ratio designed/white at N=80: 0.5000\ndesigned deviation slope: -1.000\n"
+    )
+
+
+@pytest.mark.parametrize("white_err, shown", [("nan", "nan"), ("0", "inf")])
+def test_report_check_fails_a_ratio_that_is_not_finite(tmp_path, capsys, white_err, shown):
+    argv = ["report", *write_curves(tmp_path, white_err=white_err)]
+    assert main(argv) == EXIT_OK
+    assert f"at N=80: {shown}\n" in capsys.readouterr().out
+    assert main([*argv, "--check", "--ratio-threshold", "1e300"]) == EXIT_THRESHOLD
+
+
+def test_report_check_fails_without_a_designed_slope(tmp_path, capsys):
+    path = tmp_path / "designed.csv"
+    path.write_text("N,mode,stat,value\n10,designed,dev_median,0.1\n20,designed,dev_median,nan\n")
+    assert main(["report", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "nothing to report\n"
+    assert main(["report", str(path), "--check"]) == EXIT_THRESHOLD
+    assert "fewer than 3 usable N" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("80,white,err_mean,2.0", "80,white,err_mean,abc"),
+     "line 5: N '80' or value 'abc' is not a number"),
+    (lambda text: text.replace("80,white,err_mean,2.0", "80,white"), "line 5"),
+    (lambda text: text.replace("N,mode,stat,value", "N,mode,stat,val"), "no value column"),
+])
+def test_malformed_curves_csv_is_config_error(tmp_path, edit, message):
+    argv = write_curves(tmp_path)
+    white = tmp_path / "white.csv"
+    white.write_text(edit(white.read_text()))
+    proc = run_console("report", *argv, "--check")
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert str(white) in proc.stderr and message in proc.stderr
+
+
+def test_prestabilized_wraps_a_loaded_model(tmp_path):
+    from subvarid.experiments import canonical_model
+
+    model = tmp_path / "m.json"
+    canonical_model().to_json(model)
+    runs = {
+        "builtin": ["--prestabilized"],
+        "loaded": ["--model", str(model), "--prestabilized"],
+        "bare": ["--model", str(model)],
+    }
+    for name, flags in runs.items():
+        main(["simulate", "--steps", "60", "--amplitude", "5", "--seed", "4", *flags,
+              "--output", str(tmp_path / f"{name}.csv")])
+    text = {name: (tmp_path / f"{name}.csv").read_text() for name in runs}
+    assert text["loaded"] == text["builtin"]
+    assert text["bare"] != text["builtin"]
+
+
+def test_white_noise_config_still_runs_a_designed_arm(tmp_path, capsys):
+    """`campaign` compares the designed arm with white noise whatever the
+    config's input_mode says."""
+    for mode in ("designed", "white_noise"):
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps({"input_mode": mode, "trials": 1, "N_schedule": [2, 3]}))
+        prefix = str(tmp_path / f"{mode}_")
+        assert main(["campaign", "--config", str(path), "--ratio-N", "3",
+                     "--prefix", prefix]) == EXIT_OK
+    designed = (tmp_path / "white_noise_curves_designed.csv").read_text()
+    assert designed == (tmp_path / "designed_curves_designed.csv").read_text()
+    assert {row.split(",")[1] for row in designed.splitlines()[1:]} == {"designed"}
+    assert designed.replace("designed", "white") != (
+        tmp_path / "white_noise_curves_white.csv").read_text()

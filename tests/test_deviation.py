@@ -7,13 +7,11 @@ from subvarid.deviation import (
     _ascend,
     max_deviation,
     rank_box_max,
-    rank_box_max_stack,
     sample_variance,
     solve_box_qp,
     solve_j1_exact,
     solve_j1_relaxed,
     window_deviation,
-    window_deviations,
     window_quadratic_factors,
 )
 from subvarid.errors import ConfigurationError
@@ -292,16 +290,16 @@ class TestAscend:
 
 
 class TestStackedDeviations:
-    """The stacked solve against the one-window path, window by window."""
+    """Each entry on a stack against the same entry on each of its windows."""
 
     @settings(max_examples=150, deadline=None)
     @given(B=st.integers(1, 6), h=st.integers(1, 4), t=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1), integral=st.booleans(),
            zero_window=st.booleans(), zero_column=st.booleans(), zero_lead=st.booleans(),
            delta=st.sampled_from([0.05, 0.05, 1.0, 0.0]))
-    def test_window_deviations_match_window_deviation(self, B, h, t, seed, integral,
-                                                      zero_window, zero_column, zero_lead,
-                                                      delta):
+    def test_window_deviation_on_a_stack_matches_each_window(self, B, h, t, seed, integral,
+                                                             zero_window, zero_column,
+                                                             zero_lead, delta):
         # integer-valued windows make exact ties in the gains and among the
         # starts; zero windows, columns and leads take the guards and give
         # a window fewer starts than its neighbours
@@ -319,7 +317,8 @@ class TestStackedDeviations:
             alphas[rng.integers(B), :, s - t + rng.integers(min(t, 4))] = 0.0
         if zero_lead:
             leads[rng.integers(B)] = 0.0
-        J, w_star, p_star = window_deviations(alphas, leads, h, t, delta)
+        J, w_star, p_star = window_deviation(alphas, leads, h, t, delta)
+        assert J.shape == (B,)
         for k in range(B):
             J_k, w_k, p_k = window_deviation(alphas[k], leads[k], h, t, delta)
             assert J[k] == J_k
@@ -329,15 +328,47 @@ class TestStackedDeviations:
     @given(B=st.integers(0, 5), d=st.integers(1, 30), r=st.integers(1, 8),
            n_starts=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
            integral=st.booleans())
-    def test_rank_box_max_stack_matches_rank_box_max(self, B, d, r, n_starts, seed, integral):
+    def test_rank_box_max_on_a_stack_matches_each_factor(self, B, d, r, n_starts, seed,
+                                                         integral):
         rng = np.random.default_rng(seed)
         C = (rng.integers(-1, 2, size=(B, d, r)).astype(float) if integral
              else rng.normal(size=(B, d, r)))
-        values, sigmas = rank_box_max_stack(C, 0.1, n_starts=n_starts)
+        values, sigmas = rank_box_max(C, 0.1, n_starts=n_starts)
         assert values.shape == (B,) and sigmas.shape == (B, d)
         for k in range(B):
             value, sigma = rank_box_max(C[k], 0.1, n_starts=n_starts)
             assert values[k] == value and np.array_equal(sigmas[k], sigma)
+
+    def test_zero_column_start_is_skipped_per_window(self):
+        # column 0 of the second factor is zero, so it has no start 1 while
+        # the first factor has one; that start's sign vector, all ones,
+        # would ascend to a larger value than the factor's own start
+        C = np.random.default_rng(4).integers(-2, 3, size=(2, 8, 3)).astype(float)
+        C[1, :, 0] = 0.0
+        values, sigmas = rank_box_max(C, 1.0, n_starts=2)
+        for k in range(2):
+            value, sigma = rank_box_max(C[k], 1.0, n_starts=2)
+            assert values[k] == value and np.array_equal(sigmas[k], sigma)
+        unskipped, _ = _ascend(C[1], np.einsum("ij,ij->i", C[1], C[1]), np.ones(8))
+        assert unskipped > values[1]
+
+    @pytest.mark.parametrize("n_starts", [1, 5])
+    def test_stack_of_one_gives_the_one_window_bits(self, canonical, n_starts):
+        y, u, cfg = canonical_window(canonical, h=4, t=5, seed=5)
+        alpha, lead = invert_window(y, u, cfg)
+        delta = 0.05
+        J, w_star, p_star = window_deviation(alpha[None], lead[None, 0], cfg.h, cfg.t, delta,
+                                             n_starts=n_starts)
+        J_1, w_1, p_1 = window_deviation(alpha, lead[0], cfg.h, cfg.t, delta,
+                                         n_starts=n_starts)
+        assert J.shape == (1,) and J[0] == J_1 > 0.0
+        assert np.array_equal(w_star[0], w_1) and np.array_equal(p_star[0], p_1)
+        C1, C2 = window_quadratic_factors(alpha, lead, cfg.h, cfg.t)
+        for C in (C1, C2):
+            values, sigmas = rank_box_max(C[None], 2.0 * delta, n_starts=n_starts)
+            value, sigma = rank_box_max(C, 2.0 * delta, n_starts=n_starts)
+            assert values.shape == (1,) and values[0] == value > 0.0
+            assert np.array_equal(sigmas[0], sigma)
 
 
 class TestJ2Hessian:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subvarid.deviation import window_deviation, window_deviations
+from subvarid.deviation import window_deviation
 from subvarid import input_design
 from subvarid.errors import (
     ConfigurationError,
@@ -853,7 +853,7 @@ class TestDeferredDeviation:
         assert len(windows) >= 3
         alphas = np.stack([alpha for _, alpha, _, _ in windows])
         leads = np.stack([lead for _, _, lead, _ in windows])
-        J, w_star, p_star = window_deviations(alphas, leads, h, t, cfg.delta)
+        J, w_star, p_star = window_deviation(alphas, leads, h, t, cfg.delta)
         for k, (_, alpha, lead, _) in enumerate(windows):
             J_k, w_k, p_k = window_deviation(alpha, lead, h, t, cfg.delta)
             assert J[k] == J_k
