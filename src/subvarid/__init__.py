@@ -10,7 +10,6 @@ from .errors import (
     OutOfRangeError,
     PlantProtocolError,
     SubvaridError,
-    TransformUndefinedError,
 )
 from .lti_core import (
     MarkovMatrix,
@@ -33,11 +32,9 @@ from .subspace_id import (
     ho_kalman,
     identification_error,
 )
-from .noise_equiv import EquivalentNoise, process_to_input_noise
 from .deviation import (
     DeviationResult,
     max_deviation,
-    sample_variance,
     solve_j1_exact,
     solve_j1_relaxed,
 )

@@ -9,13 +9,15 @@ a refused or non-finite cell; or one too short for the data window; and a
 campaign config, or campaign flags, with a value of the wrong type or out of
 range, and a config that is not a JSON object or has an unknown key; a
 curves CSV without an N, stat or value column or with a cell that is not a
-number; and loop settings the realization cannot meet: an order below 1 or
-above t/2, or a negative iteration count), 2 numeric failure (also a
-`design` run in which every batch was skipped, so no estimate was formed;
-its run CSV is still written) or an external plant that exits or answers
-with anything but one finite number, 3 acceptance-threshold failure in
-`report --check` mode, also a gated figure that is not finite or a designed
-slope with fewer than 3 usable N.
+number; a model JSON that is not an object, lacks A, B or C or holds a
+ragged, non-finite or 3-D matrix; a noise bound --delta below 0 or nan, or
+`simulate --steps` below 1; and loop settings the realization cannot meet:
+an order below 1 or above t/2, or a negative iteration count), 2 numeric
+failure (also a `design` run in which every batch was skipped, so no
+estimate was formed; its run CSV is still written) or an external plant that
+exits or answers with anything but one finite number, 3 acceptance-threshold
+failure in `report --check` mode, also a gated figure that is not finite or a
+designed slope with fewer than 3 usable N.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ def _add_model_args(p):
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
+    noise = NoiseSpec(delta=args.delta)  # delta 0 draws nothing
     model = _load_model(args)
     rng = np.random.default_rng(args.seed)
     U = rng.uniform(-args.amplitude, args.amplitude, size=(args.steps, model.p))
     x0 = np.asarray(json.loads(args.x0), dtype=float) if args.x0 else np.zeros(model.m)
-    noise = NoiseSpec(delta=args.delta) if args.delta > 0 else None
     log = simulate(model, x0, U, noise=noise, rng=rng)
     log.to_csv(args.output)
     print(f"wrote {args.steps} samples to {args.output}")

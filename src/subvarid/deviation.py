@@ -331,6 +331,8 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float) -> Deviati
     realizations).  Sub-solvers are exact up to the enumeration limit and
     relaxed-with-rounding beyond it.
     """
+    if not delta >= 0:  # also refuses nan
+        raise ConfigurationError(f"noise bound delta must be >= 0, got {delta}")
     alpha, lead = invert_window(y_star, u_star, cfg)
     n, s = lead.shape
 
@@ -352,12 +354,3 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float) -> Deviati
         method=method,
         amplification=2.0 * delta * s * float(np.abs(alpha).max()),
     )
-
-
-def sample_variance(G_list) -> float:
-    """mu = sum of squared Frobenius deviations from the mean estimate."""
-    mats = [np.asarray(getattr(G, "G", G), dtype=float) for G in G_list]
-    if len(mats) < 2:
-        raise ConfigurationError("need at least 2 estimates for a sample variance")
-    mean = sum(mats) / len(mats)
-    return float(sum(np.sum((M - mean) ** 2) for M in mats))

@@ -33,10 +33,6 @@ class OrderDeficiencyError(SubvaridError):
         self.singular_values = singular_values
 
 
-class TransformUndefinedError(SubvaridError):
-    """Noise transform requested for an uncontrollable model."""
-
-
 class NearSingularError(SubvaridError):
     """Schur complement or pivot too close to zero for a stable update."""
 

@@ -202,10 +202,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"init_len must be null or a positive int, got {value!r}")
             settings[f.name] = tuple(value) if f.name == "N_schedule" else value
         model = None
-        if isinstance(data.get("model"), dict):
-            model = StateSpaceModel.from_dict(data["model"])
-        elif data.get("model") == "demo-random":
+        if data.get("model") == "demo-random":
             model = random_demo_model()
+        elif data.get("model") is not None:
+            model = StateSpaceModel.from_dict(data["model"])
         noise = NoiseSpec(delta=data.get("delta", BENCHMARK_DELTA),
                           kind=data.get("noise_kind", "uniform"))
         return cls(model=model, noise=noise, design=DesignConfig(**design), **settings)
@@ -221,6 +221,9 @@ class TrialResult:
     steps: int
     infeasible_events: int
     failed: bool = False
+    # "ExceptionClass: message" of a failed trial; out of repr, which the
+    # campaign fingerprints hash
+    error: Optional[str] = field(default=None, repr=False)
 
 
 @dataclass
@@ -319,9 +322,10 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
         )
     except ConfigurationError:
         raise  # the campaign's configuration is at fault, not this trial
-    except SubvaridError:
+    except SubvaridError as exc:
         return TrialResult(trial=trial, mode=mode, errors={}, deviations={},
-                           violations=0, steps=0, infeasible_events=0, failed=True)
+                           violations=0, steps=0, infeasible_events=0, failed=True,
+                           error=f"{type(exc).__name__}: {exc}")
     return TrialResult(
         trial=trial,
         mode=mode,

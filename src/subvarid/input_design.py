@@ -398,9 +398,6 @@ class CostAffineForm:
         self._d = np.einsum("ij,ij->i", self.c_terms, self.c_terms)
         self._abd = list(zip(self._a.tolist(), self._b.tolist(), self._d.tolist()))
 
-    def residuals(self, u2: float) -> np.ndarray:
-        return self.F_terms * u2 + self.c_terms
-
     def value(self, u2: float) -> float:
         """max_k (a_k u2 + b_k) u2 + d_k; a NaN parabola makes it NaN, as np.max does."""
         top = -math.inf
@@ -564,8 +561,10 @@ def design_input_step(partition: BorderedPartition, u_intervals: list,
 class SimulatedPlant:
     """Internal plant: x+ = A x + B (u - e), y = C x + w.
 
-    Process noise is injected at the input (the equivalent-noise form used by
-    the deviation analysis); both channels share the bound of `noise`.
+    Process noise is injected at the input: for a controllable model an input
+    perturbation reproduces the process noise's effect at the ends of each
+    m-step window, which is all the window analysis sees.  Both channels
+    share the bound of `noise`.
     """
 
     def __init__(self, model: StateSpaceModel, noise: NoiseSpec,

@@ -94,11 +94,27 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpaceModel":
-        return cls(
-            A=np.asarray(data["A"], dtype=float),
-            B=np.asarray(data["B"], dtype=float),
-            C=np.asarray(data["C"], dtype=float),
-        )
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a model must be a JSON object with keys A, B and C, got {type(data).__name__}"
+            )
+        missing = [key for key in "ABC" if key not in data]
+        if missing:
+            raise ConfigurationError(f"model lacks {' and '.join(missing)}")
+        matrices = {}
+        for key in "ABC":
+            try:
+                matrices[key] = value = np.asarray(data[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"model matrix {key} is not a rectangular array of numbers: {exc}"
+                ) from exc
+            if value.ndim > 2 or not np.all(np.isfinite(value)):
+                raise ConfigurationError(
+                    f"model matrix {key} must be finite with at most 2 dimensions, "
+                    f"got shape {value.shape}"
+                )
+        return cls(**matrices)
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
@@ -134,8 +150,8 @@ class NoiseSpec:
     kind: str = "uniform"
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ConfigurationError("noise bound delta must be >= 0")
+        if not self.delta >= 0:  # also refuses nan
+            raise ConfigurationError(f"noise bound delta must be >= 0, got {self.delta}")
         if self.kind not in ("uniform", "gaussian-truncated"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
 
@@ -311,8 +327,6 @@ def simulate(
     x0,
     U,
     noise: Optional[NoiseSpec] = None,
-    V=None,
-    W=None,
     rng: Optional[np.random.Generator] = None,
 ) -> SignalLog:
     """Simulate the model forward under inputs U.
@@ -321,8 +335,8 @@ def simulate(
     ----------
     x0 : initial state, length m.
     U : input sequence, shape (T, p) or (T,) for single-input models.
-    noise : NoiseSpec to sample v, w from; mutually exclusive with V/W.
-    V, W : explicit process/output noise sequences (T, m) and (T, n).
+    noise : NoiseSpec to sample the process and output noise v, w from;
+        without it both are zero.
     rng : generator used when `noise` is given.
 
     Returns a SignalLog with y[k] = C x(k) + w(k) for k = 0..T-1 and the
@@ -340,18 +354,12 @@ def simulate(
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
 
-    if noise is not None and (V is not None or W is not None):
-        raise ConfigurationError("pass either a NoiseSpec or explicit V/W, not both")
-    if noise is not None:
-        if rng is None:
-            rng = np.random.default_rng()
+    if noise is None:
+        V, W = np.zeros((T, model.m)), np.zeros((T, model.n))
+    else:
+        rng = np.random.default_rng() if rng is None else rng
         V = noise.sample(rng, (T, model.m))
         W = noise.sample(rng, (T, model.n))
-    else:
-        V = np.zeros((T, model.m)) if V is None else _as_2d(V)
-        W = np.zeros((T, model.n)) if W is None else _as_2d(W)
-    if V.shape != (T, model.m) or W.shape != (T, model.n):
-        raise ConfigurationError("noise sequences must match (T, m) and (T, n)")
 
     xs = np.empty((T + 1, model.m))
     ys = np.empty((T, model.n))

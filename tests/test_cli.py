@@ -20,6 +20,50 @@ def test_simulate_writes_csv(tmp_path):
     assert len(lines) == 51
 
 
+def test_simulate_with_zero_delta_is_noise_free(tmp_path):
+    from subvarid.experiments import running_canonical
+    from subvarid.lti_core import simulate
+
+    out, ref = tmp_path / "sig.csv", tmp_path / "ref.csv"
+    assert main(["simulate", "--steps", "30", "--prestabilized", "--seed", "4",
+                 "--delta", "0", "--output", str(out)]) == EXIT_OK
+    U = np.random.default_rng(4).uniform(-1.0, 1.0, size=(30, 1))
+    simulate(running_canonical(), np.zeros(4), U).to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "-3"], "--steps must be >= 1, got -3"),
+    (["--steps", "0"], "--steps must be >= 1, got 0"),
+    (["--delta", "-1"], "noise bound delta must be >= 0, got -1.0"),
+    (["--delta", "nan"], "noise bound delta must be >= 0, got nan"),
+])
+def test_simulate_settings_are_checked_before_drawing(tmp_path, capsys, flags, message):
+    out = tmp_path / "sig.csv"
+    assert main(["simulate", *flags, "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, message", [
+    ([[1.0]], "a model must be a JSON object with keys A, B and C, got list"),
+    ({"A": [[1.0]], "C": [[1.0]]}, "model lacks B"),
+    ({"A": [[0.5, 0.0], [0.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
+     "model matrix A is not a rectangular array of numbers"),
+    ({"A": None, "B": [[1.0]], "C": [[1.0]]}, "model matrix A must be finite"),
+    ({"A": [[[0.5]]], "B": [[1.0]], "C": [[1.0]]},
+     "model matrix A must be finite with at most 2 dimensions, got shape (1, 1, 1)"),
+])
+def test_malformed_model_json_is_config_error(tmp_path, capsys, model, message):
+    path, out = tmp_path / "model.json", tmp_path / "sig.csv"
+    path.write_text(json.dumps(model))
+    assert main(["simulate", "--model", str(path), "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert not out.exists()
+
+
 def test_identify_round_trip(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     main(["simulate", "--steps", "120", "--prestabilized", "--amplitude", "5",
@@ -51,6 +95,19 @@ def test_deviation_outputs_json(tmp_path, capsys):
     assert data["J"] >= 0
     assert data["J"] == pytest.approx(np.sqrt(data["J1"] + data["J2"]))
     assert data["amplification"] > 0
+
+
+@pytest.mark.parametrize("delta", ["-1", "nan"])
+def test_deviation_delta_below_zero_or_nan_is_config_error(tmp_path, capsys, delta):
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", "60", "--prestabilized", "--amplitude", "8",
+          "--seed", "5", "--output", str(sig)])
+    capsys.readouterr()
+    assert main(["deviation", str(sig), "--delta", delta]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"noise bound delta must be >= 0, got {float(delta)}" in captured.err
 
 
 def test_design_writes_run_csv(tmp_path, capsys):
@@ -196,6 +253,8 @@ def run_console(*argv):
     ('{"N_schedule": ["a"], "trials": 1}', "N_schedule must hold positive ints"),
     ('{"init_len": "x", "trials": 1, "N_schedule": [2]}', "init_len must be null or a positive int"),
     ('{"N_schedule": [true, 2, 3], "trials": 1}', "N_schedule must hold positive ints"),
+    ('{"model": [1, 2], "trials": 1}', "a model must be a JSON object"),
+    ('{"model": {"A": [[1.0]]}, "trials": 1}', "model lacks B and C"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"

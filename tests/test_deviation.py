@@ -7,7 +7,6 @@ from subvarid.deviation import (
     _ascend,
     max_deviation,
     rank_box_max,
-    sample_variance,
     solve_box_qp,
     solve_j1_exact,
     solve_j1_relaxed,
@@ -15,7 +14,7 @@ from subvarid.deviation import (
     window_quadratic_factors,
 )
 from subvarid.errors import ConfigurationError
-from subvarid.lti_core import MarkovMatrix, build_L, simulate
+from subvarid.lti_core import build_L, simulate
 from subvarid.subspace_id import EstimatorConfig, invert_window
 from conftest import CANONICAL_X0, oracle_hankel
 
@@ -509,21 +508,6 @@ class TestMaxDeviation:
         assert res.amplification == pytest.approx(expected, rel=1e-9)
         assert (res.amplification > 1.0) == above_one
         assert res.J == pytest.approx(np.sqrt(res.J1 + res.J2))
-
-
-class TestSampleVariance:
-    def test_identical_estimates(self):
-        G = MarkovMatrix(G=np.ones((1, 3)), t=3)
-        assert sample_variance([G, G, G]) == 0.0
-
-    def test_two_scalars(self):
-        G0 = MarkovMatrix(G=np.array([[0.0]]), t=1)
-        G2 = MarkovMatrix(G=np.array([[2.0]]), t=1)
-        assert sample_variance([G0, G2]) == pytest.approx(2.0)
-
-    def test_requires_two(self):
-        with pytest.raises(ConfigurationError):
-            sample_variance([MarkovMatrix(G=np.array([[1.0]]), t=1)])
 
 
 class TestLinearizationRegime:

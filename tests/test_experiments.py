@@ -147,6 +147,22 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(input_mode="surprise")
 
+    def test_failed_trial_keeps_its_error(self, monkeypatch):
+        from dataclasses import replace
+
+        from subvarid import experiments
+        from subvarid.errors import NumericOverflowError
+
+        def overflowing_loop(*args, **kwargs):
+            raise NumericOverflowError("plant state overflowed at step 7")
+
+        monkeypatch.setattr(experiments, "run_closed_loop", overflowing_loop)
+        res = run_trial(ExperimentConfig(trials=1, N_schedule=(2,)), 0, "designed")
+        assert res.failed
+        assert res.error == "NumericOverflowError: plant state overflowed at step 7"
+        # the error stays out of repr, which the campaign fingerprints hash
+        assert repr(res) == repr(replace(res, error=None))
+
 
 class TestOutputFiles:
     def test_curves_csv_round_trip(self, small_campaign, tmp_path):

@@ -45,9 +45,11 @@ class TestSimulate:
     def test_zero_noise_spec_equals_explicit_zero_noise(self, canonical):
         rng = np.random.default_rng(0)
         U = rng.uniform(-1, 1, size=8)
+        state = rng.bit_generator.state
         a = simulate(canonical, CANONICAL_X0, U, noise=NoiseSpec(delta=0.0), rng=rng)
         b = simulate(canonical, CANONICAL_X0, U)
-        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
+        assert rng.bit_generator.state == state  # a zero bound draws nothing
 
     def test_state_trajectory_retained(self, canonical):
         log = simulate(canonical, CANONICAL_X0, np.zeros(4))
