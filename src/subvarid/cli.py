@@ -7,12 +7,16 @@ Configuration comes from a JSON file plus flag overrides.  Exit codes:
 malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
 a refused or non-finite cell; or one too short for the data window; and a
 campaign config, or campaign flags, with a value of the wrong type or out of
-range, and a config that is not a JSON object or has an unknown key; a
+range, and a config that is not a JSON object or has an unknown key, also
+one of the loop settings that are module constants, such as `kappa`; a
 curves CSV without an N, stat or value column or with a cell that is not a
 number; a model JSON that is not an object, lacks A, B or C or holds a
-ragged, non-finite or 3-D matrix; a noise bound --delta below 0 or nan, or
-`simulate --steps` below 1; and loop settings the realization cannot meet:
-an order below 1 or above t/2, or a negative iteration count), 2 numeric
+ragged, non-finite or 3-D matrix; a noise bound --delta below 0 or nan;
+`simulate --steps` below 1, an `--amplitude` below 0, nan or so large that
+2 x amplitude overflows, or an `--x0` that is not a flat JSON list of
+numbers; `design --y-max` or `--u-max` not finite and above 0, or a
+`--dither` below 0 or not finite; and loop settings the realization cannot
+meet: an order below 1 or above t/2, or a negative iteration count), 2 numeric
 failure (also a `design` run in which every batch was skipped, so no
 estimate was formed; its run CSV is still written) or an external plant that
 exits or answers with anything but one finite number, 3 acceptance-threshold
@@ -40,7 +44,7 @@ from .errors import (
     OutOfRangeError,
     SubvaridError,
 )
-from .input_design import DesignConfig, SimulatedPlant, run_closed_loop
+from .input_design import DITHER_AMPLITUDE, DesignConfig, SimulatedPlant, run_closed_loop
 from .lti_core import NoiseSpec, SignalLog, StateSpaceModel, markov_true, simulate
 from .subspace_id import EstimatorConfig, estimate_markov_batched, ho_kalman
 
@@ -68,10 +72,18 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
     noise = NoiseSpec(delta=args.delta)  # delta 0 draws nothing
+    top = np.finfo(float).max / 2  # the draw's range 2 * amplitude must be finite
+    if not 0 <= args.amplitude <= top:
+        raise ConfigurationError(f"--amplitude must be in [0, {top:.4g}], got {args.amplitude}")
     model = _load_model(args)
+    try:
+        x0 = np.asarray(json.loads(args.x0), dtype=float) if args.x0 else np.zeros(model.m)
+    except (TypeError, ValueError):  # not JSON, a string, an object or a ragged list
+        x0 = None
+    if x0 is None or x0.ndim != 1:
+        raise ConfigurationError(f"--x0 must be a JSON list of numbers, got {args.x0}")
     rng = np.random.default_rng(args.seed)
     U = rng.uniform(-args.amplitude, args.amplitude, size=(args.steps, model.p))
-    x0 = np.asarray(json.loads(args.x0), dtype=float) if args.x0 else np.zeros(model.m)
     log = simulate(model, x0, U, noise=noise, rng=rng)
     log.to_csv(args.output)
     print(f"wrote {args.steps} samples to {args.output}")
@@ -123,7 +135,7 @@ def cmd_design(args) -> int:
     rng = exp.trial_rng(args.seed, 0, stream=0)
     noise = NoiseSpec(delta=args.delta)
     design = DesignConfig(delta=args.delta, y_M=args.y_max, u_M=args.u_max)
-    est = EstimatorConfig(h=args.h, t=args.t, cond_limit=design.cond_limit)
+    est = EstimatorConfig(h=args.h, t=args.t)
     if args.plant_cmd:
         from .input_design import LineProtocolPlant
 
@@ -262,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=exp.BENCHMARK_DELTA)
     p.add_argument("--y-max", type=float, default=exp.BENCHMARK_Y_MAX)
     p.add_argument("--u-max", type=float, default=exp.BENCHMARK_U_MAX)
-    p.add_argument("--dither", type=float, default=8.0)
+    p.add_argument("--dither", type=float, default=DITHER_AMPLITUDE)
     p.add_argument("--plant-cmd", help="external line-protocol plant command")
     p.add_argument("--output", default="run_0.csv")
     p.set_defaults(func=cmd_design)

@@ -22,7 +22,14 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from .errors import ConfigurationError, NumericOverflowError, SubvaridError
-from .input_design import DesignConfig, IdentificationRun, SimulatedPlant, run_closed_loop
+from .input_design import (
+    DITHER_AMPLITUDE,
+    DesignConfig,
+    IdentificationRun,
+    SimulatedPlant,
+    multitone_dither,
+    run_closed_loop,
+)
 from .lti_core import MarkovMatrix, NoiseSpec, StateSpaceModel, markov_true
 from .subspace_id import EstimatorConfig
 
@@ -100,13 +107,12 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+# a campaign with more failed trials than this share of its trials aborts
+MAX_FAILURE_FRACTION = 0.10
+
 # JSON value types a top-level setting may take, by the type of its default;
 # a JSON true is not an int setting, nor 1 a bool one
 _JSON_KINDS = {bool: bool, int: int, float: (int, float), str: str, tuple: list}
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 @dataclass
@@ -124,10 +130,7 @@ class ExperimentConfig:
     design: DesignConfig = field(default_factory=DesignConfig)
     model: Optional[StateSpaceModel] = None
     prestabilize: bool = True
-    init_len: Optional[int] = None
-    dither_amplitude: float = 8.0
     workers: int = 1
-    max_failure_fraction: float = 0.10
 
     def __post_init__(self):
         if self.input_mode not in ("designed", "white_noise"):
@@ -140,7 +143,7 @@ class ExperimentConfig:
         return stabilized(base) if self.prestabilize else base
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(h=self.h, t=self.t, cond_limit=self.design.cond_limit)
+        return EstimatorConfig(h=self.h, t=self.t)
 
     def to_dict(self) -> dict:
         return {
@@ -155,10 +158,7 @@ class ExperimentConfig:
             "noise_kind": self.noise.kind,
             "design": asdict(self.design),
             "prestabilize": self.prestabilize,
-            "init_len": self.init_len,
-            "dither_amplitude": self.dither_amplitude,
             "workers": self.workers,
-            "max_failure_fraction": self.max_failure_fraction,
             "model": self.model.to_dict() if self.model is not None else None,
         }
 
@@ -167,10 +167,9 @@ class ExperimentConfig:
         """Config from the dict `to_dict` writes; omitted settings keep their defaults.
 
         An unknown key or a value of the wrong JSON type is a
-        ConfigurationError, and so is an N_schedule entry or an init_len
-        (which may also be null) that is not a positive int.  A config
-        without a design block reads the design's first five settings from
-        the top level.
+        ConfigurationError, and so is an N_schedule entry that is not a
+        positive int.  A config without a design block reads the design's
+        five settings from the top level.
         """
         flat_design = ("delta", "y_M", "u_M", "epsilon", "alpha_M")
         known = {f.name for f in fields(cls)} - {"noise"} | {"noise_kind", *flat_design}
@@ -196,10 +195,8 @@ class ExperimentConfig:
                     f"campaign setting {f.name!r} must be {type(f.default).__name__}, "
                     f"got {value!r}"
                 )
-            if f.name == "N_schedule" and not all(_positive_int(N) for N in value):
+            if f.name == "N_schedule" and not all(type(N) is int and N > 0 for N in value):
                 raise ConfigurationError(f"N_schedule must hold positive ints, got {value!r}")
-            if f.name == "init_len" and not (value is None or _positive_int(value)):
-                raise ConfigurationError(f"init_len must be null or a positive int, got {value!r}")
             settings[f.name] = tuple(value) if f.name == "N_schedule" else value
         model = None
         if data.get("model") == "demo-random":
@@ -289,7 +286,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
 
     A ConfigurationError from the loop propagates, since every trial of the
     campaign would meet it; any other SubvaridError makes this trial a
-    failed one, which the campaign counts against max_failure_fraction.
+    failed one, which the campaign counts against MAX_FAILURE_FRACTION.
     """
     model = config.resolved_model()
     est = config.estimator_config()
@@ -303,10 +300,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     loop_rng = trial_rng(config.rng_seed, trial, stream=1)
     init_rng = trial_rng(config.rng_seed, trial, stream=2)
 
-    init_len = config.init_len if config.init_len is not None else window - 1
-    from .input_design import multitone_dither
-
-    init_u = multitone_dither(init_len, config.dither_amplitude, init_rng)
+    init_u = multitone_dither(window - 1, DITHER_AMPLITUDE, init_rng)
     plant = SimulatedPlant(model, config.noise, plant_rng, x0=np.zeros(model.m))
     try:
         run = run_closed_loop(
@@ -366,7 +360,7 @@ def _run_trials(config: ExperimentConfig, mode: str):
     else:
         results = [run_trial(config, i, mode) for i in range(config.trials)]
     failures = sum(r.failed for r in results)
-    if failures > config.max_failure_fraction * config.trials:
+    if failures > MAX_FAILURE_FRACTION * config.trials:
         raise NumericOverflowError(
             f"{failures}/{config.trials} trials failed; campaign aborted"
         )

@@ -59,11 +59,24 @@ from .subspace_id import (
 # ---------------------------------------------------------------------------
 
 
+# the safety filter keeps every predicted |y| within KAPPA * y_M
+KAPPA = 0.9
+# a batch window whose L has a larger 2-norm condition number is skipped
+LOOP_COND_LIMIT = 1e8
+# a batch window whose noise amplification 2 delta s max|alpha| is larger is skipped
+AMPLIFICATION_LIMIT = 5.0
+# a realized model is accepted below this relative one-step prediction error
+VALIDATION_TOL = 0.3
+# peak |u| of the multitone dither that fills the first window
+DITHER_AMPLITUDE = 8.0
+
+
 @dataclass
 class DesignConfig:
-    """Bounds and tolerances for the input-design loop.
+    """The paper's bounds for the input-design loop.
 
-    The conditioning bound alpha_M and the linearization tolerance epsilon are
+    delta bounds the noise, y_M and u_M the outputs and inputs.  The
+    conditioning bound alpha_M and the linearization tolerance epsilon are
     tied by delta * alpha_M**2 <= epsilon; when alpha_M is omitted it defaults
     to sqrt(epsilon / delta).
     """
@@ -73,18 +86,13 @@ class DesignConfig:
     u_M: float = 10.0
     epsilon: float = 0.01
     alpha_M: Optional[float] = None
-    horizon: Optional[int] = None
-    kappa: float = 0.9
-    cond_limit: float = 1e8
-    batch_amplification_limit: float = 5.0
-    validation_tol: float = 0.3
-    white_amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.delta < 0 or self.y_M <= 0 or self.u_M <= 0:
-            raise ConfigurationError("delta >= 0 and positive y_M, u_M required")
-        if not 0 < self.kappa <= 1:
-            raise ConfigurationError("margin kappa must be in (0, 1]")
+        if not (self.delta >= 0 and 0 < self.y_M < math.inf and 0 < self.u_M < math.inf):
+            raise ConfigurationError(
+                f"delta >= 0 and finite y_M, u_M above 0 required, got delta {self.delta}, "
+                f"y_M {self.y_M} and u_M {self.u_M}"
+            )
         if self.alpha_M is None:
             self.alpha_M = float(np.sqrt(self.epsilon / self.delta)) if self.delta > 0 else np.inf
         if self.delta > 0 and self.delta * self.alpha_M**2 > self.epsilon * (1 + 1e-9):
@@ -292,7 +300,7 @@ def safety_interval(pred: OutputPredictor, cfg: DesignConfig, horizon: int,
     interval = (-cfg.u_M, cfg.u_M)
     base = pred.predict(y_history, u_history, np.zeros(1 + horizon))
     slope = pred.impulse(1 + horizon)
-    bound = cfg.kappa * cfg.y_M
+    bound = KAPPA * cfg.y_M
     for a, b in zip(base.tolist(), slope.tolist()):
         interval = _affine_interval(a, b, bound, interval)
         if interval is None:
@@ -768,8 +776,8 @@ class _BatchFold:
 
     Batch i is the window starting at i*s; it is folded in once its lead
     outputs exist.  A window is skipped when `window_inverses` drops it at the
-    loop's cond_limit, or when its noise amplification 2 delta s max|alpha|
-    exceeds batch_amplification_limit.  The loop never reads a batch's
+    loop's LOOP_COND_LIMIT, or when its noise amplification 2 delta s
+    max|alpha| exceeds AMPLIFICATION_LIMIT.  The loop never reads a batch's
     deviation J, so the fold keeps each regime batch's window and
     `regime_deviations` solves them all in one stack once the loop ends.
     """
@@ -792,13 +800,13 @@ class _BatchFold:
 
     def _fold(self, ya, ua, k0: int):
         cfg, h, t, s = self.cfg, self.h, self.t, self.s
-        cond, ok, alpha, lead = window_inverses(ya, ua, np.array([k0]), h, t, cfg.cond_limit)
+        cond, ok, alpha, lead = window_inverses(ya, ua, np.array([k0]), h, t, LOOP_COND_LIMIT)
         used, regime = bool(ok[0]), False
         if used:
             alpha, lead = alpha[0], lead[0, 0]
             amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
             # skip windows whose noise amplification swamps the estimate
-            used = amp <= cfg.batch_amplification_limit
+            used = amp <= AMPLIFICATION_LIMIT
         if used:
             self.G_sum += (lead @ alpha)[s - t :]
             self.n_used += 1
@@ -817,7 +825,7 @@ class _BatchFold:
         try:
             cand = ho_kalman(self.G_hat, self.order)
             pred = OutputPredictor(cand.A_hat, cand.B_hat, cand.C_hat, self.G_hat, h=h)
-            if _validate_model(pred, ya, ua) < cfg.validation_tol:
+            if _validate_model(pred, ya, ua) < VALIDATION_TOL:
                 self.accepted, self.predictor = cand, pred
         except (SubvaridError, np.linalg.LinAlgError):
             pass
@@ -888,7 +896,7 @@ def run_closed_loop(
     rng: Optional[np.random.Generator] = None,
     G_star: Optional[MarkovMatrix] = None,
     init_inputs: Optional[np.ndarray] = None,
-    dither_amplitude: float = 8.0,
+    dither_amplitude: float = DITHER_AMPLITUDE,
 ) -> IdentificationRun:
     """Run Algorithm-1 style closed-loop identification for n_iterations.
 
@@ -897,7 +905,8 @@ def run_closed_loop(
     draw it uniformly in `white` mode), apply it to the plant, and record
     everything.  The initial sequence is either supplied or generated as
     multitone dither.  The settings are checked before the plant is driven:
-    the realization needs order >= 1 and t >= 2 order Markov blocks.
+    the realization needs order >= 1 and t >= 2 order Markov blocks, and the
+    dither amplitude must be finite and >= 0.
     """
     if mode not in ("designed", "white"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -906,6 +915,9 @@ def run_closed_loop(
                                  f"Markov blocks, got order {order} and t = {est_cfg.t}")
     if n_iterations < 0:
         raise ConfigurationError(f"iteration count must be >= 0, got {n_iterations}")
+    if not 0 <= dither_amplitude < math.inf:
+        raise ConfigurationError(
+            f"dither amplitude must be finite and >= 0, got {dither_amplitude}")
     if rng is None:
         rng = np.random.default_rng()
     h, t = est_cfg.h, est_cfg.t
@@ -916,7 +928,6 @@ def run_closed_loop(
     init_len = len(init_inputs)
     if init_len < window - 1:
         raise ConfigurationError(f"initial sequence must hold >= {window - 1} inputs")
-    horizon = cfg.horizon if cfg.horizon is not None else order
 
     # y(0..T) and u(0..T-1); u(T), the input being designed, is a 0.0 slot
     y_buf = np.empty(init_len + n_iterations + 1)
@@ -943,13 +954,13 @@ def run_closed_loop(
         # loop stays within the running system's own operating range
         interval, feasible = (-cfg.u_M, cfg.u_M), predictor is not None
         if predictor is not None:
-            interval = safety_interval(predictor, cfg, horizon, ya, u_hist)
+            interval = safety_interval(predictor, cfg, order, ya, u_hist)
             if interval is None:
                 infeasible_events += 1
                 interval, feasible = (-cfg.u_M, cfg.u_M), False
 
         if mode == "white":
-            draw = rng.uniform(-cfg.white_amplitude * cfg.u_M, cfg.white_amplitude * cfg.u_M)
+            draw = rng.uniform(-cfg.u_M, cfg.u_M)
             u_tau = float(min(max(draw, interval[0]), interval[1]))
         else:
             u_tau = _designed_input(cfg, predictor, ya, ua, interval, h, t, s)

@@ -37,6 +37,11 @@ def test_simulate_with_zero_delta_is_noise_free(tmp_path):
     (["--steps", "0"], "--steps must be >= 1, got 0"),
     (["--delta", "-1"], "noise bound delta must be >= 0, got -1.0"),
     (["--delta", "nan"], "noise bound delta must be >= 0, got nan"),
+    (["--amplitude", "nan"], "--amplitude must be in [0, 8.988e+307], got nan"),
+    (["--amplitude", "1e308"], "--amplitude must be in [0, 8.988e+307], got 1e+308"),
+    (["--amplitude", "-1"], "--amplitude must be in [0, 8.988e+307], got -1.0"),
+    (["--x0", '"a"'], '--x0 must be a JSON list of numbers, got "a"'),
+    (["--x0", "[[1,2],[3,4]]"], "--x0 must be a JSON list of numbers, got [[1,2],[3,4]]"),
 ])
 def test_simulate_settings_are_checked_before_drawing(tmp_path, capsys, flags, message):
     out = tmp_path / "sig.csv"
@@ -251,7 +256,7 @@ def run_console(*argv):
     ('{"trials": "5"}', "'trials' must be int"),
     ('{"trails": 5}', "unknown campaign settings ['trails']"),
     ('{"N_schedule": ["a"], "trials": 1}', "N_schedule must hold positive ints"),
-    ('{"init_len": "x", "trials": 1, "N_schedule": [2]}', "init_len must be null or a positive int"),
+    ('{"init_len": "x", "trials": 1, "N_schedule": [2]}', "unknown campaign settings ['init_len']"),
     ('{"N_schedule": [true, 2, 3], "trials": 1}', "N_schedule must hold positive ints"),
     ('{"model": [1, 2], "trials": 1}', "a model must be a JSON object"),
     ('{"model": {"A": [[1.0]]}, "trials": 1}', "model lacks B and C"),
@@ -277,25 +282,26 @@ def test_malformed_campaign_flags_are_config_errors(tmp_path, flags, message):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_short_initial_sequence_is_config_error(tmp_path, workers):
+def test_configuration_error_inside_a_trial_is_config_error(tmp_path, workers):
     """A ConfigurationError inside a trial ends the campaign as one, also from
     a worker process, with the trial's own message."""
     path = tmp_path / "campaign.json"
-    path.write_text(json.dumps({"init_len": 3, "trials": 2, "N_schedule": [2],
+    path.write_text(json.dumps({"order": 5, "trials": 2, "N_schedule": [2],
                                 "workers": workers}))
     proc = run_console("campaign", "--config", str(path), "--prefix", str(tmp_path / "c_"))
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
-    assert "initial sequence must hold >= 29 inputs" in proc.stderr
+    assert "got order 5 and t = 9" in proc.stderr
 
 
 def test_other_trial_errors_are_failed_trials(tmp_path, capsys, monkeypatch):
     """Any other SubvaridError from the loop fails its trial only: within
-    max_failure_fraction the campaign completes without that trial."""
+    MAX_FAILURE_FRACTION the campaign completes without that trial."""
     from subvarid import experiments
     from subvarid.errors import DesignFailureError
 
     real_loop, calls = experiments.run_closed_loop, []
+    default_fraction = experiments.MAX_FAILURE_FRACTION
 
     def loop_failing_first_trial(*args, **kwargs):
         calls.append(None)
@@ -304,9 +310,9 @@ def test_other_trial_errors_are_failed_trials(tmp_path, capsys, monkeypatch):
         return real_loop(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_closed_loop", loop_failing_first_trial)
+    monkeypatch.setattr(experiments, "MAX_FAILURE_FRACTION", 0.5)
     path = tmp_path / "campaign.json"
-    path.write_text(json.dumps({"trials": 2, "N_schedule": [2],
-                                "max_failure_fraction": 0.5}))
+    path.write_text(json.dumps({"trials": 2, "N_schedule": [2]}))
     prefix = str(tmp_path / "c_")
     assert main(["campaign", "--config", str(path), "--prefix", prefix]) == EXIT_OK
     rows = [row.split(",") for row in (tmp_path / "c_trials.csv").read_text().splitlines()[1:]]
@@ -314,9 +320,9 @@ def test_other_trial_errors_are_failed_trials(tmp_path, capsys, monkeypatch):
         ("designed", "1"), ("white", "0"), ("white", "1"),
     ]
 
-    # above the tolerated fraction the campaign aborts as a numeric failure
+    # above the default tolerated fraction the campaign aborts as a numeric failure
     calls.clear()
-    path.write_text(json.dumps({"trials": 2, "N_schedule": [2]}))
+    monkeypatch.setattr(experiments, "MAX_FAILURE_FRACTION", default_fraction)
     capsys.readouterr()
     assert main(["campaign", "--config", str(path), "--prefix", prefix]) == EXIT_NUMERIC
     assert "1/2 trials failed; campaign aborted" in capsys.readouterr().err
@@ -457,10 +463,14 @@ def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys)
     (["--iterations", "120", "--order", "5"], "t >= 2 order Markov blocks, got order 5"),
     (["--iterations", "120", "--order", "0"], "got order 0"),
     (["--iterations", "-5"], "iteration count must be >= 0, got -5"),
+    (["--y-max", "nan"], "finite y_M, u_M above 0 required"),
+    (["--u-max", "nan"], "finite y_M, u_M above 0 required"),
+    (["--dither", "nan"], "dither amplitude must be finite and >= 0, got nan"),
 ])
 def test_design_settings_are_checked_before_the_loop(tmp_path, flags, message):
     """An order the realization cannot reach from t Markov blocks would skip
-    every model, and with it the safety filter; a negative count would crash."""
+    every model, and with it the safety filter; a negative count would crash;
+    a nan output bound would never count a violation."""
     out = tmp_path / "run.csv"
     proc = run_console("design", "--seed", "1", *flags, "--output", str(out))
     assert proc.returncode == EXIT_CONFIG

@@ -17,6 +17,8 @@ from subvarid.errors import (
     PlantProtocolError,
 )
 from subvarid.input_design import (
+    KAPPA,
+    LOOP_COND_LIMIT,
     BorderedPartition,
     CostAffineForm,
     DesignConfig,
@@ -73,10 +75,6 @@ class TestDesignConfig:
     def test_inconsistent_alpha_M_rejected(self):
         with pytest.raises(ConfigurationError):
             DesignConfig(delta=0.05, epsilon=0.01, alpha_M=10.0)
-
-    def test_margin_validated(self):
-        with pytest.raises(ConfigurationError):
-            DesignConfig(kappa=1.5)
 
 
 class TestBorderedInverse:
@@ -161,7 +159,7 @@ def oracle_safety_interval(pred, real, cfg, horizon, y, u):
     bump = oracle_predict(pred, y, u, np.eye(1 + horizon)[0])
     lo, hi = -cfg.u_M, cfg.u_M
     for b, slope in zip(base, bump - base):
-        ends = sorted(((-cfg.kappa * cfg.y_M - b) / slope, (cfg.kappa * cfg.y_M - b) / slope))
+        ends = sorted(((-KAPPA * cfg.y_M - b) / slope, (KAPPA * cfg.y_M - b) / slope))
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
     evals, V = np.linalg.eig(real.A_hat)
     unstable = np.abs(evals) >= 1.0
@@ -715,7 +713,7 @@ class TestDesignStageOracles:
 
         monkeypatch.setattr(input_design, "conditioning_u_sets", checked_sets)
         monkeypatch.setattr(input_design, "build_scenarios", checked_scenarios)
-        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        est = EstimatorConfig(h=4, t=9)
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(40),
                                x0=np.zeros(4))
         run_closed_loop(plant, DesignConfig(), est, 300, 4, rng=np.random.default_rng(41))
@@ -766,7 +764,7 @@ class TestDesignInputStep:
 class TestClosedLoop:
     def test_noise_free_plant_identified_exactly(self, running):
         rng = np.random.default_rng(10)
-        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        est = EstimatorConfig(h=4, t=9)
         plant = SimulatedPlant(running, NoiseSpec(delta=0.0), rng, x0=np.zeros(4))
         G_star = markov_true(running, 9)
         run = run_closed_loop(
@@ -779,7 +777,7 @@ class TestClosedLoop:
 
     def test_designed_run_respects_bounds_and_records(self, running):
         rng = np.random.default_rng(12)
-        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        est = EstimatorConfig(h=4, t=9)
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
         run = run_closed_loop(
             plant, DesignConfig(), est, 120, 4,
@@ -792,7 +790,7 @@ class TestClosedLoop:
 
     def test_csv_export_schema(self, running, tmp_path):
         rng = np.random.default_rng(14)
-        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        est = EstimatorConfig(h=4, t=9)
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
         run = run_closed_loop(plant, DesignConfig(), est, 10, 4,
                               rng=np.random.default_rng(15))
@@ -804,7 +802,7 @@ class TestClosedLoop:
     def test_prediction_tracks_output(self, running):
         # model-based one-step predictions stay close to realized outputs
         rng = np.random.default_rng(16)
-        est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+        est = EstimatorConfig(h=4, t=9)
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
         run = run_closed_loop(plant, DesignConfig(), est, 150, 4,
                               rng=np.random.default_rng(17))
@@ -815,7 +813,7 @@ class TestClosedLoop:
         assert np.median(errs) < 0.1 * scale
 
 
-def fold_windows(run, cfg: DesignConfig, h: int, t: int):
+def fold_windows(run, h: int, t: int):
     """(batch, alpha, lead, fold iteration) of each regime batch of a run.
 
     Each window is recomputed from the run's stored buffers; batch i is
@@ -827,7 +825,7 @@ def fold_windows(run, cfg: DesignConfig, h: int, t: int):
         if not b.regime:
             continue
         _, ok, alpha, lead = window_inverses(run.y, run.u, np.array([s * b.index]), h, t,
-                                             cfg.cond_limit)
+                                             LOOP_COND_LIMIT)
         assert ok[0]
         folded = max((b.index + 1) * s + h + t - 1 - run.init_len, 0)
         out.append((b, alpha[0], lead[0, 0], folded))
@@ -849,7 +847,7 @@ class TestDeferredDeviation:
 
     def test_stack_matches_the_one_window_path_on_fold_windows(self, loop_run):
         run, cfg, h, t = loop_run
-        windows = fold_windows(run, cfg, h, t)
+        windows = fold_windows(run, h, t)
         assert len(windows) >= 3
         alphas = np.stack([alpha for _, alpha, _, _ in windows])
         leads = np.stack([lead for _, _, lead, _ in windows])
@@ -861,7 +859,7 @@ class TestDeferredDeviation:
 
     def test_run_records_the_per_window_deviations(self, loop_run):
         run, cfg, h, t = loop_run
-        windows = fold_windows(run, cfg, h, t)
+        windows = fold_windows(run, h, t)
         for b in run.batches:
             if not b.regime:
                 assert np.isnan(b.J)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from subvarid.errors import ConfigurationError, EstimationError, OrderDeficiencyError
-from subvarid.input_design import DesignConfig
+from subvarid.input_design import LOOP_COND_LIMIT
 from subvarid.lti_core import (
     DEFAULT_COND_LIMIT,
     NoiseSpec,
@@ -166,9 +166,8 @@ class TestInvertWindows:
     def test_limit_between_loop_and_library(self):
         # cond 1e10: beyond the closed loop's 1e8, within the library's 1e12
         L = np.diag([1.0, 1e-5, 1e-10])[None]
-        loop_limit = DesignConfig().cond_limit
-        assert loop_limit < 1e10 < DEFAULT_COND_LIMIT
-        assert not invert_windows(L, loop_limit)[1][0]
+        assert LOOP_COND_LIMIT < 1e10 < DEFAULT_COND_LIMIT
+        assert not invert_windows(L, LOOP_COND_LIMIT)[1][0]
         cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
         assert ok[0] and cond[0] == pytest.approx(1e10)
         assert np.allclose(alpha[0] @ L[0], np.eye(3))
