@@ -18,7 +18,9 @@ numbers; `design --y-max` or `--u-max` not finite and above 0, or a
 `--dither` below 0 or not finite; and loop settings the realization cannot
 meet: an order below 1 or above t/2, or a negative iteration count), 2 numeric
 failure (also a `design` run in which every batch was skipped, so no
-estimate was formed; its run CSV is still written) or an external plant that
+estimate was formed; its run CSV is still written; a `design` run whose
+closed loop diverges, an output not finite or beyond 1000 y_M, which writes
+no CSV and in a campaign fails only its trial) or an external plant that
 exits or answers with anything but one finite number, 3 acceptance-threshold
 failure in `report --check` mode, also a gated figure that is not finite or a
 designed slope with fewer than 3 usable N.
@@ -27,6 +29,7 @@ designed slope with fewer than 3 usable N.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -232,7 +235,11 @@ def cmd_report(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: `parse_args` leaves it as it
+    was, and the help formatter, which reads the terminal width, is made each
+    time help is formatted."""
     parser = argparse.ArgumentParser(
         prog="subvarid",
         description="Subspace identification with variance-minimizing input design",

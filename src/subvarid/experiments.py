@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .errors import ConfigurationError, NumericOverflowError, SubvaridError
 from .input_design import (
@@ -78,7 +77,13 @@ def random_demo_model() -> StateSpaceModel:
 
 
 def lqr_gain(model: StateSpaceModel) -> np.ndarray:
-    """Discrete LQR state-feedback gain (Q = I, R = I) for the incumbent regulator."""
+    """Discrete LQR state-feedback gain (Q = I, R = I) for the incumbent regulator.
+
+    scipy is imported here, not at module level: only the regulator needs it,
+    and importing the package then does not load it.
+    """
+    from scipy.linalg import solve_discrete_are
+
     R = np.eye(model.p)
     P = solve_discrete_are(model.A, model.B, np.eye(model.m), R)
     return np.linalg.solve(model.B.T @ P @ model.B + R, model.B.T @ P @ model.A)
@@ -184,6 +189,14 @@ class ExperimentConfig:
         unknown = set(design) - {f.name for f in fields(DesignConfig)}
         if unknown:
             raise ConfigurationError(f"unknown design settings {sorted(unknown)}")
+        # the design values, and a top-level delta (the noise bound), are JSON
+        # numbers, not bools; alpha_M may also be null
+        top_level = [(key, data[key]) for key in flat_design if key in data]
+        for key, value in [*design.items(), *top_level]:
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    or key == "alpha_M" and value is None):
+                raise ConfigurationError(f"design setting {key!r} must be a number, "
+                                         f"got {value!r}")
         settings = {}
         for f in fields(cls):
             if f.name not in data or f.name in ("design", "model"):

@@ -31,6 +31,7 @@ from .errors import (
     DesignFailureError,
     EstimationError,
     NearSingularError,
+    NumericOverflowError,
     PlantProtocolError,
     SubvaridError,
 )
@@ -69,6 +70,8 @@ AMPLIFICATION_LIMIT = 5.0
 VALIDATION_TOL = 0.3
 # peak |u| of the multitone dither that fills the first window
 DITHER_AMPLITUDE = 8.0
+# an output beyond this multiple of y_M (or not finite) ends the loop as diverged
+DIVERGENCE_FACTOR = 1e3
 
 
 @dataclass
@@ -906,7 +909,8 @@ def run_closed_loop(
     everything.  The initial sequence is either supplied or generated as
     multitone dither.  The settings are checked before the plant is driven:
     the realization needs order >= 1 and t >= 2 order Markov blocks, and the
-    dither amplitude must be finite and >= 0.
+    dither amplitude must be finite and >= 0.  An output that is not finite or
+    passes DIVERGENCE_FACTOR * y_M raises NumericOverflowError.
     """
     if mode not in ("designed", "white"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -937,6 +941,7 @@ def run_closed_loop(
         u_buf[k] = float(u0)
         y_buf[k + 1] = plant.step(float(u0))
 
+    y_limit = DIVERGENCE_FACTOR * cfg.y_M
     fold = _BatchFold(cfg, h, t, s, order)
     dG, dG_of = np.nan, None  # dG changes only when a fold replaces G_hat
     iterations: list = []
@@ -973,11 +978,16 @@ def run_closed_loop(
         y_pred = 0.0 if predictor is None else float(predictor.predict(ya, u_hist, [u_tau])[0])
         u_buf[tau] = u_tau
         y_buf[tau + 1] = plant.step(u_tau)
+        y_next = float(y_buf[tau + 1])
+        if not abs(y_next) <= y_limit:  # also refuses nan
+            raise NumericOverflowError(
+                f"the loop diverged: the output at iteration {it}, {y_next:.4g}, is not "
+                f"within {DIVERGENCE_FACTOR:g} y_M = {y_limit:.4g}")
         if G_star is not None and fold.G_hat is not dG_of:
             dG_of = fold.G_hat
             dG = identification_error(dG_of, G_star)
         iterations.append(
-            IterationRecord(index=it, u=u_tau, y=float(y_buf[tau + 1]), y_pred=y_pred,
+            IterationRecord(index=it, u=u_tau, y=y_next, y_pred=y_pred,
                             J=0.0, dG=dG, feasible=feasible)
         )
     # each iteration reports the J of the last regime batch folded before it

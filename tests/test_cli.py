@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subvarid.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
+from subvarid.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, build_parser, main
 
 
 def test_simulate_writes_csv(tmp_path):
@@ -260,6 +260,8 @@ def run_console(*argv):
     ('{"N_schedule": [true, 2, 3], "trials": 1}', "N_schedule must hold positive ints"),
     ('{"model": [1, 2], "trials": 1}', "a model must be a JSON object"),
     ('{"model": {"A": [[1.0]]}, "trials": 1}', "model lacks B and C"),
+    ('{"design": {"y_M": "a"}, "trials": 1}', "design setting 'y_M' must be a number, got 'a'"),
+    ('{"design": {"epsilon": "a"}}', "design setting 'epsilon' must be a number, got 'a'"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"
@@ -570,3 +572,57 @@ def test_white_noise_config_still_runs_a_designed_arm(tmp_path, capsys):
     assert {row.split(",")[1] for row in designed.splitlines()[1:]} == {"designed"}
     assert designed.replace("designed", "white") != (
         tmp_path / "white_noise_curves_white.csv").read_text()
+
+
+def test_diverging_design_is_numeric_failure(tmp_path):
+    """The open-loop unstable benchmark without its regulator diverges: the
+    loop stops at the first output beyond 1000 y_M, naming the iteration."""
+    from subvarid.experiments import canonical_model
+
+    model, out = tmp_path / "raw.json", tmp_path / "run.csv"
+    canonical_model().to_json(model)
+    proc = run_console("design", "--model", str(model), "--iterations", "400",
+                       "--output", str(out))
+    assert proc.returncode == EXIT_NUMERIC
+    assert "Traceback" not in proc.stderr
+    assert "the loop diverged: the output at iteration 29," in proc.stderr
+    assert "is not within 1000 y_M = 1e+05" in proc.stderr
+
+
+class TestCachedParser:
+    """`main` parses with one argparse tree per process."""
+
+    @pytest.fixture
+    def sig(self, tmp_path):
+        sig = tmp_path / "sig.csv"
+        assert main(["simulate", "--steps", "60", "--prestabilized", "--amplitude", "8",
+                     "--seed", "5", "--output", str(sig)]) == EXIT_OK
+        return str(sig)
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_subcommand_keeps_its_own_defaults(self, sig, capsys):
+        from subvarid.deviation import max_deviation
+        from subvarid.lti_core import SignalLog
+        from subvarid.subspace_id import EstimatorConfig
+
+        assert main(["identify", sig, "--t", "9"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["deviation", sig]) == EXIT_OK
+        log = SignalLog.from_csv(sig)
+        J = {t: max_deviation(log.y, log.u, EstimatorConfig(h=4, t=t), delta=0.05).J
+             for t in (5, 9)}
+        assert J[5] != J[9]
+        assert json.loads(capsys.readouterr().out)["J"] == J[5]
+
+    def test_failed_parse_leaves_the_next_call_unaffected(self, sig, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identify", sig, "--t", "7", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["identify", sig]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["t"] == 9
+
+    def test_help_matches_a_fresh_parser(self):
+        assert build_parser.__wrapped__().format_help() == build_parser().format_help()

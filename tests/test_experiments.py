@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -54,6 +55,29 @@ class TestBenchmarkSystem:
         model = canonical_model()
         K = lqr_gain(model)
         assert np.abs(np.linalg.eigvals(model.A - model.B @ K)).max() < 1.0
+
+    def test_lqr_gain_is_the_riccati_gain_bit_for_bit(self):
+        from scipy.linalg import solve_discrete_are
+
+        model = canonical_model()
+        R = np.eye(model.p)
+        P = solve_discrete_are(model.A, model.B, np.eye(model.m), R)
+        K = np.linalg.solve(model.B.T @ P @ model.B + R, model.B.T @ P @ model.A)
+        assert np.array_equal(lqr_gain(model), K)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        """Only the LQR regulator needs scipy, so importing the package and its
+        CLI does not load it."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import subvarid
+
+        src = str(Path(subvarid.__file__).resolve().parents[1])
+        code = "import subvarid, subvarid.cli, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestTrialRng:
@@ -165,6 +189,15 @@ class TestCampaign:
         # the error stays out of repr, which the campaign fingerprints hash
         assert repr(res) == repr(replace(res, error=None))
 
+    def test_diverging_trial_is_a_failed_trial(self):
+        """The open-loop unstable benchmark without its regulator diverges:
+        the trial fails with the loop's message instead of recording it."""
+        config = ExperimentConfig(trials=1, N_schedule=(2,), prestabilize=False)
+        res = run_trial(config, 0, "designed")
+        assert res.failed and res.steps == 0
+        assert res.error.startswith("NumericOverflowError: the loop diverged: "
+                                    "the output at iteration ")
+
 
 class TestOutputFiles:
     def test_curves_csv_round_trip(self, small_campaign, tmp_path):
@@ -226,9 +259,24 @@ class TestOutputFiles:
     @pytest.mark.parametrize("block, message", [
         ('{"lr0": 0.1}', "lr0"), ("[0.1]", "JSON object"),
         ('{"kappa": 0.8}', "kappa"),
+        ('{"y_M": "a"}', "design setting 'y_M' must be a number, got 'a'"),
+        ('{"epsilon": "a"}', "design setting 'epsilon' must be a number, got 'a'"),
+        ('{"u_M": true}', "design setting 'u_M' must be a number, got True"),
+        ('{"alpha_M": [1]}', r"design setting 'alpha_M' must be a number, got \[1\]"),
     ])
     def test_config_malformed_design_block_rejected(self, tmp_path, block, message):
         path = tmp_path / "bad.json"
         path.write_text('{"design": %s}' % block)
         with pytest.raises(ConfigurationError, match=message):
             load_config(path)
+
+    def test_config_flat_design_values_are_checked(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"delta": "a"}')
+        with pytest.raises(ConfigurationError, match="design setting 'delta' must be a number"):
+            load_config(path)
+
+    def test_config_alpha_M_may_be_null(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text('{"design": {"delta": 0.04, "epsilon": 0.01, "alpha_M": null}}')
+        assert load_config(path).design.alpha_M == 0.5

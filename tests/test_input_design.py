@@ -14,9 +14,11 @@ from subvarid.errors import (
     ConfigurationError,
     DesignFailureError,
     NearSingularError,
+    NumericOverflowError,
     PlantProtocolError,
 )
 from subvarid.input_design import (
+    DIVERGENCE_FACTOR,
     KAPPA,
     LOOP_COND_LIMIT,
     BorderedPartition,
@@ -811,6 +813,33 @@ class TestClosedLoop:
         errs = np.array([abs(rec.y - rec.y_pred) for rec in recs])
         scale = np.abs(run.y).max()
         assert np.median(errs) < 0.1 * scale
+
+    def test_diverging_loop_stops_at_the_first_output_past_the_limit(self, canonical):
+        """The open-loop unstable benchmark diverges; the loop stops at the
+        first output beyond DIVERGENCE_FACTOR y_M, and the outputs before it
+        stay within the limit."""
+        cfg, est, outputs = DesignConfig(), EstimatorConfig(h=4, t=9), []
+        plant = SimulatedPlant(canonical, NoiseSpec(delta=0.05), np.random.default_rng(18),
+                               x0=np.zeros(4))
+        real_step = plant.step
+        plant.step = lambda u: outputs.append(real_step(u)) or outputs[-1]
+        with pytest.raises(NumericOverflowError, match="the loop diverged") as exc:
+            run_closed_loop(plant, cfg, est, 400, 4, rng=np.random.default_rng(19))
+        limit = DIVERGENCE_FACTOR * cfg.y_M
+        init_len = est.s(1, 1) + est.h + est.t - 1  # dither steps before iteration 0
+        it = len(outputs) - init_len - 1
+        assert f"the output at iteration {it}, {outputs[-1]:.4g}," in str(exc.value)
+        assert abs(outputs[-1]) > limit and np.abs(outputs[init_len:-1]).max() <= limit
+
+    def test_non_finite_output_ends_the_loop(self, running):
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),
+                               x0=np.zeros(4))
+        real_step, steps = plant.step, []
+        # the 29 dither steps, then 11 iterations, then a nan output
+        plant.step = lambda u: steps.append(u) or (math.nan if len(steps) > 40 else real_step(u))
+        with pytest.raises(NumericOverflowError, match="iteration 11, nan, is not within"):
+            run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 100, 4,
+                            rng=np.random.default_rng(21))
 
 
 def fold_windows(run, h: int, t: int):
