@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import reprlib
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -117,12 +120,16 @@ MAX_FAILURE_FRACTION = 0.10
 
 # JSON value types a top-level setting may take, by the type of its default;
 # a JSON true is not an int setting, nor 1 a bool one
-_JSON_KINDS = {bool: bool, int: int, float: (int, float), str: str, tuple: list}
+_JSON_KINDS = {bool: bool, int: int, str: str, tuple: list}
 
 
 @dataclass
 class ExperimentConfig:
-    """One campaign: model, trial count, batch schedule, input mode, noise."""
+    """One campaign: model, trial count, batch schedule, input mode, design bounds.
+
+    Its one noise bound is `design.delta`: the plant's noise, of kind
+    `noise_kind`, is drawn from the box the design stage works against.
+    """
 
     trials: int = 100
     N_schedule: tuple = (10, 20, 40, 80, 160, 320)
@@ -131,7 +138,7 @@ class ExperimentConfig:
     h: int = 4
     t: int = 9
     order: int = 4
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(delta=BENCHMARK_DELTA))
+    noise_kind: str = "uniform"
     design: DesignConfig = field(default_factory=DesignConfig)
     model: Optional[StateSpaceModel] = None
     prestabilize: bool = True
@@ -142,6 +149,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown input_mode {self.input_mode!r}")
         if self.trials < 1 or not self.N_schedule:
             raise ConfigurationError("need at least one trial and one N value")
+        NoiseSpec(self.design.delta, self.noise_kind)  # refuses an unknown kind
 
     def resolved_model(self) -> StateSpaceModel:
         base = self.model if self.model is not None else canonical_model()
@@ -151,52 +159,41 @@ class ExperimentConfig:
         return EstimatorConfig(h=self.h, t=self.t)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "N_schedule": list(self.N_schedule),
-            "input_mode": self.input_mode,
-            "rng_seed": self.rng_seed,
-            "h": self.h,
-            "t": self.t,
-            "order": self.order,
-            "delta": self.noise.delta,
-            "noise_kind": self.noise.kind,
-            "design": asdict(self.design),
-            "prestabilize": self.prestabilize,
-            "workers": self.workers,
-            "model": self.model.to_dict() if self.model is not None else None,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "N_schedule": list(self.N_schedule), "design": asdict(self.design),
+                "model": self.model.to_dict() if self.model is not None else None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Config from the dict `to_dict` writes; omitted settings keep their defaults.
 
+        The five design values live in the `design` block only: a top-level
+        `delta`, `y_M`, `u_M`, `epsilon` or `alpha_M` is an unknown setting.
         An unknown key or a value of the wrong JSON type is a
         ConfigurationError, and so is an N_schedule entry that is not a
-        positive int.  A config without a design block reads the design's
-        five settings from the top level.
+        positive int or a design value that does not fit a finite float.
         """
-        flat_design = ("delta", "y_M", "u_M", "epsilon", "alpha_M")
-        known = {f.name for f in fields(cls)} - {"noise"} | {"noise_kind", *flat_design}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown campaign settings {sorted(unknown)}")
-        design = data.get("design")
-        if design is None:
-            design = {key: data[key] for key in flat_design if key in data}
+        design = data.get("design", {})
         if not isinstance(design, dict):
             raise ConfigurationError("the design block must be a JSON object")
         unknown = set(design) - {f.name for f in fields(DesignConfig)}
         if unknown:
             raise ConfigurationError(f"unknown design settings {sorted(unknown)}")
-        # the design values, and a top-level delta (the noise bound), are JSON
-        # numbers, not bools; alpha_M may also be null
-        top_level = [(key, data[key]) for key in flat_design if key in data]
-        for key, value in [*design.items(), *top_level]:
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    or key == "alpha_M" and value is None):
+        # design values are JSON numbers, not bools, within the float range;
+        # alpha_M may also be null, or the inf that DesignConfig derives at delta 0
+        for key, value in design.items():
+            if key == "alpha_M" and value in (None, math.inf):
+                continue
+            if type(value) not in (int, float):
                 raise ConfigurationError(f"design setting {key!r} must be a number, "
-                                         f"got {value!r}")
+                                         f"got {reprlib.repr(value)}")
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigurationError(f"design setting {key!r} must be a finite float, "
+                                         f"got {reprlib.repr(value)}")
+        design = {key: value if value is None else float(value) for key, value in design.items()}
         settings = {}
         for f in fields(cls):
             if f.name not in data or f.name in ("design", "model"):
@@ -216,9 +213,7 @@ class ExperimentConfig:
             model = random_demo_model()
         elif data.get("model") is not None:
             model = StateSpaceModel.from_dict(data["model"])
-        noise = NoiseSpec(delta=data.get("delta", BENCHMARK_DELTA),
-                          kind=data.get("noise_kind", "uniform"))
-        return cls(model=model, noise=noise, design=DesignConfig(**design), **settings)
+        return cls(model=model, design=DesignConfig(**design), **settings)
 
 
 @dataclass
@@ -297,9 +292,10 @@ def error_curve(run: IdentificationRun, N_schedule, G_star: MarkovMatrix) -> dic
 def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     """One closed-loop trial; noise and dither streams keyed by trial index.
 
-    A ConfigurationError from the loop propagates, since every trial of the
-    campaign would meet it; any other SubvaridError makes this trial a
-    failed one, which the campaign counts against MAX_FAILURE_FRACTION.
+    `mode` ("designed" or "white") goes to the loop as it is.  A
+    ConfigurationError from the loop, an unknown mode among them, propagates,
+    since every trial of the campaign would meet it; any other SubvaridError
+    makes this trial a failed one, counted against MAX_FAILURE_FRACTION.
     """
     model = config.resolved_model()
     est = config.estimator_config()
@@ -314,7 +310,8 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     init_rng = trial_rng(config.rng_seed, trial, stream=2)
 
     init_u = multitone_dither(window - 1, DITHER_AMPLITUDE, init_rng)
-    plant = SimulatedPlant(model, config.noise, plant_rng, x0=np.zeros(model.m))
+    noise = NoiseSpec(config.design.delta, config.noise_kind)
+    plant = SimulatedPlant(model, noise, plant_rng, x0=np.zeros(model.m))
     try:
         run = run_closed_loop(
             plant,
@@ -322,7 +319,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
             est,
             n_iter,
             config.order,
-            mode="designed" if mode == "designed" else "white",
+            mode=mode,
             rng=loop_rng,
             G_star=G_star,
             init_inputs=init_u,
@@ -368,7 +365,8 @@ def _run_trials(config: ExperimentConfig, mode: str):
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # under fork the first submit starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
             results = list(pool.map(_trial_star, [(config, i, mode) for i in range(config.trials)]))
     else:
         results = [run_trial(config, i, mode) for i in range(config.trials)]

@@ -487,10 +487,9 @@ def _data_noise_terms(partition: BorderedPartition, lead: np.ndarray, dL: np.nda
     return F1, F2, (g_dL @ base)[sel]
 
 
-# signs of (w_star, dL) in the four scenarios (+-w_star, +-dL)
-_SCENARIO_SW = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
-_SCENARIO_SP = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-_SCENARIO_SW.flags.writeable = _SCENARIO_SP.flags.writeable = False
+# signs of dL in the two scenarios (w_star, +-dL)
+_SCENARIO_SP = np.array([[1.0], [-1.0]])
+_SCENARIO_SP.flags.writeable = False
 
 
 def build_scenarios(
@@ -504,7 +503,8 @@ def build_scenarios(
     """Worst-case noise scenarios at the probe input, as affine u2 terms.
 
     The scenario vectors are the solutions of the two deviation sub-problems
-    evaluated at the probe corner value; their negations are included.
+    evaluated at the probe corner value: (w_star, dL) and (w_star, -dL).  Their
+    negations give the same parabolas bit for bit and are left out.
     """
     s = partition.s
     alpha = partition.alpha_of(u_probe)
@@ -513,10 +513,10 @@ def build_scenarios(
     sel = slice(s - t, s)
     Fw, cw = _lead_noise_terms(partition, w_star, sel)
     F1, F2, cd = _data_noise_terms(partition, lead, dL, sel)
-    # scenarios (+-w_star, +-dL): negation is exact, so each row equals the
-    # terms of the signed noise, formed on their own, bit for bit
-    sw, sp = _SCENARIO_SW, _SCENARIO_SP
-    return CostAffineForm(F_terms=sw * Fw - sp * F1 - sp * F2, c_terms=sw * cw - sp * cd)
+    # negation is exact, so each row equals the terms of the signed noise,
+    # formed on their own, bit for bit
+    sp = _SCENARIO_SP
+    return CostAffineForm(F_terms=Fw - sp * F1 - sp * F2, c_terms=cw - sp * cd)
 
 
 # ---------------------------------------------------------------------------

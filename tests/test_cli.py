@@ -262,6 +262,11 @@ def run_console(*argv):
     ('{"model": {"A": [[1.0]]}, "trials": 1}', "model lacks B and C"),
     ('{"design": {"y_M": "a"}, "trials": 1}', "design setting 'y_M' must be a number, got 'a'"),
     ('{"design": {"epsilon": "a"}}', "design setting 'epsilon' must be a number, got 'a'"),
+    ('{"delta": 0.02, "trials": 1, "N_schedule": [2]}', "unknown campaign settings ['delta']"),
+    ('{"design": {"y_M": 50.0}, "delta": 0.02, "trials": 1, "N_schedule": [2]}',
+     "unknown campaign settings ['delta']"),
+    pytest.param('{"design": {"y_M": 1%s}, "trials": 1, "N_schedule": [2]}' % ("0" * 400),
+                 "design setting 'y_M' must be a finite float", id="y_M-401-digits"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"

@@ -156,14 +156,12 @@ class TestCampaign:
         assert np.array_equal(a, b)
 
     def test_single_trial_zero_noise_near_exact(self):
-        from subvarid.lti_core import NoiseSpec
         from subvarid.input_design import DesignConfig
 
         config = ExperimentConfig(
             trials=1,
             N_schedule=(5,),
             rng_seed=3,
-            noise=NoiseSpec(delta=0.0),
             design=DesignConfig(delta=0.0, epsilon=1.0, alpha_M=np.inf),
         )
         res = run_trial(config, 0, "designed")
@@ -172,6 +170,67 @@ class TestCampaign:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(input_mode="surprise")
+
+    def test_unknown_noise_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown noise kind 'pink'"):
+            ExperimentConfig(noise_kind="pink")
+
+    def test_plant_noise_is_the_design_box(self, monkeypatch):
+        """The plant draws its noise from the box the design works against."""
+        from subvarid import experiments
+        from subvarid.input_design import DesignConfig, SimulatedPlant
+        from subvarid.lti_core import NoiseSpec
+
+        seen = []
+
+        class RecordingPlant(SimulatedPlant):
+            def __init__(self, model, noise, *args, **kwargs):
+                seen.append(noise)
+                super().__init__(model, noise, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "SimulatedPlant", RecordingPlant)
+        config = ExperimentConfig(trials=1, N_schedule=(2,), noise_kind="gaussian-truncated",
+                                  design=DesignConfig(delta=0.02))
+        assert not run_trial(config, 0, "white").failed
+        assert seen == [NoiseSpec(0.02, "gaussian-truncated")]
+
+    def test_unknown_trial_mode_rejected(self):
+        """A misspelt mode is refused by the loop, not run as white noise."""
+        with pytest.raises(ConfigurationError, match="unknown mode 'desgined'"):
+            run_trial(ExperimentConfig(trials=1, N_schedule=(2,)), 0, "desgined")
+
+    @pytest.mark.parametrize("workers, trials, pool", [(5000, 2, 2), (2, 3, 2)])
+    def test_worker_pool_is_at_most_one_per_trial(self, monkeypatch, workers, trials, pool):
+        """No process starts: the pool is a recorder that maps in this process."""
+        import concurrent.futures
+
+        from subvarid import experiments
+        from subvarid.experiments import TrialResult
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        def stub_trial(config, trial, mode):
+            return TrialResult(trial=trial, mode=mode, errors={}, deviations={},
+                               violations=0, steps=0, infeasible_events=0)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "run_trial", stub_trial)
+        config = ExperimentConfig(trials=trials, workers=workers)
+        assert [r.trial for r in experiments._run_trials(config, "white")] == list(range(trials))
+        assert sizes == [pool]
 
     def test_failed_trial_keeps_its_error(self, monkeypatch):
         from dataclasses import replace
@@ -239,22 +298,25 @@ class TestOutputFiles:
     def test_config_round_trip_keeps_every_design_field(self, tmp_path):
         from subvarid.input_design import DesignConfig
 
-        design = DesignConfig(delta=0.02, y_M=50.0, u_M=4.0, epsilon=0.005, alpha_M=0.4)
         path = tmp_path / "config.json"
-        save_config(ExperimentConfig(design=design), path)
-        assert load_config(path).design == design
-        saved = json.loads(path.read_text())["design"]
-        assert list(saved) == ["delta", "y_M", "u_M", "epsilon", "alpha_M"]
+        # at delta 0 DesignConfig derives alpha_M = inf, which must load back too
+        for design, kind in ((DesignConfig(delta=0.02, y_M=50.0, u_M=4.0, epsilon=0.005,
+                                           alpha_M=0.4), "uniform"),
+                             (DesignConfig(delta=0.0), "gaussian-truncated")):
+            config = ExperimentConfig(design=design, noise_kind=kind)
+            save_config(config, path)
+            assert load_config(path) == config
+            saved = json.loads(path.read_text())
+            assert list(saved["design"]) == ["delta", "y_M", "u_M", "epsilon", "alpha_M"]
+            assert "delta" not in saved and saved["noise_kind"] == kind
 
-    def test_config_without_design_block_reads_flat_keys(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(
-            '{"schema": "subvarid-experiment-v1", "delta": 0.02, "y_M": 50.0, '
-            '"u_M": 4.0, "alpha_M": 0.4, "epsilon": 0.005}'
-        )
-        design = load_config(path).design
-        assert (design.delta, design.y_M, design.u_M, design.alpha_M, design.epsilon) == (
-            0.02, 50.0, 4.0, 0.4, 0.005)
+    @pytest.mark.parametrize("key", ["delta", "y_M", "u_M", "epsilon", "alpha_M"])
+    @pytest.mark.parametrize("design", [None, {"y_M": 50.0}])
+    def test_config_top_level_design_keys_are_unknown(self, key, design):
+        """The design block is the only home of the five design values."""
+        data = {key: 0.02} if design is None else {key: 0.02, "design": design}
+        with pytest.raises(ConfigurationError, match=rf"unknown campaign settings \['{key}'\]"):
+            ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("block, message", [
         ('{"lr0": 0.1}', "lr0"), ("[0.1]", "JSON object"),
@@ -270,10 +332,16 @@ class TestOutputFiles:
         with pytest.raises(ConfigurationError, match=message):
             load_config(path)
 
-    def test_config_flat_design_values_are_checked(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("y_M", 10**400), ("epsilon", 10**400), ("delta", -10**400), ("u_M", float("inf")),
+        ("delta", float("nan")), ("alpha_M", float("-inf")), ("alpha_M", 10**400),
+    ], ids=["y_M-int400", "epsilon-int400", "delta-negint400", "u_M-inf", "delta-nan",
+            "alpha_M-neginf", "alpha_M-int400"])
+    def test_config_design_value_beyond_float_range_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
-        path.write_text('{"delta": "a"}')
-        with pytest.raises(ConfigurationError, match="design setting 'delta' must be a number"):
+        path.write_text(json.dumps({"design": {key: value}}))
+        with pytest.raises(ConfigurationError,
+                           match=f"design setting '{key}' must be a finite float"):
             load_config(path)
 
     def test_config_alpha_M_may_be_null(self, tmp_path):
