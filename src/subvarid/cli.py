@@ -8,22 +8,23 @@ malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
 a refused or non-finite cell; or one too short for the data window; and a
 campaign config, or campaign flags, with a value of the wrong type or out of
 range, and a config that is not a JSON object or has an unknown key, also
-one of the loop settings that are module constants, such as `kappa`; a
+one of the loop settings that are module constants, such as `kappa`, or a
+design block with an `epsilon` not finite and above 0 or an `alpha_M` not
+above 0; a seed (`--seed`, `rng_seed`) that is not an int in [0, 2**63); a
 curves CSV without an N, stat or value column or with a cell that is not a
 number; a model JSON that is not an object, lacks A, B or C or holds a
 ragged, non-finite or 3-D matrix; a noise bound --delta below 0 or nan;
 `simulate --steps` below 1, an `--amplitude` below 0, nan or so large that
 2 x amplitude overflows, or an `--x0` that is not a flat JSON list of
-numbers; `design --y-max` or `--u-max` not finite and above 0, or a
-`--dither` below 0 or not finite; and loop settings the realization cannot
-meet: an order below 1 or above t/2, or a negative iteration count), 2 numeric
-failure (also a `design` run in which every batch was skipped, so no
-estimate was formed; its run CSV is still written; a `design` run whose
-closed loop diverges, an output not finite or beyond 1000 y_M, which writes
-no CSV and in a campaign fails only its trial) or an external plant that
-exits or answers with anything but one finite number, 3 acceptance-threshold
-failure in `report --check` mode, also a gated figure that is not finite or a
-designed slope with fewer than 3 usable N.
+numbers; `design --y-max` or `--u-max` not finite and above 0; and loop
+settings the realization cannot meet: an order below 1 or above t/2, or a
+negative iteration count), 2 numeric failure (also a `design` run in which
+every batch was skipped, so no estimate was formed; its run CSV is still
+written; a `design` run whose closed loop diverges, an output not finite or
+beyond 1000 y_M, which writes no CSV and in a campaign fails only its trial)
+or an external plant that exits or answers with anything but one finite
+number, 3 acceptance-threshold failure in `report --check` mode, also a gated
+figure that is not finite or a designed slope with fewer than 3 usable N.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     OutOfRangeError,
     SubvaridError,
 )
-from .input_design import DITHER_AMPLITUDE, DesignConfig, SimulatedPlant, run_closed_loop
+from .input_design import DesignConfig, SimulatedPlant, run_closed_loop
 from .lti_core import NoiseSpec, SignalLog, StateSpaceModel, markov_true, simulate
 from .subspace_id import EstimatorConfig, estimate_markov_batched, ho_kalman
 
@@ -74,6 +75,7 @@ def _add_model_args(p):
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
+    exp.check_seed(args.seed, "--seed")
     noise = NoiseSpec(delta=args.delta)  # delta 0 draws nothing
     top = np.finfo(float).max / 2  # the draw's range 2 * amplitude must be finite
     if not 0 <= args.amplitude <= top:
@@ -134,6 +136,7 @@ def cmd_deviation(args) -> int:
 
 
 def cmd_design(args) -> int:
+    exp.check_seed(args.seed, "--seed")
     model = _load_model(args) if args.model else exp.running_canonical()
     rng = exp.trial_rng(args.seed, 0, stream=0)
     noise = NoiseSpec(delta=args.delta)
@@ -152,7 +155,6 @@ def cmd_design(args) -> int:
             rng=exp.trial_rng(args.seed, 0, stream=1),
             # an external plant's Markov parameters are unknown unless --model gives them
             G_star=markov_true(model, args.t) if args.model or not args.plant_cmd else None,
-            dither_amplitude=args.dither,
         )
     finally:
         if args.plant_cmd:
@@ -281,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=exp.BENCHMARK_DELTA)
     p.add_argument("--y-max", type=float, default=exp.BENCHMARK_Y_MAX)
     p.add_argument("--u-max", type=float, default=exp.BENCHMARK_U_MAX)
-    p.add_argument("--dither", type=float, default=DITHER_AMPLITUDE)
     p.add_argument("--plant-cmd", help="external line-protocol plant command")
     p.add_argument("--output", default="run_0.csv")
     p.set_defaults(func=cmd_design)

@@ -24,14 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericOverflowError, SubvaridError
-from .input_design import (
-    DITHER_AMPLITUDE,
-    DesignConfig,
-    IdentificationRun,
-    SimulatedPlant,
-    multitone_dither,
-    run_closed_loop,
-)
+from .input_design import DesignConfig, IdentificationRun, SimulatedPlant, run_closed_loop
 from .lti_core import MarkovMatrix, NoiseSpec, StateSpaceModel, markov_true
 from .subspace_id import EstimatorConfig
 
@@ -92,9 +85,9 @@ def lqr_gain(model: StateSpaceModel) -> np.ndarray:
     return np.linalg.solve(model.B.T @ P @ model.B + R, model.B.T @ P @ model.A)
 
 
-def stabilized(model: StateSpaceModel, gain: Optional[np.ndarray] = None) -> StateSpaceModel:
+def stabilized(model: StateSpaceModel) -> StateSpaceModel:
     """Plant as seen through its running regulator: (A - B K, B, C)."""
-    K = lqr_gain(model) if gain is None else np.asarray(gain, dtype=float)
+    K = lqr_gain(model)
     return StateSpaceModel(A=model.A - model.B @ K, B=model.B, C=model.C)
 
 
@@ -103,8 +96,15 @@ def running_canonical() -> StateSpaceModel:
     return stabilized(canonical_model())
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that is not an int in [0, 2**63); name is its flag or setting."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**63):
+        raise ConfigurationError(f"{name} must be an int in [0, 2**63), got {seed!r}")
+
+
 def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed per (campaign seed, trial, stream)."""
+    check_seed(seed)
     if not 0 <= stream < 256:
         raise ConfigurationError("stream id must fit one byte")
     return np.random.Generator(np.random.Philox(key=[seed, (trial << 8) + stream]))
@@ -149,6 +149,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown input_mode {self.input_mode!r}")
         if self.trials < 1 or not self.N_schedule:
             raise ConfigurationError("need at least one trial and one N value")
+        check_seed(self.rng_seed, "rng_seed")
         NoiseSpec(self.design.delta, self.noise_kind)  # refuses an unknown kind
 
     def resolved_model(self) -> StateSpaceModel:
@@ -300,18 +301,12 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     model = config.resolved_model()
     est = config.estimator_config()
     s = est.s(model.n, model.p)
-    window = s + config.h + config.t
-    n_batches = max(config.N_schedule)
-    n_iter = n_batches * s + window
+    # the loop runs until the last scheduled batch's window is complete
+    n_iter = (max(config.N_schedule) + 1) * s + config.h + config.t
     G_star = markov_true(model, config.t)
-
-    plant_rng = trial_rng(config.rng_seed, trial, stream=0)
-    loop_rng = trial_rng(config.rng_seed, trial, stream=1)
-    init_rng = trial_rng(config.rng_seed, trial, stream=2)
-
-    init_u = multitone_dither(window - 1, DITHER_AMPLITUDE, init_rng)
     noise = NoiseSpec(config.design.delta, config.noise_kind)
-    plant = SimulatedPlant(model, noise, plant_rng, x0=np.zeros(model.m))
+    plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0),
+                           x0=np.zeros(model.m))
     try:
         run = run_closed_loop(
             plant,
@@ -320,9 +315,9 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
             n_iter,
             config.order,
             mode=mode,
-            rng=loop_rng,
+            rng=trial_rng(config.rng_seed, trial, stream=1),
             G_star=G_star,
-            init_inputs=init_u,
+            dither_rng=trial_rng(config.rng_seed, trial, stream=2),
         )
     except ConfigurationError:
         raise  # the campaign's configuration is at fault, not this trial

@@ -66,10 +66,12 @@ KAPPA = 0.9
 LOOP_COND_LIMIT = 1e8
 # a batch window whose noise amplification 2 delta s max|alpha| is larger is skipped
 AMPLIFICATION_LIMIT = 5.0
-# a realized model is accepted below this relative one-step prediction error
+# a realized model is accepted below this relative one-step prediction error,
+# taken over the last VALIDATION_STEPS one-step predictions
 VALIDATION_TOL = 0.3
-# peak |u| of the multitone dither that fills the first window
-DITHER_AMPLITUDE = 8.0
+VALIDATION_STEPS = 12
+# peak |u| of the multitone dither that fills the first window, as a share of u_M
+DITHER_SHARE = 0.8
 # an output beyond this multiple of y_M (or not finite) ends the loop as diverged
 DIVERGENCE_FACTOR = 1e3
 
@@ -96,8 +98,12 @@ class DesignConfig:
                 f"delta >= 0 and finite y_M, u_M above 0 required, got delta {self.delta}, "
                 f"y_M {self.y_M} and u_M {self.u_M}"
             )
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigurationError(f"epsilon must be finite and above 0, got {self.epsilon}")
         if self.alpha_M is None:
             self.alpha_M = float(np.sqrt(self.epsilon / self.delta)) if self.delta > 0 else np.inf
+        elif not self.alpha_M > 0:  # inf stays allowed: the value derived at delta 0
+            raise ConfigurationError(f"alpha_M must be above 0, got {self.alpha_M}")
         if self.delta > 0 and self.delta * self.alpha_M**2 > self.epsilon * (1 + 1e-9):
             raise ConfigurationError(
                 "constraint delta * alpha_M^2 <= epsilon is not satisfiable"
@@ -282,8 +288,6 @@ def _interval_intersect(a, b):
 
 def _affine_interval(a: float, b: float, bound: float, current):
     """Intersect current interval with {u : |a + b u| <= bound}."""
-    if current is None:
-        return None
     if abs(b) < 1e-14:
         return current if abs(a) <= bound else None
     lo, hi = sorted(((-bound - a) / b, (bound - a) / b))
@@ -376,8 +380,6 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
             out.append((c0 + 1.0 / hi, np.inf))
         if lo < 0:
             out.append((-np.inf, c0 + 1.0 / lo))
-        if lo == 0 and hi == 0:
-            return []
     else:
         out.append((c0 + 1.0 / hi, c0 + 1.0 / lo))
     return out
@@ -532,8 +534,7 @@ def design_input_step(partition: BorderedPartition, u_intervals: list,
     at the unconstrained optimum when it lies inside, returning the best
     feasible candidate.
     """
-    intervals = [iv for iv in u_intervals if iv is not None]
-    if not intervals:
+    if not u_intervals:
         raise DesignFailureError("empty feasible set handed to design_input_step")
     u2_opt = form.minimizer()
 
@@ -541,10 +542,10 @@ def design_input_step(partition: BorderedPartition, u_intervals: list,
     c0 = partition.c0
     if u2_opt != 0.0:
         u_free = c0 + 1.0 / u2_opt
-        for lo, hi in intervals:
+        for lo, hi in u_intervals:
             if lo - 1e-12 <= u_free <= hi + 1e-12:
                 candidates.append(min(max(u_free, lo), hi))
-    for lo, hi in intervals:
+    for lo, hi in u_intervals:
         for edge in (lo, hi):
             if math.isfinite(edge):
                 candidates.append(edge)
@@ -758,17 +759,17 @@ def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) ->
     return amplitude * u / peak if peak > 0 else u
 
 
-def _validate_model(pred: OutputPredictor, y, u, n_check: int = 12) -> float:
+def _validate_model(pred: OutputPredictor, y, u) -> float:
     """Relative one-step prediction error of a candidate model's predictor.
 
-    Checks the last n_check one-step predictions, or as many as a short
-    history holds (the earliest state window starts at y(0)).  One stacked
+    Checks the last VALIDATION_STEPS one-step predictions, or as many as a
+    short history holds (the earliest state window starts at y(0)).  One stacked
     `estimate_state` call gives x(e-1) at every checked end e; each state
     is advanced once more with u(e-1) to predict y(e).
     """
     model, h = pred.model, pred.h
-    scale = max(float(np.abs(y[-(n_check + h + 1):]).max()), 1.0)
-    ends = np.arange(max(len(y) - n_check, h), len(y))
+    scale = max(float(np.abs(y[-(VALIDATION_STEPS + h + 1):]).max()), 1.0)
+    ends = np.arange(max(len(y) - VALIDATION_STEPS, h), len(y))
     X = pred.estimate_state(y, u, ends)
     y_next = (X @ model.A.T + _as_2d(u)[ends - 1] @ model.B.T) @ model.C[0]
     return float(np.mean(np.abs(y_next - _as_2d(y)[ends, 0]))) / scale
@@ -885,7 +886,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         probe = u_sets[0][1] if math.isfinite(u_sets[0][1]) else u_sets[0][0]
         form = build_scenarios(part, lead, h, t, cfg.delta, probe)
         return design_input_step(part, u_sets, form)
-    except (NearSingularError, EstimationError, np.linalg.LinAlgError, DesignFailureError):
+    except (NearSingularError, np.linalg.LinAlgError, DesignFailureError):
         return None
 
 
@@ -898,19 +899,19 @@ def run_closed_loop(
     mode: str = "designed",
     rng: Optional[np.random.Generator] = None,
     G_star: Optional[MarkovMatrix] = None,
-    init_inputs: Optional[np.ndarray] = None,
-    dither_amplitude: float = DITHER_AMPLITUDE,
+    dither_rng: Optional[np.random.Generator] = None,
 ) -> IdentificationRun:
     """Run Algorithm-1 style closed-loop identification for n_iterations.
 
     Per iteration: fold in completed batches (re-estimating G and realizing
     (A, B, C)), bound the next input by the safety interval, design it (or
     draw it uniformly in `white` mode), apply it to the plant, and record
-    everything.  The initial sequence is either supplied or generated as
-    multitone dither.  The settings are checked before the plant is driven:
-    the realization needs order >= 1 and t >= 2 order Markov blocks, and the
-    dither amplitude must be finite and >= 0.  An output that is not finite or
-    passes DIVERGENCE_FACTOR * y_M raises NumericOverflowError.
+    everything.  The first window, window - 1 inputs, is a multitone dither
+    of peak DITHER_SHARE * u_M drawn from dither_rng (rng when None), so
+    every applied input keeps |u| <= u_M.  The settings are checked before
+    the plant is driven: the realization needs order >= 1 and t >= 2 order
+    Markov blocks.  An output that is not finite or passes
+    DIVERGENCE_FACTOR * y_M raises NumericOverflowError.
     """
     if mode not in ("designed", "white"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -919,25 +920,18 @@ def run_closed_loop(
                                  f"Markov blocks, got order {order} and t = {est_cfg.t}")
     if n_iterations < 0:
         raise ConfigurationError(f"iteration count must be >= 0, got {n_iterations}")
-    if not 0 <= dither_amplitude < math.inf:
-        raise ConfigurationError(
-            f"dither amplitude must be finite and >= 0, got {dither_amplitude}")
     if rng is None:
         rng = np.random.default_rng()
     h, t = est_cfg.h, est_cfg.t
     s = est_cfg.s(1, 1)
-    window = s + h + t
-    if init_inputs is None:
-        init_inputs = multitone_dither(window - 1, dither_amplitude, rng)
-    init_len = len(init_inputs)
-    if init_len < window - 1:
-        raise ConfigurationError(f"initial sequence must hold >= {window - 1} inputs")
+    init_len = s + h + t - 1  # the first window's inputs
+    dither = multitone_dither(init_len, DITHER_SHARE * cfg.u_M, dither_rng or rng)
 
     # y(0..T) and u(0..T-1); u(T), the input being designed, is a 0.0 slot
     y_buf = np.empty(init_len + n_iterations + 1)
     u_buf = np.zeros(init_len + n_iterations + 1)
     y_buf[0] = plant.reset()
-    for k, u0 in enumerate(init_inputs):
+    for k, u0 in enumerate(dither):
         u_buf[k] = float(u0)
         y_buf[k + 1] = plant.step(float(u0))
 

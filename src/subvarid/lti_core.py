@@ -124,17 +124,9 @@ class StateSpaceModel:
         return text
 
     @classmethod
-    def from_json(cls, source) -> "StateSpaceModel":
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            text = str(source)
-            if text.lstrip().startswith("{"):
-                data = json.loads(text)
-            else:
-                with open(text) as fh:
-                    data = json.load(fh)
-        return cls.from_dict(data)
+    def from_json(cls, path) -> "StateSpaceModel":
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

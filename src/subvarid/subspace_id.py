@@ -43,7 +43,6 @@ class EstimatorConfig:
     h: int
     t: int
     N: int = 1
-    cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
         if self.h < 1 or self.t < 1:
@@ -82,6 +81,8 @@ class Realization:
 
 # windows inverted per batched call; bounds memory at O(BATCH_CHUNK s^2)
 BATCH_CHUNK = 256
+# ho_kalman refuses a Hankel whose m-th singular value is at most RANK_TOL times the first
+RANK_TOL = 1e-9
 
 
 @dataclass
@@ -133,7 +134,7 @@ def invert_window(y, u, cfg: EstimatorConfig):
     Raises EstimationError (carrying the condition number) when the skip
     rule drops the window.
     """
-    cond, ok, alpha, lead = window_inverses(y, u, np.array([0]), cfg.h, cfg.t, cfg.cond_limit)
+    cond, ok, alpha, lead = window_inverses(y, u, np.array([0]), cfg.h, cfg.t, DEFAULT_COND_LIMIT)
     if not ok[0]:
         raise _singular_window(0, float(cond[0]))
     return alpha[0], lead[0]
@@ -157,9 +158,9 @@ def estimate_markov_batched(
 
     The windows are stacked, BATCH_CHUNK at a time, and go through
     `window_inverses`: one stacked condition number and one stacked LU
-    inverse.  Windows beyond cond_limit are skipped with a warning and the
-    average renormalized; if every batch degenerates an EstimationError is
-    raised.
+    inverse.  Windows beyond DEFAULT_COND_LIMIT are skipped with a warning
+    and the average renormalized; if every batch degenerates an
+    EstimationError is raised.
     """
     ya, ua = _as_2d(y), _as_2d(u)
     n, p = ya.shape[1], ua.shape[1]
@@ -174,7 +175,7 @@ def estimate_markov_batched(
     for first in range(0, cfg.N, BATCH_CHUNK):
         batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
         starts = s * batch
-        cond, ok, alpha, lead = window_inverses(ya, ua, starts, cfg.h, cfg.t, cfg.cond_limit)
+        cond, ok, alpha, lead = window_inverses(ya, ua, starts, cfg.h, cfg.t, DEFAULT_COND_LIMIT)
         for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
             warnings.warn(
                 f"skipping degenerate batch {i}: {_singular_window(k_i, c_i)}", stacklevel=2
@@ -209,7 +210,7 @@ def _hankel_gather(n: int, p: int, m: int, t: int):
     return rows, cols
 
 
-def ho_kalman(G: MarkovMatrix, m: int, rank_tol: float = 1e-9) -> Realization:
+def ho_kalman(G: MarkovMatrix, m: int) -> Realization:
     """Balanced realization of order m from the Markov blocks of G.
 
     Needs t >= 2m so the shifted Hankel is available.  The singular-value
@@ -224,7 +225,7 @@ def ho_kalman(G: MarkovMatrix, m: int, rank_tol: float = 1e-9) -> Realization:
     rows, cols = _hankel_gather(n, p, m, G.t)
     H, H_shift = G.G[rows, cols]
     U, sv, Vt = np.linalg.svd(H)
-    if sv[0] <= 0 or sv[m - 1] <= rank_tol * sv[0]:
+    if sv[0] <= 0 or sv[m - 1] <= RANK_TOL * sv[0]:
         raise OrderDeficiencyError(
             f"Markov Hankel has numerical rank < {m}", singular_values=sv
         )

@@ -243,7 +243,7 @@ def test_criterion_07_gaussian_error_bound():
 def test_criterion_08_recursive_feasibility():
     t0 = time.time()
     model = running_canonical()
-    est = EstimatorConfig(h=4, t=9, cond_limit=1e8)
+    est = EstimatorConfig(h=4, t=9)
     design = DesignConfig()
     infeasible = 0
     violations = 0
@@ -255,8 +255,6 @@ def test_criterion_08_recursive_feasibility():
         run = run_closed_loop(
             plant, design, est, 250, 4,
             rng=trial_rng(808, trial, 1),
-            init_inputs=None,
-            dither_amplitude=8.0,
         )
         infeasible += run.infeasible_events
         violations += run.violations

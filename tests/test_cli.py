@@ -267,6 +267,12 @@ def run_console(*argv):
      "unknown campaign settings ['delta']"),
     pytest.param('{"design": {"y_M": 1%s}, "trials": 1, "N_schedule": [2]}' % ("0" * 400),
                  "design setting 'y_M' must be a finite float", id="y_M-401-digits"),
+    ('{"design": {"alpha_M": -0.1}, "trials": 1, "N_schedule": [2]}',
+     "alpha_M must be above 0, got -0.1"),
+    ('{"design": {"epsilon": -1}, "trials": 1, "N_schedule": [2]}',
+     "epsilon must be finite and above 0, got -1.0"),
+    ('{"rng_seed": -5, "trials": 1, "N_schedule": [2]}',
+     "rng_seed must be an int in [0, 2**63), got -5"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"
@@ -280,6 +286,7 @@ def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     (["--schedule", "a"], "N_schedule must hold positive ints, got ['a']"),
     (["--schedule", "0"], "N_schedule must hold positive ints, got [0]"),
     (["--trials", "-1"], "need at least one trial"),
+    (["--seed", "-1"], "rng_seed must be an int in [0, 2**63), got -1"),
 ])
 def test_malformed_campaign_flags_are_config_errors(tmp_path, flags, message):
     """The campaign flags pass the checks that a config file passes."""
@@ -472,7 +479,6 @@ def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys)
     (["--iterations", "-5"], "iteration count must be >= 0, got -5"),
     (["--y-max", "nan"], "finite y_M, u_M above 0 required"),
     (["--u-max", "nan"], "finite y_M, u_M above 0 required"),
-    (["--dither", "nan"], "dither amplitude must be finite and >= 0, got nan"),
 ])
 def test_design_settings_are_checked_before_the_loop(tmp_path, flags, message):
     """An order the realization cannot reach from t Markov blocks would skip
@@ -482,6 +488,23 @@ def test_design_settings_are_checked_before_the_loop(tmp_path, flags, message):
     proc = run_console("design", "--seed", "1", *flags, "--output", str(out))
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["design", "--seed", str(2**64)],
+    ["design", "--seed", "-1"],
+])
+def test_seed_outside_the_key_range_is_config_error(tmp_path, argv):
+    """A seed must be an int in [0, 2**63): a negative one raised a ValueError
+    in simulate or keyed an unspecified Philox stream in design, and 2**64
+    overflowed."""
+    out = tmp_path / "out.csv"
+    proc = run_console(*argv, "--output", str(out))
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert f"--seed must be an int in [0, 2**63), got {argv[-1]}" in proc.stderr
     assert not out.exists()
 
 

@@ -90,6 +90,19 @@ class TestTrialRng:
         assert not np.array_equal(a1, b)
         assert not np.array_equal(a1, c)
 
+    def test_seed_range_is_zero_to_two_to_the_63(self):
+        trial_rng(0, 0)
+        trial_rng(2**63 - 1, 0)
+        trial_rng(np.int64(7), 0)
+        for seed in (-1, 2**63, 2**64, 1.5, "3"):
+            with pytest.raises(ConfigurationError, match=r"seed must be an int in \[0, 2\*\*63\)"):
+                trial_rng(seed, 0)
+
+    @pytest.mark.parametrize("seed", [-5, 2**63])
+    def test_config_seed_outside_the_range_is_refused(self, seed):
+        with pytest.raises(ConfigurationError, match=f"rng_seed must be an int .* got {seed}"):
+            ExperimentConfig(rng_seed=seed)
+
 
 class TestConvergenceSlope:
     def test_exact_one_over_N(self):

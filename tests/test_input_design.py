@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from subvarid.errors import (
     PlantProtocolError,
 )
 from subvarid.input_design import (
+    DITHER_SHARE,
     DIVERGENCE_FACTOR,
     KAPPA,
     LOOP_COND_LIMIT,
@@ -77,6 +79,21 @@ class TestDesignConfig:
     def test_inconsistent_alpha_M_rejected(self):
         with pytest.raises(ConfigurationError):
             DesignConfig(delta=0.05, epsilon=0.01, alpha_M=10.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epsilon": -1.0}, "epsilon must be finite and above 0, got -1.0"),
+        ({"epsilon": 0.0}, "epsilon must be finite and above 0, got 0.0"),
+        ({"epsilon": math.inf}, "epsilon must be finite and above 0, got inf"),
+        ({"epsilon": math.nan}, "epsilon must be finite and above 0, got nan"),
+        ({"alpha_M": -0.1}, "alpha_M must be above 0, got -0.1"),
+        ({"alpha_M": 0.0}, "alpha_M must be above 0, got 0.0"),
+        ({"alpha_M": math.nan}, "alpha_M must be above 0, got nan"),
+    ])
+    def test_epsilon_and_alpha_M_must_be_above_0(self, kwargs, message):
+        """A negative alpha_M leaves no conditioning-feasible input, so no step
+        would be designed; a negative epsilon would derive a nan alpha_M."""
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            DesignConfig(**kwargs)
 
 
 class TestBorderedInverse:
@@ -835,6 +852,31 @@ class TestClosedLoop:
         it = len(outputs) - init_len - 1
         assert f"the output at iteration {it}, {outputs[-1]:.4g}," in str(exc.value)
         assert abs(outputs[-1]) > limit and np.abs(outputs[init_len:-1]).max() <= limit
+
+    def test_warm_up_dither_stays_within_its_share_of_u_M(self, running):
+        """The first window's inputs keep the safety bound u_M too: at u_M = 1
+        the dither peaks at DITHER_SHARE = 0.8, and no input passes 1."""
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(22),
+                               x0=np.zeros(4))
+        run = run_closed_loop(plant, DesignConfig(u_M=1.0), EstimatorConfig(h=4, t=9), 40, 4,
+                              rng=np.random.default_rng(23))
+        warm_up = np.abs(run.u[: run.init_len])
+        assert run.init_len == 29 and warm_up.max() <= 0.8
+        assert warm_up.max() == pytest.approx(DITHER_SHARE * 1.0, rel=1e-12)
+        assert np.abs(run.u).max() <= 1.0
+
+    @pytest.mark.parametrize("with_dither_rng", [True, False])
+    def test_default_warm_up_is_the_dither_of_peak_8(self, running, with_dither_rng):
+        """At the default u_M = 10 the first window is multitone_dither(29, 8.0)
+        bit for bit, drawn from dither_rng, or from rng when none is given."""
+        assert DITHER_SHARE * DesignConfig().u_M == 8.0
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(24),
+                               x0=np.zeros(4))
+        extra = {"dither_rng": np.random.default_rng(25)} if with_dither_rng else {}
+        run = run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 0, 4,
+                              rng=np.random.default_rng(26), **extra)
+        want = multitone_dither(29, 8.0, np.random.default_rng(25 if with_dither_rng else 26))
+        assert np.array_equal(run.u, want)
 
     def test_non_finite_output_ends_the_loop(self, running):
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),

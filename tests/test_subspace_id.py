@@ -108,7 +108,7 @@ def oracle_batched(y, u, cfg):
         k = s * i
         L = build_L(ya, ua, k, cfg.h, cfg.t)
         cond = float(np.linalg.cond(L))
-        if not np.isfinite(cond) or cond > cfg.cond_limit:
+        if not np.isfinite(cond) or cond > DEFAULT_COND_LIMIT:
             skipped.append(i)
             continue
         total = total + (lead_outputs(ya, k, cfg.h, cfg.t, s) @ np.linalg.pinv(L))[:, s - r :]
