@@ -99,7 +99,10 @@ def cmd_identify(args) -> int:
     log = SignalLog.from_csv(args.data)
     cfg = EstimatorConfig(h=args.h, t=args.t, N=args.batches)
     G_hat = estimate_markov_batched(log.y, log.u, cfg)
-    out = {"t": G_hat.t, "G": G_hat.G.tolist()}
+    why = G_hat.reason
+    out = {"t": G_hat.t, "G": G_hat.G.tolist(), "batches_used": int((why == "used").sum()),
+           "batches_skipped": {r: np.flatnonzero(why == r).tolist()
+                               for r in sorted(set(why.tolist()) - {"used"})}}
     if args.order:
         real = ho_kalman(G_hat, args.order)
         out.update(

@@ -488,6 +488,8 @@ def emit_summary(designed: ErrorCurves, white: Optional[ErrorCurves] = None,
         if ratio_N in Ns:
             ratio = designed.stat("err_mean", ratio_N) / white.stat("err_mean", ratio_N)
             lines.append(f"designed/white error ratio at N={ratio_N}: {ratio:.4f}")
+        else:
+            lines.append(f"designed/white error ratio: N={ratio_N} is not in the schedule")
         slope_w = usable_slope(white.stats["dev_median"], Ns)
         if slope_w is not None:
             lines.append(f"white deviation slope (log-log): {slope_w:.3f}")

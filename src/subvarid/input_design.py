@@ -49,9 +49,9 @@ from .lti_core import (
 from .subspace_id import (
     EstimatorConfig,
     Realization,
+    batch_terms,
     ho_kalman,
     identification_error,
-    window_inverses,
 )
 
 
@@ -64,8 +64,6 @@ from .subspace_id import (
 KAPPA = 0.9
 # a batch window whose L has a larger 2-norm condition number is skipped
 LOOP_COND_LIMIT = 1e8
-# a batch window whose noise amplification 2 delta s max|alpha| is larger is skipped
-AMPLIFICATION_LIMIT = 5.0
 # a realized model is accepted below this relative one-step prediction error,
 # taken over the last VALIDATION_STEPS one-step predictions
 VALIDATION_TOL = 0.3
@@ -779,11 +777,11 @@ class _BatchFold:
     """The loop's running batch average and the model validated on it.
 
     Batch i is the window starting at i*s; it is folded in once its lead
-    outputs exist.  A window is skipped when `window_inverses` drops it at the
-    loop's LOOP_COND_LIMIT, or when its noise amplification 2 delta s
-    max|alpha| exceeds AMPLIFICATION_LIMIT.  The loop never reads a batch's
-    deviation J, so the fold keeps each regime batch's window and
-    `regime_deviations` solves them all in one stack once the loop ends.
+    outputs exist.  `batch_terms` skips a window beyond the loop's
+    LOOP_COND_LIMIT, or whose noise amplification 2 delta s max|alpha| is too
+    large.  The loop never reads a batch's deviation J, so the fold keeps
+    each regime batch's window and `regime_deviations` solves them all in one
+    stack once the loop ends.
     """
 
     def __init__(self, cfg: DesignConfig, h: int, t: int, s: int, order: int):
@@ -803,26 +801,22 @@ class _BatchFold:
             self._fold(ya, ua, len(self.batches) * s)
 
     def _fold(self, ya, ua, k0: int):
-        cfg, h, t, s = self.cfg, self.h, self.t, self.s
-        cond, ok, alpha, lead = window_inverses(ya, ua, np.array([k0]), h, t, LOOP_COND_LIMIT)
-        used, regime = bool(ok[0]), False
+        h, t, s = self.h, self.t, self.s
+        cond, reason, amp, alpha, lead, term = batch_terms(
+            ya, ua, np.array([k0]), h, t, LOOP_COND_LIMIT, 2.0 * self.cfg.delta * s)
+        used = bool(reason[0] == "used")
         if used:
-            alpha, lead = alpha[0], lead[0, 0]
-            amp = 2.0 * cfg.delta * s * float(np.abs(alpha).max())
-            # skip windows whose noise amplification swamps the estimate
-            used = amp <= AMPLIFICATION_LIMIT
-        if used:
-            self.G_sum += (lead @ alpha)[s - t :]
+            self.G_sum += term[0, 0]
             self.n_used += 1
-            # deviation statistics only where the first-order inverse
-            # perturbation converges (Neumann-series validity)
-            regime = amp <= 0.9
+        # deviation statistics only where the first-order inverse
+        # perturbation converges (Neumann-series validity)
+        regime = used and bool(amp[0] <= 0.9)
         record = BatchRecord(index=len(self.batches), G=self.G_sum / max(self.n_used, 1),
                              J=np.nan, condition_number=float(cond[0]), used=used,
                              regime=regime)
         self.batches.append(record)
         if regime:
-            self.regime_windows.append((record, alpha, lead))
+            self.regime_windows.append((record, alpha[0], lead[0, 0]))
         if not self.n_used:
             return
         self.G_hat = MarkovMatrix(G=(self.G_sum / self.n_used)[None, :], t=t)

@@ -5,15 +5,13 @@ the batched variant averages per-batch estimates with batch i starting at
 k = s*i.  Every estimator window goes through `window_inverses` (gather L and
 the lead outputs, invert, skip) or its raising one-window form
 `invert_window`, and every data window is inverted by `invert_windows`, under
-one condition-number skip rule.
+one condition-number skip rule.  Both batch averages fold `batch_terms`.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +81,8 @@ class Realization:
 BATCH_CHUNK = 256
 # ho_kalman refuses a Hankel whose m-th singular value is at most RANK_TOL times the first
 RANK_TOL = 1e-9
-
-
-@dataclass
-class BatchDiagnostics:
-    """Bookkeeping from a batched estimation run."""
-
-    used: int = 0
-    skipped: list = field(default_factory=list)
-    condition_numbers: list = field(default_factory=list)
+# a batch window whose noise amplification amp_scale * max|alpha| is larger is skipped
+AMPLIFICATION_LIMIT = 5.0
 
 
 def invert_windows(L: np.ndarray, cond_limit: float):
@@ -121,13 +112,6 @@ def window_inverses(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float)
     return cond, ok, alpha, lead_outputs(y, starts, h, t, L.shape[-1])[ok]
 
 
-def _singular_window(k, cond: float) -> EstimationError:
-    return EstimationError(
-        f"data matrix at k={k} is numerically singular (cond={cond:.3e})",
-        condition_number=cond,
-    )
-
-
 def invert_window(y, u, cfg: EstimatorConfig):
     """(alpha, lead) of the window at start 0, by `window_inverses`.
 
@@ -136,7 +120,8 @@ def invert_window(y, u, cfg: EstimatorConfig):
     """
     cond, ok, alpha, lead = window_inverses(y, u, np.array([0]), cfg.h, cfg.t, DEFAULT_COND_LIMIT)
     if not ok[0]:
-        raise _singular_window(0, float(cond[0]))
+        raise EstimationError(f"data matrix at k=0 is numerically singular "
+                              f"(cond={cond[0]:.3e})", condition_number=float(cond[0]))
     return alpha[0], lead[0]
 
 
@@ -151,16 +136,44 @@ def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
     return MarkovMatrix(G=lead @ alpha[:, -r:], t=cfg.t)
 
 
-def estimate_markov_batched(
-    y, u, cfg: EstimatorConfig, diagnostics: Optional[BatchDiagnostics] = None
-) -> MarkovMatrix:
+def batch_terms(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float,
+                amp_scale: float = 0.0):
+    """The one batch skip rule and the per-batch terms of a batch average.
+
+    Every window at starts goes through `window_inverses` once.  A window is
+    skipped for "cond" when the condition-number rule drops it, and for
+    "amplification" when its noise amplification amp_scale * max|alpha|
+    exceeds AMPLIFICATION_LIMIT; the others are "used".  The estimator
+    passes amp_scale 0, the closed loop 2 delta s.  Returns (cond, reason,
+    amp, alpha, lead, term): the condition number and reason of every window,
+    then the amplification, inverse, lead outputs and term lead @ alpha[:, :,
+    s - t p:] of the used windows only, in start order.
+    """
+    cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, cond_limit)
+    amp = amp_scale * np.abs(alpha).max(axis=(1, 2))
+    keep = amp <= AMPLIFICATION_LIMIT
+    reason = np.where(ok, "amplification", "cond")
+    reason[np.flatnonzero(ok)[keep]] = "used"
+    alpha, lead, r = alpha[keep], lead[keep], t * _as_2d(u).shape[1]
+    return cond, reason, amp[keep], alpha, lead, lead @ alpha[:, :, -r:]
+
+
+@dataclass(frozen=True)
+class BatchedMarkov(MarkovMatrix):
+    """A batch-averaged G(t) with the condition number and reason of every batch."""
+
+    cond: np.ndarray
+    reason: np.ndarray
+
+
+def estimate_markov_batched(y, u, cfg: EstimatorConfig) -> BatchedMarkov:
     """Average of per-batch estimates lead L^{-1} over N batches.
 
     The windows are stacked, BATCH_CHUNK at a time, and go through
-    `window_inverses`: one stacked condition number and one stacked LU
-    inverse.  Windows beyond DEFAULT_COND_LIMIT are skipped with a warning
-    and the average renormalized; if every batch degenerates an
-    EstimationError is raised.
+    `batch_terms`: one stacked condition number and one stacked LU inverse.
+    Windows beyond DEFAULT_COND_LIMIT are skipped with reason "cond" and the
+    average renormalized; if every batch degenerates an EstimationError is
+    raised, carrying the largest condition number.
     """
     ya, ua = _as_2d(y), _as_2d(u)
     n, p = ya.shape[1], ua.shape[1]
@@ -168,31 +181,19 @@ def estimate_markov_batched(
         raise ConfigurationError(
             f"need {cfg.samples_needed(n, p)} samples for {cfg.N} batches, got {len(ya)}"
         )
-    s, r = cfg.s(n, p), cfg.r(p)
-    total = np.zeros((n, r))
-    used = 0
-    worst_cond = 0.0
+    total, parts = np.zeros((n, cfg.r(p))), []
     for first in range(0, cfg.N, BATCH_CHUNK):
-        batch = np.arange(first, min(first + BATCH_CHUNK, cfg.N))
-        starts = s * batch
-        cond, ok, alpha, lead = window_inverses(ya, ua, starts, cfg.h, cfg.t, DEFAULT_COND_LIMIT)
-        for i, k_i, c_i in zip(batch[~ok], starts[~ok], cond[~ok]):
-            warnings.warn(
-                f"skipping degenerate batch {i}: {_singular_window(k_i, c_i)}", stacklevel=2
-            )
-            worst_cond = max(worst_cond, float(c_i))
-        total += (lead @ alpha[:, :, s - r :]).sum(axis=0)
-        used += int(ok.sum())
-        if diagnostics is not None:
-            diagnostics.skipped.extend(int(i) for i in batch[~ok])
-            diagnostics.condition_numbers.extend(float(c) for c in cond[ok])
+        starts = cfg.s(n, p) * np.arange(first, min(first + BATCH_CHUNK, cfg.N))
+        cond, reason, _, _, _, term = batch_terms(ya, ua, starts, cfg.h, cfg.t,
+                                                  DEFAULT_COND_LIMIT)
+        total += term.sum(axis=0)
+        parts.append((cond, reason))
+    cond, reason = map(np.concatenate, zip(*parts))
+    used = int((reason == "used").sum())
     if used == 0:
-        raise EstimationError(
-            f"all {cfg.N} batches numerically degenerate", condition_number=worst_cond
-        )
-    if diagnostics is not None:
-        diagnostics.used = used
-    return MarkovMatrix(G=total / used, t=cfg.t)
+        raise EstimationError(f"all {cfg.N} batches numerically degenerate",
+                              condition_number=float(cond.max()))
+    return BatchedMarkov(G=total / used, t=cfg.t, cond=cond, reason=reason)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,7 @@ def test_identify_round_trip(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["t"] == 9
     assert len(data["G"][0]) == 9
+    assert data["batches_used"] == 1 and data["batches_skipped"] == {}
     assert np.asarray(data["A"]).shape == (4, 4)
     # noise-free data: estimate matches the truth
     from subvarid.experiments import running_canonical
@@ -87,6 +89,26 @@ def test_identify_round_trip(tmp_path, capsys):
 
     G_star = markov_true(running_canonical(), 9)
     assert np.abs(np.asarray(data["G"]) - G_star.G).max() < 1e-6
+
+
+def test_identify_reports_the_batches_it_skipped(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", "200", "--prestabilized", "--delta", "0.01",
+          "--seed", "4", "--output", str(sig)])
+    lines = sig.read_text().splitlines()
+    # rows 0-39 all zero: the first batches' windows are singular
+    lines[1:41] = [f"{k},0,0" for k in range(40)]
+    sig.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a skipped batch is reported, not warned
+        code = main(["identify", str(sig), "--batches", "10", "--t", "5"])
+    assert code == EXIT_OK
+    out = capsys.readouterr()
+    data = json.loads(out.out)
+    assert out.err == ""
+    assert data["batches_skipped"]["cond"][:2] == [0, 1]
+    assert data["batches_used"] == 10 - len(data["batches_skipped"]["cond"])
 
 
 def test_deviation_outputs_json(tmp_path, capsys):

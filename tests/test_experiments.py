@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,20 @@ class TestOutputFiles:
         text = emit_summary(designed, white, ratio_N=10)
         assert "error ratio" in text
         assert "not implemented" in text
+
+    def test_summary_says_when_the_ratio_N_is_not_scheduled(self, small_campaign):
+        _, designed, white = small_campaign
+        text = emit_summary(designed, white, ratio_N=7)
+        assert "designed/white error ratio: N=7 is not in the schedule" in text
+        assert "error ratio at" not in text
+
+    @pytest.mark.parametrize("mode", ["designed", "white_noise"])
+    def test_two_workers_give_the_same_trials(self, mode):
+        config = ExperimentConfig(trials=2, N_schedule=(10, 20), rng_seed=20240515,
+                                  input_mode=mode)
+        one, two = run_campaign(config), run_campaign(replace(config, workers=2))
+        assert [repr(r) for r in one.raw] == [repr(r) for r in two.raw]
+        assert repr(one.stats) == repr(two.stats)
 
     def test_config_round_trip(self, tmp_path):
         config = ExperimentConfig(trials=7, N_schedule=(4, 8), rng_seed=11)

@@ -46,12 +46,13 @@ from subvarid.lti_core import (
     StateSpaceModel,
     build_L,
     extended_observability,
+    lead_outputs,
     markov_true,
     simulate,
     toeplitz_T,
     window_gather,
 )
-from subvarid.subspace_id import EstimatorConfig, ho_kalman, window_inverses
+from subvarid.subspace_id import EstimatorConfig, ho_kalman, invert_windows, window_inverses
 
 from conftest import CANONICAL_A, CANONICAL_B, CANONICAL_C, random_minimal_model
 
@@ -949,6 +950,58 @@ class TestDeferredDeviation:
         # 0.0 until the first regime batch is folded
         first = windows[0][3]
         assert first > 0 and not got[:first].any()
+
+
+def oracle_fold(run, cfg, h: int, t: int):
+    """(used, regime, condition number, running G) of each batch of a run.
+
+    Recomputed from the run's stored buffers, one window at a time: batch i
+    is the window at i*s, skipped when `invert_windows` drops it at
+    LOOP_COND_LIMIT or when 2 delta s max|alpha| > 5, and in the regime when
+    that amplification is at most 0.9.
+    """
+    s = 2 * h + t
+    G_sum, n_used, out = np.zeros(t), 0, []
+    for i in range(len(run.batches)):
+        cond, ok, alpha = invert_windows(build_L(run.y, run.u, s * i, h, t)[None],
+                                         LOOP_COND_LIMIT)
+        amp = 2.0 * cfg.delta * s * np.abs(alpha).max() if ok[0] else math.inf
+        used = bool(ok[0]) and amp <= 5.0
+        if used:
+            G_sum += (lead_outputs(run.y, s * i, h, t, s)[0] @ alpha[0])[s - t :]
+            n_used += 1
+        out.append((used, used and amp <= 0.9, float(cond[0]), G_sum / max(n_used, 1)))
+    return out
+
+
+class TestBatchFoldOracle:
+    """Every batch record of a run, recomputed from its stored y and u."""
+
+    @staticmethod
+    def check(run, cfg, h, t):
+        s = 2 * h + t
+        # the last fold sees the outputs up to the last designed input
+        assert len(run.batches) == (len(run.y) - 1 - h - t) // s
+        for b, (used, regime, cond, G) in zip(run.batches, oracle_fold(run, cfg, h, t)):
+            assert (b.used, b.regime, b.condition_number) == (used, regime, cond)
+            assert np.array_equal(b.G, G)
+        return [b for b in run.batches if not b.used]
+
+    def test_both_arms_match_the_oracle(self, loop_run):
+        run, cfg, h, t = loop_run
+        self.check(run, cfg, h, t)
+        assert any(b.regime for b in run.batches)
+
+    def test_a_run_that_skips_matches_the_oracle(self, running):
+        # a small u_M keeps the inputs small, so some windows amplify the noise
+        # past the limit (one by 5.32 against 5) and others stay below it
+        h, t, cfg = 4, 9, DesignConfig(u_M=1.0)
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16),
+                               x0=np.zeros(4))
+        run = run_closed_loop(plant, cfg, EstimatorConfig(h=h, t=t), 200, 4, mode="white",
+                              rng=np.random.default_rng(17))
+        skipped = self.check(run, cfg, h, t)
+        assert len(skipped) == 3 and len(run.batches) == 12
 
 
 class TestLineProtocolPlant:

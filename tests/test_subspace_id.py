@@ -18,10 +18,11 @@ from subvarid.lti_core import (
     simulate,
 )
 from subvarid.subspace_id import (
+    AMPLIFICATION_LIMIT,
     BATCH_CHUNK,
-    BatchDiagnostics,
     EstimatorConfig,
     _hankel_gather,
+    batch_terms,
     estimate_markov_batched,
     estimate_markov_noise_free,
     ho_kalman,
@@ -98,7 +99,7 @@ class TestNoiseFreeEstimator:
 
 def oracle_batched(y, u, cfg):
     """The earlier per-batch loop: np.linalg.cond, then lead @ pinv(L), last
-    t*p columns.  Returns (average or None, skipped indices, used conds)."""
+    t*p columns.  Returns (average or None, skipped indices, every cond)."""
     ya = np.asarray(y, dtype=float).reshape(len(y), -1)
     ua = np.asarray(u, dtype=float).reshape(len(u), -1)
     n, p = ya.shape[1], ua.shape[1]
@@ -108,12 +109,13 @@ def oracle_batched(y, u, cfg):
         k = s * i
         L = build_L(ya, ua, k, cfg.h, cfg.t)
         cond = float(np.linalg.cond(L))
+        conds.append(cond)
         if not np.isfinite(cond) or cond > DEFAULT_COND_LIMIT:
             skipped.append(i)
             continue
         total = total + (lead_outputs(ya, k, cfg.h, cfg.t, s) @ np.linalg.pinv(L))[:, s - r :]
-        conds.append(cond)
-    G = total / len(conds) if conds else None
+    used = cfg.N - len(skipped)
+    G = total / used if used else None
     return G, skipped, conds
 
 
@@ -230,19 +232,66 @@ class TestWindowInverses:
             assert np.array_equal(l, lead_outputs(y, int(k), h, t, s))
 
 
+class TestBatchTerms:
+    """The one batch skip rule and per-batch term, shared by the estimator and the loop."""
+
+    def record(self, n, p, h=2, t=3, seed=70):
+        rng = np.random.default_rng(seed)
+        s = n * h + p * (h + t)
+        starts = s * np.arange(6)
+        y = rng.normal(size=(starts[-1] + s + h + t, n))
+        u = rng.normal(size=(starts[-1] + s + h + t, p))
+        y[2 * s : 3 * s] = u[2 * s : 3 * s] = 0.0  # batch 2 is singular
+        return y, u, starts, h, t, s
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2)])
+    def test_zero_scale_keeps_every_window_the_cond_rule_keeps(self, n, p):
+        y, u, starts, h, t, s = self.record(n, p)
+        cond_b, reason, amp, alpha_b, lead_b, term = batch_terms(y, u, starts, h, t,
+                                                                 DEFAULT_COND_LIMIT)
+        cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        assert np.array_equal(cond_b, cond)
+        assert reason.tolist() == ["used" if keep else "cond" for keep in ok]
+        assert reason[2] == "cond" and np.all(amp == 0.0)
+        assert np.array_equal(alpha_b, alpha) and np.array_equal(lead_b, lead)
+        assert np.array_equal(term, lead @ alpha[:, :, s - t * p :])
+
+    def test_amplification_skips_and_reports_each_used_window(self):
+        y, u, starts, h, t, s = self.record(1, 1)
+        _, ok, alpha, _ = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        peaks = np.abs(alpha).max(axis=(1, 2))
+        # a scale that puts the limit between the two smallest peaks
+        scale = 2 * AMPLIFICATION_LIMIT / (np.sort(peaks)[0] + np.sort(peaks)[1])
+        _, reason, amp_b, alpha, lead, term = batch_terms(y, u, starts, h, t,
+                                                          DEFAULT_COND_LIMIT, scale)
+        amp = scale * peaks
+        expect = np.full(len(starts), "cond", dtype=object)
+        expect[ok] = np.where(amp <= AMPLIFICATION_LIMIT, "used", "amplification")
+        assert reason.tolist() == expect.tolist()
+        assert (reason == "used").sum() == 1
+        assert np.array_equal(amp_b, amp[amp <= AMPLIFICATION_LIMIT])
+        assert len(alpha) == len(lead) == len(term) == 1
+
+    def test_siso_term_is_bit_identical_to_the_vector_form(self):
+        # the closed loop's earlier per-window term, (lead @ alpha)[s - t:]
+        y, u, starts, h, t, s = self.record(1, 1, h=4, t=9, seed=71)
+        _, _, _, alphas, leads, terms = batch_terms(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        assert len(terms) == len(starts) - 1
+        for alpha, lead, term in zip(alphas, leads, terms):
+            assert np.array_equal(term[0], (lead[0] @ alpha)[s - t :])
+
+
 class TestBatchedEstimatorOracle:
     def compare(self, y, u, cfg):
-        diag = BatchDiagnostics()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            G = estimate_markov_batched(y, u, cfg, diagnostics=diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a skipped batch is a reason, not a warning
+            G = estimate_markov_batched(y, u, cfg)
         G_ref, skipped, conds = oracle_batched(y, u, cfg)
         assert np.abs(G.G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
-        assert diag.skipped == skipped
-        assert diag.used == cfg.N - len(skipped)
-        assert len([w for w in caught if "degenerate" in str(w.message)]) == len(skipped)
-        assert np.allclose(diag.condition_numbers, conds, rtol=1e-10, atol=0.0)
-        return diag
+        assert np.flatnonzero(G.reason != "used").tolist() == skipped
+        assert set(G.reason[skipped].tolist()) <= {"cond"}
+        assert np.allclose(G.cond, conds, rtol=1e-10, atol=0.0)
+        return G
 
     def test_multi_output_multi_input(self):
         rng = np.random.default_rng(30)
@@ -255,16 +304,17 @@ class TestBatchedEstimatorOracle:
         model = random_minimal_model(rng, 2, n=2, p=2)
         cfg = EstimatorConfig(h=1, t=2, N=BATCH_CHUNK + 7)
         zero = (3, BATCH_CHUNK - 1, BATCH_CHUNK + 2)
-        diag = self.compare(*noisy_mimo_record(rng, cfg, model, zero_batches=zero), cfg)
+        G = self.compare(*noisy_mimo_record(rng, cfg, model, zero_batches=zero), cfg)
         # a zeroed window also flattens part of the next one
-        assert set(zero) <= set(diag.skipped) and diag.used > BATCH_CHUNK - 10
+        skipped = np.flatnonzero(G.reason == "cond")
+        assert set(zero) <= set(skipped.tolist()) and len(skipped) < 10
+        assert np.all(G.cond[list(zero)] == np.inf)
 
     def test_all_zero_record_reports_infinite_condition(self):
         cfg = EstimatorConfig(h=1, t=2, N=3)
         T = cfg.samples_needed(2, 2)
-        with pytest.warns(UserWarning, match=r"cond=inf"):
-            with pytest.raises(EstimationError) as err:
-                estimate_markov_batched(np.zeros((T, 2)), np.zeros((T, 2)), cfg)
+        with pytest.raises(EstimationError, match="all 3 batches") as err:
+            estimate_markov_batched(np.zeros((T, 2)), np.zeros((T, 2)), cfg)
         assert err.value.condition_number == np.inf
 
 
@@ -307,7 +357,7 @@ class TestBatchedEstimator:
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
 
-    def test_degenerate_batch_skipped_with_warning(self):
+    def test_degenerate_batch_skipped_with_reason(self):
         rng = np.random.default_rng(7)
         model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
         cfg = EstimatorConfig(h=1, t=1, N=3)
@@ -320,10 +370,10 @@ class TestBatchedEstimator:
         s = cfg.s(1, 1)
         u[s : 2 * s + 2] = 0.0
         y[s : 2 * s + 2] = 0.0
-        diag = BatchDiagnostics()
-        with pytest.warns(UserWarning, match="degenerate"):
-            estimate_markov_batched(y, u, cfg, diagnostics=diag)
-        assert diag.skipped and diag.used == cfg.N - len(diag.skipped)
+        G = estimate_markov_batched(y, u, cfg)
+        # the zeroed samples also reach into batch 2's window
+        assert G.reason.tolist() == ["used", "cond", "cond"]
+        assert G.cond[1] == np.inf and np.isfinite(G.cond[0])
 
     def test_all_batches_degenerate_raises(self):
         cfg = EstimatorConfig(h=1, t=1, N=2)
