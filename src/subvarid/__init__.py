@@ -52,6 +52,7 @@ from .input_design import (
 from .experiments import (
     ErrorCurves,
     ExperimentConfig,
+    campaign_figures,
     canonical_model,
     convergence_slope,
     emit_csv,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .lti_core import window_gather
+from .errors import ConfigurationError, NumericOverflowError
+from .lti_core import check_bound, window_gather
 from .subspace_id import EstimatorConfig, invert_window
 
 
@@ -329,10 +329,10 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float) -> Deviati
     output channels, which decouple), J2 the inverse-perturbation term; both
     noise boxes have half-width 2*delta (difference of two admissible
     realizations).  Sub-solvers are exact up to the enumeration limit and
-    relaxed-with-rounding beyond it.
+    relaxed-with-rounding beyond it.  A J that overflows a float raises
+    NumericOverflowError.
     """
-    if not delta >= 0:  # also refuses nan
-        raise ConfigurationError(f"noise bound delta must be >= 0, got {delta}")
+    check_bound(delta, "noise bound delta")
     alpha, lead = invert_window(y_star, u_star, cfg)
     n, s = lead.shape
 
@@ -344,8 +344,11 @@ def max_deviation(y_star, u_star, cfg: EstimatorConfig, delta: float) -> Deviati
     J2, p_star, gap2, method2 = solve_box_qp(C2 @ C2.T, delta)
 
     method = "exact" if method1 == method2 == "exact" else "relaxed"
+    J = float(np.sqrt(J1 + J2))
+    if not np.isfinite(J):
+        raise NumericOverflowError(f"the deviation J overflowed at noise bound delta {delta}")
     return DeviationResult(
-        J=float(np.sqrt(J1 + J2)),
+        J=J,
         J1=float(J1),
         J2=float(J2),
         w_star=w_star,

@@ -19,7 +19,7 @@ import math
 import reprlib
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -155,9 +155,6 @@ class ExperimentConfig:
     def resolved_model(self) -> StateSpaceModel:
         base = self.model if self.model is not None else canonical_model()
         return stabilized(base) if self.prestabilize else base
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(h=self.h, t=self.t)
 
     def to_dict(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
@@ -299,7 +296,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     makes this trial a failed one, counted against MAX_FAILURE_FRACTION.
     """
     model = config.resolved_model()
-    est = config.estimator_config()
+    est = EstimatorConfig(h=config.h, t=config.t)
     s = est.s(model.n, model.p)
     # the loop runs until the last scheduled batch's window is complete
     n_iter = (max(config.N_schedule) + 1) * s + config.h + config.t
@@ -308,32 +305,19 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0),
                            x0=np.zeros(model.m))
     try:
-        run = run_closed_loop(
-            plant,
-            config.design,
-            est,
-            n_iter,
-            config.order,
-            mode=mode,
-            rng=trial_rng(config.rng_seed, trial, stream=1),
-            G_star=G_star,
-            dither_rng=trial_rng(config.rng_seed, trial, stream=2),
-        )
+        run = run_closed_loop(plant, config.design, est, n_iter, config.order, mode=mode,
+                              rng=trial_rng(config.rng_seed, trial, stream=1), G_star=G_star,
+                              dither_rng=trial_rng(config.rng_seed, trial, stream=2))
     except ConfigurationError:
         raise  # the campaign's configuration is at fault, not this trial
     except SubvaridError as exc:
         return TrialResult(trial=trial, mode=mode, errors={}, deviations={},
                            violations=0, steps=0, infeasible_events=0, failed=True,
                            error=f"{type(exc).__name__}: {exc}")
-    return TrialResult(
-        trial=trial,
-        mode=mode,
-        errors=error_curve(run, config.N_schedule, G_star),
-        deviations=deviation_curve(run, config.N_schedule, mode),
-        violations=run.violations,
-        steps=len(run.iterations),
-        infeasible_events=run.infeasible_events,
-    )
+    return TrialResult(trial=trial, mode=mode, errors=error_curve(run, config.N_schedule, G_star),
+                       deviations=deviation_curve(run, config.N_schedule, mode),
+                       violations=run.violations, steps=len(run.iterations),
+                       infeasible_events=run.infeasible_events)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +415,10 @@ def emit_trials_csv(curves_list, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "N", "mode", "dG", "J"])
-        for curves in curves_list:
-            for r in curves.raw:
-                if r.failed:
-                    continue
-                for N in curves.N_values:
-                    writer.writerow(
-                        [
-                            r.trial,
-                            N,
-                            r.mode,
-                            format(r.errors.get(N, np.nan), ".17g"),
-                            format(r.deviations.get(N, np.nan), ".17g"),
-                        ]
-                    )
+        writer.writerows([r.trial, N, r.mode, format(r.errors.get(N, np.nan), ".17g"),
+                          format(r.deviations.get(N, np.nan), ".17g")]
+                         for curves in curves_list for r in curves.raw if not r.failed
+                         for N in curves.N_values)
 
 
 def parse_curves_csv(path) -> dict:
@@ -467,32 +441,80 @@ def parse_curves_csv(path) -> dict:
     return out
 
 
-def emit_summary(designed: ErrorCurves, white: Optional[ErrorCurves] = None,
-                 ratio_N: int = 80) -> str:
-    """Human-readable report with the acceptance-relevant ratios and slopes."""
-    lines = ["campaign summary", "================"]
-    Ns = designed.N_values
-    lines.append(f"N schedule: {Ns}")
-    lines.append("designed-input mean error by N:")
-    for N in Ns:
-        lines.append(f"  N={N:4d}  err_mean={designed.stat('err_mean', N):.6g}  "
-                     f"dev_median={designed.stat('dev_median', N):.6g}")
-    slope = usable_slope(designed.stats["dev_median"], Ns)
-    if slope is not None:
-        lines.append(f"designed deviation slope (log-log): {slope:.3f}")
+# the criteria-5/6 gates: the designed/white error ratio at ratio_N is below
+# RATIO_GATE, the designed deviation slope at most DESIGNED_SLOPE_GATE, and
+# the white deviation slope within WHITE_SLOPE_GATE
+RATIO_GATE = 0.6
+DESIGNED_SLOPE_GATE = -0.8
+WHITE_SLOPE_GATE = (-0.7, -0.3)
+
+
+class CampaignFigures(NamedTuple):
+    """The gated figures of a campaign; None where one cannot be formed."""
+
+    ratio: Optional[float]           # None: ratio_N is not in both err_mean tables
+    designed_slope: Optional[float]  # None: fewer than 3 usable N
+    white_slope: Optional[float]
+
+    def failed_gates(self, white: bool = True) -> list:
+        """Names of the figures that break their gate; a missing or non-finite
+        figure breaks it.  Without a white arm only the designed slope is gated."""
+        def finite(value):
+            return value is not None and math.isfinite(value)
+
+        low, high = WHITE_SLOPE_GATE
+        gates = {"designed deviation slope": finite(self.designed_slope)
+                 and self.designed_slope <= DESIGNED_SLOPE_GATE}
+        if white:
+            gates["designed/white error ratio"] = finite(self.ratio) and self.ratio < RATIO_GATE
+            gates["white deviation slope"] = (finite(self.white_slope)
+                                              and low <= self.white_slope <= high)
+        return [name for name, ok in gates.items() if not ok]
+
+
+def campaign_figures(designed: dict, white: Optional[dict] = None,
+                     ratio_N: int = 80) -> CampaignFigures:
+    """The gated figures from stat tables (stat -> {N: value}), as
+    `ErrorCurves.stats` and `parse_curves_csv` give them.  Each slope runs over
+    its own table's dev_median; a zero white error gives a ratio of inf."""
+    def slope(table):
+        devs = table.get("dev_median", {})
+        return usable_slope(devs, list(devs))
+
+    white = white or {}
+    d_err, w_err = designed.get("err_mean", {}), white.get("err_mean", {})
+    ratio = None
+    if ratio_N in d_err and ratio_N in w_err:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float(np.divide(d_err[ratio_N], w_err[ratio_N]))
+    return CampaignFigures(ratio, slope(designed), slope(white))
+
+
+def emit_summary(designed: dict, white: Optional[dict] = None, ratio_N: int = 80) -> str:
+    """Human-readable report of stat tables (stat -> {N: value}) and their
+    `campaign_figures`.  The N are those of the designed table; a stat or N
+    that a table lacks prints as nan."""
+    figures = campaign_figures(designed, white, ratio_N)
+    Ns = list(dict.fromkeys(N for by_N in designed.values() for N in by_N))
+
+    def by_N(title, table):
+        return [f"{title} mean error by N:"] + [
+            f"  N={N:4d}  err_mean={table.get('err_mean', {}).get(N, np.nan):.6g}  "
+            f"dev_median={table.get('dev_median', {}).get(N, np.nan):.6g}" for N in Ns]
+
+    def slope_line(arm, slope):
+        shown = "fewer than 3 usable N" if slope is None else f"{slope:.3f}"
+        return f"{arm} deviation slope (log-log): {shown}"
+
+    lines = ["campaign summary", "================", f"N schedule: {Ns}",
+             *by_N("designed-input", designed), slope_line("designed", figures.designed_slope)]
     if white is not None:
-        lines.append("white-noise mean error by N:")
-        for N in Ns:
-            lines.append(f"  N={N:4d}  err_mean={white.stat('err_mean', N):.6g}  "
-                         f"dev_median={white.stat('dev_median', N):.6g}")
-        if ratio_N in Ns:
-            ratio = designed.stat("err_mean", ratio_N) / white.stat("err_mean", ratio_N)
-            lines.append(f"designed/white error ratio at N={ratio_N}: {ratio:.4f}")
-        else:
+        lines += by_N("white-noise", white)
+        if figures.ratio is None:
             lines.append(f"designed/white error ratio: N={ratio_N} is not in the schedule")
-        slope_w = usable_slope(white.stats["dev_median"], Ns)
-        if slope_w is not None:
-            lines.append(f"white deviation slope (log-log): {slope_w:.3f}")
+        else:
+            lines.append(f"designed/white error ratio at N={ratio_N}: {figures.ratio:.4f}")
+        lines.append(slope_line("white", figures.white_slope))
     lines.append(
         "note: the PEM / Fisher-information input-design baseline from the "
         "literature comparison is not implemented here."

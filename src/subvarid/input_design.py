@@ -41,6 +41,7 @@ from .lti_core import (
     StateSpaceModel,
     _as_2d,
     build_L,
+    check_bound,
     extended_controllability,
     extended_observability,
     toeplitz_T,
@@ -48,7 +49,6 @@ from .lti_core import (
 )
 from .subspace_id import (
     EstimatorConfig,
-    Realization,
     batch_terms,
     ho_kalman,
     identification_error,
@@ -91,11 +91,10 @@ class DesignConfig:
     alpha_M: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.delta >= 0 and 0 < self.y_M < math.inf and 0 < self.u_M < math.inf):
+        check_bound(self.delta, "noise bound delta")
+        if not (0 < self.y_M < math.inf and 0 < self.u_M < math.inf):
             raise ConfigurationError(
-                f"delta >= 0 and finite y_M, u_M above 0 required, got delta {self.delta}, "
-                f"y_M {self.y_M} and u_M {self.u_M}"
-            )
+                f"finite y_M, u_M above 0 required, got y_M {self.y_M} and u_M {self.u_M}")
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be finite and above 0, got {self.epsilon}")
         if self.alpha_M is None:
@@ -359,17 +358,15 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
     # base is Y^{-1} bordered by zeros, so its largest |entry| is Y^{-1}'s
     if np.abs(partition.Y_inv).max() > raw:
         return []
+    # the mask holds outer's corner entry R1[-1] R2[-1] = 1
     d = partition.outer.ravel()
     mask = np.abs(d) >= 1e-15
-    if mask.any():
-        b, d = partition.base.ravel()[mask], d[mask]
-        lower, upper = (-raw - b) / d, (raw - b) / d
-        lo = float(np.minimum(lower, upper).max())
-        hi = float(np.maximum(lower, upper).min())
-        if lo > hi:
-            return []
-    else:
-        lo, hi = -np.inf, np.inf
+    b, d = partition.base.ravel()[mask], d[mask]
+    lower, upper = (-raw - b) / d, (raw - b) / d
+    lo = float(np.minimum(lower, upper).max())
+    hi = float(np.maximum(lower, upper).min())
+    if lo > hi:
+        return []
     # map u2 interval [lo, hi] back to u
     c0 = partition.c0
     out = []
@@ -720,8 +717,6 @@ class IdentificationRun:
     batches: list
     y: np.ndarray
     u: np.ndarray
-    G_hat: Optional[MarkovMatrix]
-    realization: Optional[Realization]
     infeasible_events: int
     violations: int
     design_fallbacks: int
@@ -734,17 +729,9 @@ class IdentificationRun:
             writer = csv.writer(fh)
             writer.writerow(["iter", "u", "y", "yhat", "J", "dG", "feasible"])
             for rec in self.iterations:
-                writer.writerow(
-                    [
-                        rec.index,
-                        format(rec.u, ".17g"),
-                        format(rec.y, ".17g"),
-                        format(rec.y_pred, ".17g"),
-                        format(rec.J, ".17g"),
-                        format(rec.dG, ".17g"),
-                        int(rec.feasible),
-                    ]
-                )
+                writer.writerow([rec.index, *(format(v, ".17g") for v in
+                                              (rec.u, rec.y, rec.y_pred, rec.J, rec.dG)),
+                                 int(rec.feasible)])
 
 
 def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) -> np.ndarray:
@@ -790,7 +777,6 @@ class _BatchFold:
         self.n_used = 0
         self.batches: list = []
         self.G_hat: Optional[MarkovMatrix] = None
-        self.accepted: Optional[Realization] = None
         self.predictor: Optional[OutputPredictor] = None
         self.regime_windows: list = []  # (BatchRecord, alpha, lead) of each regime batch
 
@@ -824,7 +810,7 @@ class _BatchFold:
             cand = ho_kalman(self.G_hat, self.order)
             pred = OutputPredictor(cand.A_hat, cand.B_hat, cand.C_hat, self.G_hat, h=h)
             if _validate_model(pred, ya, ua) < VALIDATION_TOL:
-                self.accepted, self.predictor = cand, pred
+                self.predictor = pred
         except (SubvaridError, np.linalg.LinAlgError):
             pass
 
@@ -855,9 +841,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
     predicted window so the designed input does not chase the realized noise.
     """
     tau = len(ua) - 1
-    k0 = tau - (h + t + s - 2)
-    if k0 < 0:
-        return None
+    k0 = tau - (h + t + s - 2)  # >= 1: the loop designs from tau = init_len = s + h + t - 1
     y_design = ya
     if predictor is not None and k0 >= h + t:
         future = np.concatenate([ua[k0:tau], [0.0]])
@@ -869,12 +853,8 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
             # y(tau+1) is still ahead: predict it, or repeat the last output
             last = predictor.predict(ya, ua[:tau], [0.0]) if predictor is not None else lead[-1:]
             lead = np.concatenate([lead, last])
-        u_sets = [
-            iv
-            for cs in conditioning_u_sets(part, cfg)
-            for iv in [_interval_intersect(cs, interval)]
-            if iv is not None
-        ]
+        u_sets = [iv for cs in conditioning_u_sets(part, cfg)
+                  if (iv := _interval_intersect(cs, interval)) is not None]
         if not u_sets:
             return None
         probe = u_sets[0][1] if math.isfinite(u_sets[0][1]) else u_sets[0][0]
@@ -989,8 +969,6 @@ def run_closed_loop(
         batches=fold.batches,
         y=y_buf[: end + 1].copy(),
         u=u_buf[:end].copy(),
-        G_hat=fold.G_hat,
-        realization=fold.accepted,
         infeasible_events=infeasible_events,
         violations=violations,
         design_fallbacks=fallbacks,

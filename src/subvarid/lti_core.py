@@ -129,6 +129,15 @@ class StateSpaceModel:
             return cls.from_dict(json.load(fh))
 
 
+BOUND_MAX = np.finfo(float).max / 2  # a box [-b, b] of this half-width has a finite range
+
+
+def check_bound(value, name: str) -> None:
+    """Refuse a bound that is not a number in [0, BOUND_MAX]; name is its flag or setting."""
+    if not 0 <= value <= BOUND_MAX:  # also refuses nan
+        raise ConfigurationError(f"{name} must be in [0, {BOUND_MAX:.4g}], got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Bounded zero-mean i.i.d. noise description.
@@ -142,8 +151,7 @@ class NoiseSpec:
     kind: str = "uniform"
 
     def __post_init__(self):
-        if not self.delta >= 0:  # also refuses nan
-            raise ConfigurationError(f"noise bound delta must be >= 0, got {self.delta}")
+        check_bound(self.delta, "noise bound delta")
         if self.kind not in ("uniform", "gaussian-truncated"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
 

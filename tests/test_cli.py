@@ -36,13 +36,16 @@ def test_simulate_with_zero_delta_is_noise_free(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--steps", "-3"], "--steps must be >= 1, got -3"),
     (["--steps", "0"], "--steps must be >= 1, got 0"),
-    (["--delta", "-1"], "noise bound delta must be >= 0, got -1.0"),
-    (["--delta", "nan"], "noise bound delta must be >= 0, got nan"),
+    (["--delta", "-1"], "noise bound delta must be in [0, 8.988e+307], got -1.0"),
+    (["--delta", "nan"], "noise bound delta must be in [0, 8.988e+307], got nan"),
     (["--amplitude", "nan"], "--amplitude must be in [0, 8.988e+307], got nan"),
     (["--amplitude", "1e308"], "--amplitude must be in [0, 8.988e+307], got 1e+308"),
     (["--amplitude", "-1"], "--amplitude must be in [0, 8.988e+307], got -1.0"),
     (["--x0", '"a"'], '--x0 must be a JSON list of numbers, got "a"'),
     (["--x0", "[[1,2],[3,4]]"], "--x0 must be a JSON list of numbers, got [[1,2],[3,4]]"),
+    # a noise box of half-width inf or 1e308 has a range 2 delta that overflows
+    (["--delta", "inf"], "noise bound delta must be in [0, 8.988e+307], got inf"),
+    (["--delta", "1e308"], "noise bound delta must be in [0, 8.988e+307], got 1e+308"),
 ])
 def test_simulate_settings_are_checked_before_drawing(tmp_path, capsys, flags, message):
     out = tmp_path / "sig.csv"
@@ -134,7 +137,25 @@ def test_deviation_delta_below_zero_or_nan_is_config_error(tmp_path, capsys, del
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert f"noise bound delta must be >= 0, got {float(delta)}" in captured.err
+    assert f"noise bound delta must be in [0, 8.988e+307], got {float(delta)}" in captured.err
+
+
+@pytest.mark.parametrize("delta, code, message", [
+    ("inf", EXIT_CONFIG, "noise bound delta must be in [0, 8.988e+307], got inf"),
+    ("1e308", EXIT_CONFIG, "noise bound delta must be in [0, 8.988e+307], got 1e+308"),
+    # within the bound, but J = sqrt(J1 + J2) with J1 ~ delta^2 overflows
+    ("1e200", EXIT_NUMERIC, "the deviation J overflowed at noise bound delta 1e+200"),
+])
+def test_deviation_delta_beyond_the_float_range(tmp_path, capsys, delta, code, message):
+    """These exited 0 with "J": Infinity, which is not JSON."""
+    sig = tmp_path / "sig.csv"
+    main(["simulate", "--steps", "60", "--prestabilized", "--amplitude", "8",
+          "--seed", "5", "--output", str(sig)])
+    capsys.readouterr()
+    assert main(["deviation", str(sig), "--delta", delta]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and message in captured.err
 
 
 def test_design_writes_run_csv(tmp_path, capsys):
@@ -147,30 +168,55 @@ def test_design_writes_run_csv(tmp_path, capsys):
     assert len(lines) == 41
 
 
-def test_campaign_and_report_check(tmp_path):
-    prefix = str(tmp_path) + "/"
-    code = main(["campaign", "--trials", "2", "--schedule", "5,10", "--seed", "17",
-                 "--ratio-N", "10", "--prefix", prefix])
-    assert code == EXIT_OK
+@pytest.fixture(scope="module")
+def small_campaign(tmp_path_factory):
+    """A 2-trial campaign on N = 5, 10, its ratio taken at N=10; returns its
+    file prefix and stdout.  Two N cannot form a slope, so the campaign breaks
+    both slope gates whatever its numbers."""
+    prefix = str(tmp_path_factory.mktemp("campaign")) + "/"
+    proc = run_console("campaign", "--trials", "2", "--schedule", "5,10", "--seed", "17",
+                       "--ratio-N", "10", "--prefix", prefix)
+    assert proc.returncode == EXIT_OK
+    return prefix, proc.stdout
+
+
+def test_campaign_and_report_check(small_campaign, capsys):
+    prefix, _ = small_campaign
     for name in ("curves_designed.csv", "curves_white.csv", "trials.csv", "summary.txt"):
-        assert (tmp_path / name).exists()
-    code = main(["report", prefix + "curves_designed.csv",
-                 "--white", prefix + "curves_white.csv", "--ratio-N", "10"])
-    assert code == EXIT_OK
-    # impossible threshold trips the check exit code
-    code = main(["report", prefix + "curves_designed.csv",
-                 "--white", prefix + "curves_white.csv", "--ratio-N", "10",
-                 "--check", "--ratio-threshold", "0.0"])
-    assert code == EXIT_THRESHOLD
+        assert Path(prefix + name).exists()
+    argv = ["report", prefix + "curves_designed.csv", "--white", prefix + "curves_white.csv",
+            "--ratio-N", "10"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "designed/white error ratio at N=10: " in out
+    for arm in ("designed", "white"):
+        assert f"{arm} deviation slope (log-log): fewer than 3 usable N\n" in out
+    assert main([*argv, "--check"]) == EXIT_THRESHOLD
+    err = capsys.readouterr().err
+    assert "gate failed: designed deviation slope\n" in err
+    assert "gate failed: white deviation slope\n" in err
+
+
+def test_report_on_campaign_csvs_prints_its_summary(small_campaign):
+    prefix, stdout = small_campaign
+    proc = run_console("report", prefix + "curves_designed.csv",
+                       "--white", prefix + "curves_white.csv", "--ratio-N", "10")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == Path(prefix + "summary.txt").read_text() == stdout
 
 
 def test_report_slope_skips_nan_and_zero_deviations(tmp_path, capsys):
-    from subvarid.experiments import emit_csv
+    from subvarid.experiments import emit_csv, emit_summary
     from conftest import curves_with_unusable_devs
 
-    emit_csv(curves_with_unusable_devs(), tmp_path / "curves.csv")
+    curves = curves_with_unusable_devs()
+    emit_csv(curves, tmp_path / "curves.csv")
     assert main(["report", str(tmp_path / "curves.csv")]) == EXIT_OK
-    assert capsys.readouterr().out == "designed deviation slope: -1.000\n"
+    out = capsys.readouterr().out
+    assert out == emit_summary(curves.stats) + "\n"
+    assert "designed deviation slope (log-log): -1.000\n" in out
+    # the nan deviation at N=10 is read back from the CSV as nan
+    assert "  N=  10  err_mean=1  dev_median=nan\n" in out
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -182,6 +228,20 @@ def test_empty_file_is_config_error(tmp_path, capsys):
     empty.write_text("")
     assert main(["identify", str(empty)]) == EXIT_CONFIG
     assert "empty file" in capsys.readouterr().err
+
+
+def test_design_reports_its_fallbacks(tmp_path, capsys):
+    """At u_M = 1 every designed step falls back to the uniform draw, so the
+    run is the white one; the summary line says so, and white mode has no count."""
+    runs = {}
+    for flags in (["--u-max", "1"], ["--u-max", "1", "--mode", "white"], []):
+        out = tmp_path / f"run{len(runs)}.csv"
+        assert main(["design", "--seed", "1", *flags, "--output", str(out)]) == EXIT_OK
+        runs[" ".join(flags)] = capsys.readouterr().out, out.read_bytes()
+    assert "batches used=9/15, fallbacks=250/250)" in runs["--u-max 1"][0]
+    assert "fallbacks" not in runs["--u-max 1 --mode white"][0]
+    assert runs["--u-max 1"][1] == runs["--u-max 1 --mode white"][1]
+    assert "batches used=14/15, fallbacks=76/250)" in runs[""][0]
 
 
 def test_campaign_determinism(tmp_path):
@@ -295,6 +355,8 @@ def run_console(*argv):
      "epsilon must be finite and above 0, got -1.0"),
     ('{"rng_seed": -5, "trials": 1, "N_schedule": [2]}',
      "rng_seed must be an int in [0, 2**63), got -5"),
+    ('{"design": {"delta": 1e308}, "trials": 1, "N_schedule": [2]}',
+     "noise bound delta must be in [0, 8.988e+307], got 1e+308"),
 ])
 def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     path = tmp_path / "campaign.json"
@@ -501,6 +563,8 @@ def test_first_order_external_plant_is_identified(tmp_path, monkeypatch, capsys)
     (["--iterations", "-5"], "iteration count must be >= 0, got -5"),
     (["--y-max", "nan"], "finite y_M, u_M above 0 required"),
     (["--u-max", "nan"], "finite y_M, u_M above 0 required"),
+    (["--delta", "inf"], "noise bound delta must be in [0, 8.988e+307], got inf"),
+    (["--delta", "1e308"], "noise bound delta must be in [0, 8.988e+307], got 1e+308"),
 ])
 def test_design_settings_are_checked_before_the_loop(tmp_path, flags, message):
     """An order the realization cannot reach from t Markov blocks would skip
@@ -538,40 +602,69 @@ def test_campaign_order_above_half_t_is_config_error(tmp_path):
     assert "Traceback" not in proc.stderr and "got order 5 and t = 9" in proc.stderr
 
 
-def write_curves(path, white_err=2.0):
-    """A designed and a white curves.csv with a usable designed slope of -1;
-    returns the report arguments that name them."""
+def write_curves(path, white_err=2.0, designed_dev=lambda N: 1 / N,
+                 white_dev=lambda N: N ** -0.5):
+    """A designed and a white curves.csv that pass all three gates as they are
+    (ratio 0.5, designed slope -1, white slope -0.5); returns the report
+    arguments that name them."""
     rows = ["N,mode,stat,value"]
     for N in (10, 20, 40, 80):
-        rows += [f"{N},designed,err_mean,1.0", f"{N},designed,dev_median,{1 / N}"]
+        rows += [f"{N},designed,err_mean,1.0", f"{N},designed,dev_median,{designed_dev(N)}"]
     (path / "designed.csv").write_text("\n".join(rows) + "\n")
     white = ["N,mode,stat,value"] + [f"{N},white,err_mean,{white_err}" for N in (10, 20, 40, 80)]
+    white += [f"{N},white,dev_median,{white_dev(N)}" for N in (10, 20, 40, 80)]
     (path / "white.csv").write_text("\n".join(white) + "\n")
     return [str(path / "designed.csv"), "--white", str(path / "white.csv")]
 
 
 def test_report_check_passes_finite_figures(tmp_path, capsys):
     assert main(["report", *write_curves(tmp_path), "--check"]) == EXIT_OK
-    assert capsys.readouterr().out == (
-        "error ratio designed/white at N=80: 0.5000\ndesigned deviation slope: -1.000\n"
-    )
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for line in ("designed deviation slope (log-log): -1.000",
+                 "designed/white error ratio at N=80: 0.5000",
+                 "white deviation slope (log-log): -0.500"):
+        assert line + "\n" in captured.out
 
 
 @pytest.mark.parametrize("white_err, shown", [("nan", "nan"), ("0", "inf")])
 def test_report_check_fails_a_ratio_that_is_not_finite(tmp_path, capsys, white_err, shown):
     argv = ["report", *write_curves(tmp_path, white_err=white_err)]
     assert main(argv) == EXIT_OK
-    assert f"at N=80: {shown}\n" in capsys.readouterr().out
-    assert main([*argv, "--check", "--ratio-threshold", "1e300"]) == EXIT_THRESHOLD
+    assert f"designed/white error ratio at N=80: {shown}\n" in capsys.readouterr().out
+    assert main([*argv, "--check"]) == EXIT_THRESHOLD
+    assert capsys.readouterr().err == "gate failed: designed/white error ratio\n"
+
+
+@pytest.mark.parametrize("curves, gate", [
+    # ratio 1 / (1 / 0.6) = 0.6 is not below 0.6
+    ({"white_err": 1 / 0.6}, "designed/white error ratio"),
+    # designed slope -0.5 is above -0.8
+    ({"designed_dev": lambda N: N ** -0.5}, "designed deviation slope"),
+    # white slope -1 (a white dev_median falling as 1/N) is below -0.7, 0 above -0.3
+    ({"white_dev": lambda N: 1 / N}, "white deviation slope"),
+    ({"white_dev": lambda N: 0.1}, "white deviation slope"),
+    # a white dev_median that is nan at every N gives no white slope
+    ({"white_dev": lambda N: "nan"}, "white deviation slope"),
+])
+def test_report_check_fails_each_broken_gate(tmp_path, capsys, curves, gate):
+    argv = ["report", *write_curves(tmp_path, **curves)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--check"]) == EXIT_THRESHOLD
+    assert capsys.readouterr().err == f"gate failed: {gate}\n"
 
 
 def test_report_check_fails_without_a_designed_slope(tmp_path, capsys):
     path = tmp_path / "designed.csv"
     path.write_text("N,mode,stat,value\n10,designed,dev_median,0.1\n20,designed,dev_median,nan\n")
     assert main(["report", str(path)]) == EXIT_OK
-    assert capsys.readouterr().out == "nothing to report\n"
+    out = capsys.readouterr().out
+    assert "designed deviation slope (log-log): fewer than 3 usable N\n" in out
+    # the err_mean this CSV lacks prints as nan
+    assert "  N=  20  err_mean=nan  dev_median=nan\n" in out
     assert main(["report", str(path), "--check"]) == EXIT_THRESHOLD
-    assert "fewer than 3 usable N" in capsys.readouterr().out
+    assert capsys.readouterr().err == "gate failed: designed deviation slope\n"
 
 
 @pytest.mark.parametrize("edit, message", [

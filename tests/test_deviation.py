@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from subvarid.deviation import (
     _ascend,
+    _two_flip,
     max_deviation,
     rank_box_max,
     solve_box_qp,
@@ -13,7 +14,7 @@ from subvarid.deviation import (
     window_deviation,
     window_quadratic_factors,
 )
-from subvarid.errors import ConfigurationError
+from subvarid.errors import ConfigurationError, NumericOverflowError
 from subvarid.lti_core import build_L, simulate
 from subvarid.subspace_id import EstimatorConfig, invert_window
 from conftest import CANONICAL_X0, oracle_hankel
@@ -170,6 +171,23 @@ class TestSolveJ1Relaxed:
     def test_zero_matrix(self):
         value, w, gap = solve_j1_relaxed(np.zeros((5, 5)), delta=0.1)
         assert value == 0.0 and gap == 0.0
+
+    def test_two_flip_leaves_a_single_flip_optimum(self):
+        """A rank-2 H with two single-flip optima: from the lower one (8.62)
+        only a pair flip leads on, and `_two_flip` takes it to 14.01."""
+        C = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+        H = C @ C.T
+
+        def single_flip_optimal(sigma):
+            return (4.0 * np.diag(H) - 4.0 * sigma * (H @ sigma)).max() <= 1e-12
+
+        start = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+        assert single_flip_optimal(start)
+        sigma = _two_flip(H, C, start.copy())
+        assert sigma @ H @ sigma > start @ H @ start + 1.0
+        assert single_flip_optimal(sigma)
+        exact, _ = solve_j1_exact(H, delta=0.5)  # the box {-1, 1}^6
+        assert sigma @ H @ sigma <= exact + 1e-12
 
 
 def oracle_j2_hessian(alpha, lead, h, t, n, p):
@@ -498,6 +516,17 @@ class TestMaxDeviation:
         res = max_deviation(y, u, cfg, delta=0.05)
         assert res.J == pytest.approx(np.sqrt(res.J1 + res.J2))
         assert res.J1 >= 0 and res.J2 >= 0
+
+    @pytest.mark.parametrize("delta", [np.inf, 1e308, -1.0, np.nan])
+    def test_bound_outside_the_float_range_is_refused(self, canonical, delta):
+        y, u, cfg = canonical_window(canonical)
+        with pytest.raises(ConfigurationError, match="noise bound delta must be in"):
+            max_deviation(y, u, cfg, delta=delta)
+
+    def test_overflowing_J_is_a_numeric_error(self, canonical):
+        y, u, cfg = canonical_window(canonical)
+        with pytest.raises(NumericOverflowError, match="J overflowed"):
+            max_deviation(y, u, cfg, delta=1e200)
 
     @pytest.mark.parametrize("amp, above_one", [(10.0, False), (0.05, True)])
     def test_amplification_flags_the_first_order_regime(self, canonical, amp, above_one):

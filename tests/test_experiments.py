@@ -11,7 +11,12 @@ from subvarid.experiments import (
     BENCHMARK_U_MAX,
     BENCHMARK_X0,
     BENCHMARK_Y_MAX,
+    DESIGNED_SLOPE_GATE,
+    RATIO_GATE,
+    WHITE_SLOPE_GATE,
+    CampaignFigures,
     ExperimentConfig,
+    campaign_figures,
     canonical_model,
     convergence_slope,
     emit_csv,
@@ -134,9 +139,63 @@ class TestConvergenceSlope:
 
 
 def test_summary_slopes_skip_nan_and_zero_deviations():
-    text = emit_summary(curves_with_unusable_devs(), curves_with_unusable_devs("white"))
+    text = emit_summary(curves_with_unusable_devs().stats,
+                        curves_with_unusable_devs("white").stats)
     assert "designed deviation slope (log-log): -1.000" in text
     assert "white deviation slope (log-log): -1.000" in text
+
+
+class TestCampaignFigures:
+    """The ratio and both slopes that `emit_summary` prints and `report --check`
+    gates, from one function."""
+
+    @staticmethod
+    def tables(err, devs):
+        return {"err_mean": {N: err for N in devs}, "dev_median": devs}
+
+    def test_figures_of_known_curves(self):
+        Ns = [10, 20, 40, 80]
+        figures = campaign_figures(self.tables(1.0, {N: 1 / N for N in Ns}),
+                                   self.tables(2.0, {N: N ** -0.5 for N in Ns}), ratio_N=20)
+        assert figures.ratio == 0.5
+        assert figures.designed_slope == pytest.approx(-1.0, abs=1e-12)
+        assert figures.white_slope == pytest.approx(-0.5, abs=1e-12)
+        assert figures.failed_gates() == []
+
+    def test_zero_white_error_gives_an_infinite_ratio(self):
+        """The summary divided plain floats, so this raised ZeroDivisionError."""
+        Ns = [10, 20, 40]
+        designed = self.tables(1.0, {N: 1 / N for N in Ns})
+        white = {"err_mean": {N: 0.0 for N in Ns}}  # and no dev_median rows
+        assert campaign_figures(designed, white, ratio_N=10).ratio == np.inf
+        text = emit_summary(designed, white, ratio_N=10)
+        assert "designed/white error ratio at N=10: inf" in text
+        assert "white deviation slope (log-log): fewer than 3 usable N" in text
+
+    def test_without_a_white_arm(self):
+        figures = campaign_figures(self.tables(1.0, {10: 0.1, 20: 0.05, 40: 0.025}))
+        assert figures.ratio is None and figures.white_slope is None
+        assert figures.failed_gates(white=False) == []
+        assert set(figures.failed_gates()) == {"designed/white error ratio",
+                                               "white deviation slope"}
+
+    def test_gate_bounds_are_the_acceptance_bounds(self):
+        assert (RATIO_GATE, DESIGNED_SLOPE_GATE, WHITE_SLOPE_GATE) == (0.6, -0.8, (-0.7, -0.3))
+
+    @pytest.mark.parametrize("figures, failed", [
+        ((0.5999, -0.8, -0.7), []),
+        ((0.0, -2.0, -0.3), []),
+        ((0.6, -0.8, -0.5), ["designed/white error ratio"]),
+        ((0.5, -0.7999, -0.5), ["designed deviation slope"]),
+        ((0.5, -1.0, -0.7001), ["white deviation slope"]),
+        ((0.5, -1.0, -0.2999), ["white deviation slope"]),
+        ((np.inf, -np.inf, np.nan), ["designed deviation slope", "designed/white error ratio",
+                                     "white deviation slope"]),
+        ((None, None, None), ["designed deviation slope", "designed/white error ratio",
+                              "white deviation slope"]),
+    ])
+    def test_failed_gates_at_the_bounds(self, figures, failed):
+        assert CampaignFigures(*figures).failed_gates() == failed
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +355,13 @@ class TestOutputFiles:
 
     def test_summary_mentions_ratio_and_missing_baseline(self, small_campaign):
         config, designed, white = small_campaign
-        text = emit_summary(designed, white, ratio_N=10)
+        text = emit_summary(designed.stats, white.stats, ratio_N=10)
         assert "error ratio" in text
         assert "not implemented" in text
 
     def test_summary_says_when_the_ratio_N_is_not_scheduled(self, small_campaign):
         _, designed, white = small_campaign
-        text = emit_summary(designed, white, ratio_N=7)
+        text = emit_summary(designed.stats, white.stats, ratio_N=7)
         assert "designed/white error ratio: N=7 is not in the schedule" in text
         assert "error ratio at" not in text
 

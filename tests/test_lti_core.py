@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from subvarid.errors import ConfigurationError, NumericOverflowError, OutOfRangeError
 from subvarid.lti_core import (
+    BOUND_MAX,
     DEFAULT_COND_LIMIT,
     NoiseSpec,
     SignalLog,
@@ -80,6 +81,22 @@ class TestSimulate:
         draws = spec.sample(rng, (20000,))
         assert np.abs(draws).max() <= 0.05
         assert abs(draws.mean()) < 3 * draws.std() / np.sqrt(draws.size)
+
+    @pytest.mark.parametrize("delta", [-1.0, np.nan, np.inf, 1e308,
+                                       np.nextafter(BOUND_MAX, np.inf)])
+    def test_noise_bound_outside_the_float_range_is_refused(self, delta):
+        """One rule for every noise bound: a number in [0, max float / 2]."""
+        from subvarid.input_design import DesignConfig
+
+        for make in (NoiseSpec, DesignConfig):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"noise bound delta must be in [0, 8.988e+307], got {delta}")):
+                make(delta)
+
+    def test_noise_bound_at_the_top_draws_finite_noise(self):
+        """The range 2 delta of the largest bound is finite, so uniform draws work."""
+        draws = NoiseSpec(delta=BOUND_MAX).sample(np.random.default_rng(0), (100,))
+        assert np.isfinite(draws).all() and np.abs(draws).max() <= BOUND_MAX
 
 
 class TestBuildHankel:
