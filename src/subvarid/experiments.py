@@ -298,8 +298,9 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     model = config.resolved_model()
     est = EstimatorConfig(h=config.h, t=config.t)
     s = est.s(model.n, model.p)
-    # the loop runs until the last scheduled batch's window is complete
-    n_iter = (max(config.N_schedule) + 1) * s + config.h + config.t
+    # batch i is folded at iteration i*s and the curves read batches up to
+    # max N - 1, so the loop stops at the iteration that folds that batch
+    n_iter = (max(config.N_schedule) - 1) * s + 1
     G_star = markov_true(model, config.t)
     noise = NoiseSpec(config.design.delta, config.noise_kind)
     plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0),

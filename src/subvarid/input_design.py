@@ -2,11 +2,12 @@
 
 Each iteration designs the newest input sample, which sits at the bottom-right
 corner of the current data window's L matrix.  The bordered-inverse identity
-makes every entry of L^{-1} affine in u2 = (u - u0^T Y^{-1} y)^{-1}, and the
-deviation cost becomes a max of convex parabolas in u2.  That max is minimized
-exactly over vertex and crossing candidates (the limit point of the paper's
-diminishing-step gradient descent); the result is mapped back to u and
-projected into the feasible set built from the safety bounds, the
+makes every entry of L^{-1} affine in u2 = (u - u0^T Y^{-1} y)^{-1}, where
+L = [[Y, y], [u0^T, u]]; `BorderedPartition(L)` forms that affine map once per
+window.  The deviation cost becomes a max of convex parabolas in u2.  That max
+is minimized exactly over vertex and crossing candidates (the limit point of
+the paper's diminishing-step gradient descent); the result is mapped back to u
+and projected into the feasible set built from the safety bounds, the
 one-window-ahead output prediction, and the conditioning constraints.
 
 Input design is single-input (the corner of L is a scalar); identification of
@@ -20,7 +21,7 @@ import os
 import selectors
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -112,44 +113,29 @@ class DesignConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BorderedPartition:
-    """Partition [[Y, y], [u0^T, u]] of a data window with the corner free.
+    """Partition [[Y, y], [u0^T, u]] of a data window L with the corner free.
 
     Caches Y^{-1} products so the inverse for any corner value costs a rank-1
     update: alpha(u2) = base + u2 * outer with outer = np.outer(R1, R2), the
     rank-1 direction formed once, and u2 = 1/(u - c0).
     """
 
-    Y: np.ndarray
-    y: np.ndarray
-    u0: np.ndarray
-    Y_inv: np.ndarray = field(init=False)
-    y1: np.ndarray = field(init=False)
-    w0: np.ndarray = field(init=False)
-    c0: float = field(init=False)
-    R1: np.ndarray = field(init=False)
-    R2: np.ndarray = field(init=False)
-    base: np.ndarray = field(init=False)
-    outer: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        k = self.Y.shape[0]
-        if self.Y.shape != (k, k) or self.y.shape != (k,) or self.u0.shape != (k,):
-            raise ConfigurationError("partition blocks have inconsistent shapes")
-        self.Y_inv = np.linalg.inv(self.Y)
-        self.y1 = self.Y_inv @ self.y
-        self.w0 = self.u0 @ self.Y_inv
-        self.c0 = float(self.u0 @ self.y1)
-        self.R1 = np.concatenate([self.y1, [-1.0]])
-        self.R2 = np.concatenate([self.w0, [-1.0]])
+    def __init__(self, L):
+        L = np.asarray(L, dtype=float)
+        k = L.shape[0] - 1
+        if L.shape != (k + 1, k + 1):
+            raise ConfigurationError(f"a data window must be square, got shape {L.shape}")
+        self.s = k + 1
+        self.Y_inv = np.linalg.inv(L[:k, :k])
+        y1 = self.Y_inv @ L[:k, k]
+        w0 = L[k, :k] @ self.Y_inv
+        self.c0 = float(L[k, :k] @ y1)
+        self.R1 = np.concatenate([y1, [-1.0]])
+        self.R2 = np.concatenate([w0, [-1.0]])
         self.base = np.zeros((k + 1, k + 1))
         self.base[:k, :k] = self.Y_inv
         self.outer = np.outer(self.R1, self.R2)
-
-    @property
-    def s(self) -> int:
-        return self.Y.shape[0] + 1
 
     def u2_of(self, u: float) -> float:
         denom = u - self.c0
@@ -161,12 +147,6 @@ class BorderedPartition:
 
     def alpha_of(self, u: float) -> np.ndarray:
         return self.base + self.u2_of(u) * self.outer
-
-
-def partition_from_L(L: np.ndarray) -> BorderedPartition:
-    L = np.asarray(L, dtype=float)
-    k = L.shape[0] - 1
-    return BorderedPartition(Y=L[:k, :k], y=L[:k, k], u0=L[k, :k])
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +334,8 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
         return [(-np.inf, np.inf)]
     # invert the inflation a * (1 + 2 delta s a) <= a_lim for the raw bound
     ds = 2.0 * cfg.delta * partition.s
+    if not math.isfinite(ds):
+        return []  # the raw bound tends to 0 as ds grows: no inverse is within it
     raw = a_lim if ds == 0 else (-1.0 + np.sqrt(1.0 + 4.0 * ds * a_lim)) / (2.0 * ds)
     # base is Y^{-1} bordered by zeros, so its largest |entry| is Y^{-1}'s
     if np.abs(partition.Y_inv).max() > raw:
@@ -847,7 +829,7 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         future = np.concatenate([ua[k0:tau], [0.0]])
         y_design = np.concatenate([ya[: k0 + 1], predictor.predict(ya[: k0 + 1], ua[:k0], future)])
     try:
-        part = partition_from_L(build_L(y_design, ua, k0, h, t))
+        part = BorderedPartition(build_L(y_design, ua, k0, h, t))
         lead = y_design[k0 + h + t : k0 + h + t + s]
         if len(lead) < s:
             # y(tau+1) is still ahead: predict it, or repeat the last output
@@ -871,7 +853,8 @@ def run_closed_loop(
     n_iterations: int,
     order: int,
     mode: str = "designed",
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
     G_star: Optional[MarkovMatrix] = None,
     dither_rng: Optional[np.random.Generator] = None,
 ) -> IdentificationRun:
@@ -894,8 +877,6 @@ def run_closed_loop(
                                  f"Markov blocks, got order {order} and t = {est_cfg.t}")
     if n_iterations < 0:
         raise ConfigurationError(f"iteration count must be >= 0, got {n_iterations}")
-    if rng is None:
-        rng = np.random.default_rng()
     h, t = est_cfg.h, est_cfg.t
     s = est_cfg.s(1, 1)
     init_len = s + h + t - 1  # the first window's inputs

@@ -337,7 +337,7 @@ def simulate(
     U : input sequence, shape (T, p) or (T,) for single-input models.
     noise : NoiseSpec to sample the process and output noise v, w from;
         without it both are zero.
-    rng : generator used when `noise` is given.
+    rng : generator to draw the noise from; required when `noise` is given.
 
     Returns a SignalLog with y[k] = C x(k) + w(k) for k = 0..T-1 and the
     state trajectory, including the terminal state.
@@ -357,7 +357,8 @@ def simulate(
     if noise is None:
         V, W = np.zeros((T, model.m)), np.zeros((T, model.n))
     else:
-        rng = np.random.default_rng() if rng is None else rng
+        if rng is None:
+            raise ConfigurationError("a noise draw needs a seeded generator rng")
         V = noise.sample(rng, (T, model.m))
         W = noise.sample(rng, (T, model.n))
 

@@ -2,10 +2,9 @@
 
 The estimator reads G(t) off the last t*p columns of Y(k+h+t;s) L^{-1}[y,u];
 the batched variant averages per-batch estimates with batch i starting at
-k = s*i.  Every estimator window goes through `window_inverses` (gather L and
-the lead outputs, invert, skip) or its raising one-window form
-`invert_window`, and every data window is inverted by `invert_windows`, under
-one condition-number skip rule.  Both batch averages fold `batch_terms`.
+k = s*i.  Every estimator window is gathered, inverted and skipped in one
+function, `batch_terms`, under one skip rule; `invert_window` is its raising
+one-window form.  Both batch averages fold `batch_terms`.
 """
 
 from __future__ import annotations
@@ -85,41 +84,44 @@ RANK_TOL = 1e-9
 AMPLIFICATION_LIMIT = 5.0
 
 
-def invert_windows(L: np.ndarray, cond_limit: float):
-    """Condition numbers, kept mask and inverses of a (c, s, s) window stack.
+def batch_terms(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float,
+                amp_scale: float = 0.0):
+    """The estimator's windows at a 1-D array of starts: gathered, inverted, skipped.
 
-    This is the one skip rule for data windows: a window is kept when its
-    2-norm condition number is finite and at most cond_limit (np.linalg.cond
-    reads a NaN as inf).  Returns (cond, ok, alpha), where alpha holds the
-    LU inverses of the kept windows only, in stack order.
-    """
-    cond = np.linalg.cond(L)
-    ok = np.isfinite(cond) & (cond <= cond_limit)
-    return cond, ok, np.linalg.inv(L[ok])
-
-
-def window_inverses(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float):
-    """Gather, invert and skip the estimator's windows at a 1-D array of starts.
-
-    Gathers the stack of data matrices L[y, u] (`build_L`) and inverts it
-    under the one skip rule of `invert_windows`.  Returns (cond, ok, alpha,
-    lead): the condition numbers and kept mask of every window, then the
-    inverses (c, s, s) and lead outputs Y(k+h+t; s) (c, n, s,
-    `lead_outputs`) of the kept windows only, in start order.
+    Gathers the stack of data matrices L[y, u] (`build_L`) and the lead
+    outputs Y(k+h+t; s) (`lead_outputs`), takes one stacked condition number
+    and one stacked LU inverse.  A window is skipped for "cond" when its
+    2-norm condition number is not finite or passes cond_limit (np.linalg.cond
+    reads a NaN as inf), and for "amplification" when its noise amplification
+    amp_scale * max|alpha| exceeds AMPLIFICATION_LIMIT; the others are
+    "used".  The estimator passes amp_scale 0, the closed loop 2 delta s.
+    Returns (cond, reason, amp, alpha, lead, term): the condition number and
+    reason of every window, then the amplification, inverse (c, s, s), lead
+    outputs (c, n, s) and term lead @ alpha[:, :, s - t p:] of the used
+    windows only, in start order.
     """
     L = build_L(y, u, starts, h, t)
-    cond, ok, alpha = invert_windows(L, cond_limit)
-    return cond, ok, alpha, lead_outputs(y, starts, h, t, L.shape[-1])[ok]
+    cond = np.linalg.cond(L)
+    ok = np.isfinite(cond) & (cond <= cond_limit)
+    alpha = np.linalg.inv(L[ok])
+    lead = lead_outputs(y, starts, h, t, L.shape[-1])[ok]
+    amp = amp_scale * np.abs(alpha).max(axis=(1, 2))
+    keep = amp <= AMPLIFICATION_LIMIT
+    reason = np.where(ok, "amplification", "cond")
+    reason[np.flatnonzero(ok)[keep]] = "used"
+    alpha, lead, r = alpha[keep], lead[keep], t * _as_2d(u).shape[1]
+    return cond, reason, amp[keep], alpha, lead, lead @ alpha[:, :, -r:]
 
 
 def invert_window(y, u, cfg: EstimatorConfig):
-    """(alpha, lead) of the window at start 0, by `window_inverses`.
+    """(alpha, lead) of the window at start 0, by `batch_terms`.
 
     Raises EstimationError (carrying the condition number) when the skip
     rule drops the window.
     """
-    cond, ok, alpha, lead = window_inverses(y, u, np.array([0]), cfg.h, cfg.t, DEFAULT_COND_LIMIT)
-    if not ok[0]:
+    cond, reason, _, alpha, lead, _ = batch_terms(y, u, np.array([0]), cfg.h, cfg.t,
+                                                  DEFAULT_COND_LIMIT)
+    if reason[0] != "used":
         raise EstimationError(f"data matrix at k=0 is numerically singular "
                               f"(cond={cond[0]:.3e})", condition_number=float(cond[0]))
     return alpha[0], lead[0]
@@ -134,28 +136,6 @@ def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
     alpha, lead = invert_window(y, u, cfg)
     r = cfg.r(_as_2d(u).shape[1])
     return MarkovMatrix(G=lead @ alpha[:, -r:], t=cfg.t)
-
-
-def batch_terms(y, u, starts: np.ndarray, h: int, t: int, cond_limit: float,
-                amp_scale: float = 0.0):
-    """The one batch skip rule and the per-batch terms of a batch average.
-
-    Every window at starts goes through `window_inverses` once.  A window is
-    skipped for "cond" when the condition-number rule drops it, and for
-    "amplification" when its noise amplification amp_scale * max|alpha|
-    exceeds AMPLIFICATION_LIMIT; the others are "used".  The estimator
-    passes amp_scale 0, the closed loop 2 delta s.  Returns (cond, reason,
-    amp, alpha, lead, term): the condition number and reason of every window,
-    then the amplification, inverse, lead outputs and term lead @ alpha[:, :,
-    s - t p:] of the used windows only, in start order.
-    """
-    cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, cond_limit)
-    amp = amp_scale * np.abs(alpha).max(axis=(1, 2))
-    keep = amp <= AMPLIFICATION_LIMIT
-    reason = np.where(ok, "amplification", "cond")
-    reason[np.flatnonzero(ok)[keep]] = "used"
-    alpha, lead, r = alpha[keep], lead[keep], t * _as_2d(u).shape[1]
-    return cond, reason, amp[keep], alpha, lead, lead @ alpha[:, :, -r:]
 
 
 @dataclass(frozen=True)

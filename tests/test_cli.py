@@ -339,6 +339,7 @@ def run_console(*argv):
     ('{"trails": 5}', "unknown campaign settings ['trails']"),
     ('{"N_schedule": ["a"], "trials": 1}', "N_schedule must hold positive ints"),
     ('{"init_len": "x", "trials": 1, "N_schedule": [2]}', "unknown campaign settings ['init_len']"),
+    ('{"init_len": 3, "trials": 1, "N_schedule": [2]}', "unknown campaign settings ['init_len']"),
     ('{"N_schedule": [true, 2, 3], "trials": 1}', "N_schedule must hold positive ints"),
     ('{"model": [1, 2], "trials": 1}', "a model must be a JSON object"),
     ('{"model": {"A": [[1.0]]}, "trials": 1}', "model lacks B and C"),
@@ -730,6 +731,17 @@ def test_diverging_design_is_numeric_failure(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "the loop diverged: the output at iteration 29," in proc.stderr
     assert "is not within 1000 y_M = 1e+05" in proc.stderr
+
+
+def test_overflowing_noise_range_diverges_without_a_warning(tmp_path):
+    """At delta 8e307 a window's noise range 2 delta s overflows, so no input
+    is conditioning-feasible; the plant's noise alone passes 1000 y_M, the
+    loop stops as diverged, and numpy prints no RuntimeWarning on the way."""
+    out = tmp_path / "run.csv"
+    proc = run_console("design", "--delta", "8e307", "--iterations", "40", "--output", str(out))
+    assert proc.returncode == EXIT_NUMERIC
+    assert "the loop diverged" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestCachedParser:

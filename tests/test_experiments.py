@@ -22,6 +22,7 @@ from subvarid.experiments import (
     emit_csv,
     emit_summary,
     emit_trials_csv,
+    error_curve,
     load_config,
     lqr_gain,
     parse_curves_csv,
@@ -33,6 +34,9 @@ from subvarid.experiments import (
     usable_slope,
     white_noise_baseline,
 )
+from subvarid.input_design import BatchRecord, IdentificationRun
+from subvarid.lti_core import MarkovMatrix
+from subvarid.subspace_id import EstimatorConfig
 from conftest import curves_with_unusable_devs
 
 
@@ -240,6 +244,39 @@ class TestCampaign:
         res = run_trial(config, 0, "designed")
         assert res.errors[5] < 1e-9
 
+    @pytest.mark.parametrize("mode", ["designed", "white"])
+    def test_trial_stops_at_the_last_batch_it_reads(self, monkeypatch, mode):
+        """Batch i is folded at iteration i s, and the curves read batches up
+        to max N - 1: a trial runs (max N - 1) s + 1 iterations."""
+        from subvarid import experiments
+
+        loop, runs = experiments.run_closed_loop, []
+
+        def recording_loop(*args, **kwargs):
+            runs.append(loop(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "run_closed_loop", recording_loop)
+        config = ExperimentConfig(trials=1, N_schedule=(5, 3))
+        res = run_trial(config, 0, mode)
+        s = EstimatorConfig(h=config.h, t=config.t).s(1, 1)
+        (run,) = runs
+        assert len(run.batches) == 5
+        assert res.steps == len(run.iterations) == 4 * s + 1
+        assert np.isfinite(res.errors[5]) and np.isfinite(res.errors[3])
+
+    def test_error_curve_reads_nan_before_the_first_used_batch(self):
+        skipped = BatchRecord(index=0, G=np.zeros(2), J=np.nan, condition_number=np.inf,
+                              used=False, regime=False)
+        used = BatchRecord(index=1, G=np.array([1.0, 2.5]), J=np.nan, condition_number=3.0,
+                           used=True)
+        run = IdentificationRun(iterations=[], batches=[skipped, used], y=np.zeros(1),
+                                u=np.zeros(0), infeasible_events=0, violations=0,
+                                design_fallbacks=0, init_len=0)
+        out = error_curve(run, (1, 2, 3), MarkovMatrix(G=np.array([[1.0, 2.0]]), t=2))
+        # N = 3 is past the run's last batch
+        assert np.isnan(out[1]) and out[2] == 0.5 and np.isnan(out[3])
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(input_mode="surprise")
@@ -323,8 +360,9 @@ class TestCampaign:
 
     def test_diverging_trial_is_a_failed_trial(self):
         """The open-loop unstable benchmark without its regulator diverges:
-        the trial fails with the loop's message instead of recording it."""
-        config = ExperimentConfig(trials=1, N_schedule=(2,), prestabilize=False)
+        the trial fails with the loop's message instead of recording it.  The
+        output passes 1000 y_M at iteration 30; N = 3 runs 2 s + 1 = 35 iterations."""
+        config = ExperimentConfig(trials=1, N_schedule=(3,), prestabilize=False)
         res = run_trial(config, 0, "designed")
         assert res.failed and res.steps == 0
         assert res.error.startswith("NumericOverflowError: the loop diverged: "

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from subvarid.input_design import (
     cost_j0,
     design_input_step,
     multitone_dither,
-    partition_from_L,
     run_closed_loop,
     safety_interval,
 )
@@ -52,7 +52,7 @@ from subvarid.lti_core import (
     toeplitz_T,
     window_gather,
 )
-from subvarid.subspace_id import EstimatorConfig, ho_kalman, invert_windows, window_inverses
+from subvarid.subspace_id import EstimatorConfig, ho_kalman
 
 from conftest import CANONICAL_A, CANONICAL_B, CANONICAL_C, random_minimal_model
 
@@ -100,14 +100,14 @@ class TestDesignConfig:
 class TestBorderedInverse:
     def test_diagonal_2x2(self):
         L = np.array([[2.0, 0.0], [0.0, 4.0]])
-        part = partition_from_L(L)
+        part = BorderedPartition(L)
         assert part.u2_of(4.0) == pytest.approx(0.25)
         assert np.allclose(part.alpha_of(4.0), np.diag([0.5, 0.25]))
 
     def test_random_partition_many_corners(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(6, 6)) + 3 * np.eye(6)
-        part = partition_from_L(A)
+        part = BorderedPartition(A)
         for _ in range(100):
             u_new = rng.normal(scale=5.0)
             if abs(u_new - part.c0) < 1e-3:
@@ -119,9 +119,19 @@ class TestBorderedInverse:
 
     def test_singular_corner_raises(self):
         L = np.array([[2.0, 1.0], [1.0, 0.5]])
-        part = partition_from_L(L)
+        part = BorderedPartition(L)
         with pytest.raises(NearSingularError):
             part.u2_of(part.c0)
+
+    def test_blocks_are_read_from_the_window(self):
+        rng = np.random.default_rng(1)
+        L = rng.normal(size=(5, 5)) + 3 * np.eye(5)
+        part = BorderedPartition(L)
+        Y_inv = np.linalg.inv(L[:4, :4])
+        assert part.s == 5 and np.array_equal(part.Y_inv, Y_inv)
+        assert part.c0 == pytest.approx(L[4, :4] @ Y_inv @ L[:4, 4])
+        with pytest.raises(ConfigurationError, match="must be square, got shape"):
+            BorderedPartition(L[:4])
 
 
 class TestPredictOutput:
@@ -370,7 +380,7 @@ class TestFeasibleSetCheck:
         h, t = 4, 9
         # strong excitation, so the window's inverse can meet the alpha bound
         log = make_run_data(running, h, t, rng, amp=500.0)
-        part = partition_from_L(build_L(log.y, log.u, 0, h, t))
+        part = BorderedPartition(build_L(log.y, log.u, 0, h, t))
         sets = conditioning_u_sets(part, DesignConfig())
         assert sets
         for lo, hi in sets:
@@ -378,6 +388,16 @@ class TestFeasibleSetCheck:
             inside = hi if np.isfinite(hi) else lo
             raw = np.abs(part.alpha_of(inside)).max()
             assert raw <= DesignConfig().alpha_M * (1 + 1e-9)
+
+
+    def test_overflowing_noise_range_leaves_no_input(self, running):
+        """At delta 8e307 the range 2 delta s overflows; its limit, a raw bound
+        of 0, admits no input, and no RuntimeWarning is raised on the way."""
+        log = make_run_data(running, 4, 9, np.random.default_rng(6), amp=500.0)
+        part = BorderedPartition(build_L(log.y, log.u, 0, 4, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conditioning_u_sets(part, DesignConfig(delta=8e307)) == []
 
 
 class TestCostJ0:
@@ -603,7 +623,7 @@ class TestScenarioTerms:
         log = make_run_data(running, h, t, rng, amp=8.0)
         s = h + (h + t)
         L = build_L(log.y, log.u, 0, h, t)
-        part = partition_from_L(L)
+        part = BorderedPartition(L)
         lead = log.y.flatten()[h + t : h + t + s]
         w_lead = 0.1 * rng.choice([-1.0, 1.0], size=s)
         dL = 0.1 * rng.normal(size=(s, s))
@@ -626,7 +646,7 @@ class TestScenarioKernels:
         h, t = 4, 9
         s = 2 * h + t
         log = make_run_data(running, h, t, rng, amp=8.0)
-        part = partition_from_L(build_L(log.y, log.u, 0, h, t))
+        part = BorderedPartition(build_L(log.y, log.u, 0, h, t))
         return part, log.y.flatten()[h + t : h + t + s], h, t
 
     def test_sign_flipped_scenarios_are_bit_identical(self, running):
@@ -750,7 +770,7 @@ class TestDesignStageOracles:
         s = 2 * h + t
         log = make_run_data(running, h, t, rng, amp=8.0)
         for k0 in range(0, 30, 3):
-            part = partition_from_L(build_L(log.y, log.u, k0, h, t))
+            part = BorderedPartition(build_L(log.y, log.u, k0, h, t))
             lead = log.y.flatten()[k0 + h + t : k0 + h + t + s]
             dL = 0.1 * rng.normal(size=(s, s))
             got = _data_noise_terms(part, lead, dL, slice(s - t, s))
@@ -761,7 +781,7 @@ class TestDesignStageOracles:
 class TestDesignInputStep:
     def _step_args(self, F, c, intervals=None):
         """(partition, intervals, form) for design_input_step."""
-        part = partition_from_L(np.diag([2.0, 3.0, 4.0]))
+        part = BorderedPartition(np.diag([2.0, 3.0, 4.0]))
         form = CostAffineForm(F_terms=np.atleast_2d(F), c_terms=np.atleast_2d(c))
         return part, [(-10.0, 10.0)] if intervals is None else intervals, form
 
@@ -879,6 +899,13 @@ class TestClosedLoop:
         want = multitone_dither(29, 8.0, np.random.default_rng(25 if with_dither_rng else 26))
         assert np.array_equal(run.u, want)
 
+    def test_rng_is_a_required_keyword(self, running):
+        """Every draw of the loop comes from a generator the caller seeds."""
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),
+                               x0=np.zeros(4))
+        with pytest.raises(TypeError, match="required keyword-only argument: 'rng'"):
+            run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 0, 4)
+
     def test_non_finite_output_ends_the_loop(self, running):
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),
                                x0=np.zeros(4))
@@ -901,11 +928,11 @@ def fold_windows(run, h: int, t: int):
     for b in run.batches:
         if not b.regime:
             continue
-        _, ok, alpha, lead = window_inverses(run.y, run.u, np.array([s * b.index]), h, t,
-                                             LOOP_COND_LIMIT)
-        assert ok[0]
+        k = s * b.index
+        L = build_L(run.y, run.u, k, h, t)
+        assert np.linalg.cond(L) <= LOOP_COND_LIMIT
         folded = max((b.index + 1) * s + h + t - 1 - run.init_len, 0)
-        out.append((b, alpha[0], lead[0, 0], folded))
+        out.append((b, np.linalg.inv(L), lead_outputs(run.y, k, h, t, s)[0], folded))
     return out
 
 
@@ -956,21 +983,23 @@ def oracle_fold(run, cfg, h: int, t: int):
     """(used, regime, condition number, running G) of each batch of a run.
 
     Recomputed from the run's stored buffers, one window at a time: batch i
-    is the window at i*s, skipped when `invert_windows` drops it at
-    LOOP_COND_LIMIT or when 2 delta s max|alpha| > 5, and in the regime when
-    that amplification is at most 0.9.
+    is the window L at i*s, skipped when np.linalg.cond(L) is not finite or
+    passes LOOP_COND_LIMIT, or when 2 delta s max|L^{-1}| > 5, and in the
+    regime when that amplification is at most 0.9.
     """
     s = 2 * h + t
     G_sum, n_used, out = np.zeros(t), 0, []
     for i in range(len(run.batches)):
-        cond, ok, alpha = invert_windows(build_L(run.y, run.u, s * i, h, t)[None],
-                                         LOOP_COND_LIMIT)
-        amp = 2.0 * cfg.delta * s * np.abs(alpha).max() if ok[0] else math.inf
-        used = bool(ok[0]) and amp <= 5.0
+        L = build_L(run.y, run.u, s * i, h, t)
+        cond = np.linalg.cond(L)
+        ok = bool(np.isfinite(cond) and cond <= LOOP_COND_LIMIT)
+        alpha = np.linalg.inv(L) if ok else None
+        amp = 2.0 * cfg.delta * s * np.abs(alpha).max() if ok else math.inf
+        used = ok and amp <= 5.0
         if used:
-            G_sum += (lead_outputs(run.y, s * i, h, t, s)[0] @ alpha[0])[s - t :]
+            G_sum += (lead_outputs(run.y, s * i, h, t, s)[0] @ alpha)[s - t :]
             n_used += 1
-        out.append((used, used and amp <= 0.9, float(cond[0]), G_sum / max(n_used, 1)))
+        out.append((used, used and amp <= 0.9, float(cond), G_sum / max(n_used, 1)))
     return out
 
 

@@ -23,7 +23,7 @@ from subvarid.lti_core import (
     toeplitz_T,
     window_gather,
 )
-from subvarid.subspace_id import invert_windows
+from subvarid.subspace_id import batch_terms
 from conftest import CANONICAL_X0, oracle_hankel, random_minimal_model
 
 
@@ -74,6 +74,11 @@ class TestSimulate:
         log = simulate(canonical, np.zeros(4), np.zeros(200), noise=spec, rng=rng)
         assert np.abs(log.v).max() <= 0.05
         assert np.abs(log.w).max() <= 0.05
+
+    def test_noise_without_a_generator_is_refused(self, canonical):
+        """An unseeded draw would give other bits on every run."""
+        with pytest.raises(ConfigurationError, match="needs a seeded generator"):
+            simulate(canonical, CANONICAL_X0, np.zeros(4), noise=NoiseSpec(delta=0.05))
 
     def test_truncated_gaussian_bound_and_mean(self):
         spec = NoiseSpec(delta=0.05, kind="gaussian-truncated")
@@ -192,15 +197,13 @@ class TestBuildL:
     def test_zero_output_singular(self):
         y = np.zeros(10)
         u = np.arange(10.0)
-        L = build_L(y, u, k=0, h=1, t=1)
-        assert not invert_windows(L[None], DEFAULT_COND_LIMIT)[1][0]
+        assert batch_terms(y, u, np.array([0]), 1, 1, DEFAULT_COND_LIMIT)[1][0] == "cond"
 
     def test_random_noisy_nonsingular(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=20)
         u = rng.normal(size=20)
-        L = build_L(y, u, k=0, h=2, t=1)
-        assert invert_windows(L[None], DEFAULT_COND_LIMIT)[1][0]
+        assert batch_terms(y, u, np.array([0]), 2, 1, DEFAULT_COND_LIMIT)[1][0] == "used"
 
 
 class TestMarkovTrue:
@@ -255,27 +258,31 @@ class TestStructuredMatrices:
 
 
 class TestCheckInvertibility:
-    """The condition numbers and kept mask of subspace_id.invert_windows."""
+    """The condition numbers and skip rule of subspace_id.batch_terms on data windows."""
 
     def test_identity(self):
-        cond, ok, alpha = invert_windows(np.eye(4)[None], DEFAULT_COND_LIMIT)
-        assert ok[0] and cond[0] == pytest.approx(1.0)
-        assert np.array_equal(alpha[0], np.eye(4))
+        # h=1, t=1, SISO: L = [y(0..2); u(0..2); u(1..3)] is the exchange matrix
+        y, u = np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+        cond, reason, _, alpha, _, _ = batch_terms(y, u, np.array([0]), 1, 1,
+                                                   DEFAULT_COND_LIMIT)
+        assert reason[0] == "used" and cond[0] == pytest.approx(1.0)
+        assert np.array_equal(alpha[0] @ build_L(y, u, 0, 1, 1), np.eye(3))
 
     def test_rank_deficient(self):
-        L = build_L(np.full(10, 3.0), np.full(10, 3.0), k=0, h=1, t=1)
-        cond, ok, alpha = invert_windows(L[None], DEFAULT_COND_LIMIT)
-        assert not ok[0] and cond[0] > DEFAULT_COND_LIMIT
+        y = u = np.full(10, 3.0)
+        cond, reason, _, alpha, _, _ = batch_terms(y, u, np.array([0]), 1, 1,
+                                                   DEFAULT_COND_LIMIT)
+        assert reason[0] == "cond" and cond[0] > DEFAULT_COND_LIMIT
         assert alpha.shape == (0, 3, 3)
 
     def test_lemma1_monte_carlo(self):
         # noisy random data never produces a singular L (sampled claim)
         rng = np.random.default_rng(6)
-        windows = np.stack([
-            build_L(rng.normal(size=8), rng.normal(size=8), k=0, h=1, t=1) for _ in range(1000)
-        ])
-        _, ok, _ = invert_windows(windows, DEFAULT_COND_LIMIT)
-        assert ok.all()
+        draws = [(rng.normal(size=8), rng.normal(size=8)) for _ in range(1000)]
+        y, u = (np.concatenate(signal) for signal in zip(*draws))
+        _, reason, _, _, _, _ = batch_terms(y, u, 8 * np.arange(1000), 1, 1,
+                                            DEFAULT_COND_LIMIT)
+        assert (reason == "used").all()
 
 
 class TestSerialization:

@@ -28,8 +28,6 @@ from subvarid.subspace_id import (
     ho_kalman,
     identification_error,
     invert_window,
-    invert_windows,
-    window_inverses,
 )
 from conftest import CANONICAL_X0, random_minimal_model
 
@@ -132,47 +130,65 @@ def noisy_mimo_record(rng, cfg, model, zero_batches=()):
 
 
 @st.composite
-def one_window_stack(draw):
-    s = draw(st.integers(1, 9))
+def one_window_record(draw):
+    """(y, u, h, t): the samples of one SISO estimator window at start 0."""
+    h, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = (2 * h + t) + h + t  # s samples, then the h + t the window reaches past them
     entries = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
-    return draw(arrays(np.float64, (1, s, s), elements=entries))
+    y = draw(arrays(np.float64, width, elements=entries))
+    u = draw(arrays(np.float64, width - 1, elements=entries))
+    return y, u, h, t
 
 
 class TestInvertWindows:
+    """`batch_terms` inverts and skips windows as np.linalg.cond and
+    np.linalg.inv do on each window alone."""
+
     @settings(max_examples=200, deadline=None)
-    @given(one_window_stack(), st.sampled_from([1e8, DEFAULT_COND_LIMIT]))
-    def test_one_window_stack_is_bit_identical_to_per_window_calls(self, L, cond_limit):
-        cond, ok, alpha = invert_windows(L, cond_limit)
-        ref_cond = np.linalg.cond(L[0])
+    @given(one_window_record(), st.sampled_from([1e8, DEFAULT_COND_LIMIT]))
+    def test_one_window_stack_is_bit_identical_to_per_window_calls(self, record, cond_limit):
+        y, u, h, t = record
+        cond, reason, _, alpha, lead, _ = batch_terms(y, u, np.array([0]), h, t, cond_limit)
+        L = build_L(y, u, 0, h, t)
+        ref_cond = np.linalg.cond(L)
         assert np.array_equal(cond, [ref_cond], equal_nan=True)
-        assert ok[0] == bool(np.isfinite(ref_cond) and ref_cond <= cond_limit)
-        if ok[0]:
-            assert np.array_equal(alpha[0], np.linalg.inv(L[0]))
+        assert (reason[0] != "cond") == bool(np.isfinite(ref_cond) and ref_cond <= cond_limit)
+        if reason[0] == "used":
+            assert np.array_equal(alpha[0], np.linalg.inv(L))
+            assert np.array_equal(lead[0], lead_outputs(y, 0, h, t, len(L)))
         else:
-            assert alpha.shape == (0,) + L.shape[1:]
+            assert alpha.shape == (0,) + L.shape
+        if reason[0] == "amplification":
+            # amp_scale 0 skips only an inverse that overflowed: 0 * inf is nan
+            assert not np.isfinite(np.linalg.inv(L)).all()
 
     def test_matches_pinv_on_a_stack(self):
         rng = np.random.default_rng(50)
-        L = rng.normal(size=(12, 9, 9))
-        L[4] = 0.0
-        cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
-        assert ok.tolist() == [i != 4 for i in range(12)]
-        for inv, window in zip(alpha, L[ok]):
-            ref = np.linalg.pinv(window)
+        h, t = 2, 3
+        width = (2 * h + t) + h + t  # the samples one SISO window spans
+        starts = width * np.arange(12)
+        y, u = rng.normal(size=12 * width), rng.normal(size=12 * width)
+        y[4 * width : 5 * width] = u[4 * width : 5 * width] = 0.0
+        _, reason, _, alpha, _, _ = batch_terms(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        assert reason.tolist() == ["cond" if i == 4 else "used" for i in range(12)]
+        for inv, k in zip(alpha, starts[reason == "used"]):
+            ref = np.linalg.pinv(build_L(y, u, int(k), h, t))
             assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_all_zero_window_has_infinite_cond_and_is_skipped(self):
-        cond, ok, alpha = invert_windows(np.zeros((1, 5, 5)), DEFAULT_COND_LIMIT)
-        assert cond[0] == np.inf and not ok[0] and len(alpha) == 0
+        cond, reason, _, alpha, _, _ = batch_terms(np.zeros(5), np.zeros(4), np.array([0]), 1, 1,
+                                                   DEFAULT_COND_LIMIT)
+        assert cond[0] == np.inf and reason[0] == "cond" and len(alpha) == 0
 
     def test_limit_between_loop_and_library(self):
-        # cond 1e10: beyond the closed loop's 1e8, within the library's 1e12
-        L = np.diag([1.0, 1e-5, 1e-10])[None]
+        # L = [[0, 0, 1e-10], [0, 1, 0], [1, 0, 0]] has cond 1e10: beyond the
+        # closed loop's 1e8, within the library's 1e12
+        y, u = np.array([0.0, 0.0, 1e-10, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
         assert LOOP_COND_LIMIT < 1e10 < DEFAULT_COND_LIMIT
-        assert not invert_windows(L, LOOP_COND_LIMIT)[1][0]
-        cond, ok, alpha = invert_windows(L, DEFAULT_COND_LIMIT)
-        assert ok[0] and cond[0] == pytest.approx(1e10)
-        assert np.allclose(alpha[0] @ L[0], np.eye(3))
+        assert batch_terms(y, u, np.array([0]), 1, 1, LOOP_COND_LIMIT)[1][0] == "cond"
+        cond, reason, _, alpha, _, _ = batch_terms(y, u, np.array([0]), 1, 1, DEFAULT_COND_LIMIT)
+        assert reason[0] == "used" and cond[0] == pytest.approx(1e10)
+        assert np.allclose(alpha[0] @ build_L(y, u, 0, 1, 1), np.eye(3))
 
 
 class TestInvertWindow:
@@ -187,8 +203,9 @@ class TestInvertWindow:
 
     def test_antidiagonal_window(self):
         y, u = np.array([0.0, 0.0, 2.0, 0.0, 0.0]), np.array([0.0, 4.0, 0.0, 0.0])
-        cond, ok, alpha, _ = window_inverses(y, u, np.array([0]), 1, 1, DEFAULT_COND_LIMIT)
-        assert ok[0] and cond[0] == pytest.approx(2.0)
+        cond, reason, _, alpha, _, _ = batch_terms(y, u, np.array([0]), 1, 1,
+                                                   DEFAULT_COND_LIMIT)
+        assert reason[0] == "used" and cond[0] == pytest.approx(2.0)
         assert np.allclose(alpha[0], [[0.0, 0.0, 0.25], [0.0, 0.25, 0.0], [0.5, 0.0, 0.0]])
 
     def test_residual_on_data_window(self, canonical):
@@ -206,6 +223,9 @@ class TestInvertWindow:
 
 
 class TestWindowInverses:
+    """The condition numbers, inverses and lead outputs of a stack of windows,
+    each as on its window alone."""
+
     @pytest.mark.parametrize("n, p", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_per_start_calls(self, n, p):
         rng = np.random.default_rng(60 + 2 * n + p)
@@ -217,18 +237,13 @@ class TestWindowInverses:
         u = rng.normal(size=(starts[-1] + width, p))
         # a zeroed window: L is all zero there, so the skip rule drops it
         y[2 * width : 3 * width] = u[2 * width : 3 * width] = 0.0
-        cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
-        assert ok.tolist() == [True, True, False, True]
-        kept = [k for k, keep in zip(starts, ok) if keep]
+        cond, reason, _, alpha, lead, _ = batch_terms(y, u, starts, h, t, DEFAULT_COND_LIMIT)
+        assert reason.tolist() == ["used", "used", "cond", "used"]
         assert alpha.shape == (3, s, s) and lead.shape == (3, n, s)
         for i, k in enumerate(starts):
-            ref_cond, ref_ok, _ = invert_windows(build_L(y, u, int(k), h, t)[None],
-                                                 DEFAULT_COND_LIMIT)
-            assert np.array_equal(cond[i], ref_cond[0]) and ok[i] == ref_ok[0]
-        for a, l, k in zip(alpha, lead, kept):
-            _, _, ref_alpha = invert_windows(build_L(y, u, int(k), h, t)[None],
-                                             DEFAULT_COND_LIMIT)
-            assert np.array_equal(a, ref_alpha[0])
+            assert np.array_equal(cond[i], np.linalg.cond(build_L(y, u, int(k), h, t)))
+        for a, l, k in zip(alpha, lead, starts[reason == "used"]):
+            assert np.array_equal(a, np.linalg.inv(build_L(y, u, int(k), h, t)))
             assert np.array_equal(l, lead_outputs(y, int(k), h, t, s))
 
 
@@ -247,19 +262,24 @@ class TestBatchTerms:
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 2)])
     def test_zero_scale_keeps_every_window_the_cond_rule_keeps(self, n, p):
         y, u, starts, h, t, s = self.record(n, p)
-        cond_b, reason, amp, alpha_b, lead_b, term = batch_terms(y, u, starts, h, t,
-                                                                 DEFAULT_COND_LIMIT)
-        cond, ok, alpha, lead = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
-        assert np.array_equal(cond_b, cond)
-        assert reason.tolist() == ["used" if keep else "cond" for keep in ok]
+        cond, reason, amp, alpha, lead, term = batch_terms(y, u, starts, h, t,
+                                                           DEFAULT_COND_LIMIT)
+        windows = [build_L(y, u, int(k), h, t) for k in starts]
+        ref_cond = [np.linalg.cond(L) for L in windows]
+        assert np.array_equal(cond, ref_cond)
+        assert reason.tolist() == ["used" if c <= DEFAULT_COND_LIMIT else "cond"
+                                   for c in ref_cond]
         assert reason[2] == "cond" and np.all(amp == 0.0)
-        assert np.array_equal(alpha_b, alpha) and np.array_equal(lead_b, lead)
+        kept = np.flatnonzero(reason == "used")
+        assert np.array_equal(alpha, [np.linalg.inv(windows[i]) for i in kept])
+        assert np.array_equal(lead, [lead_outputs(y, int(starts[i]), h, t, s) for i in kept])
         assert np.array_equal(term, lead @ alpha[:, :, s - t * p :])
 
     def test_amplification_skips_and_reports_each_used_window(self):
         y, u, starts, h, t, s = self.record(1, 1)
-        _, ok, alpha, _ = window_inverses(y, u, starts, h, t, DEFAULT_COND_LIMIT)
-        peaks = np.abs(alpha).max(axis=(1, 2))
+        windows = [build_L(y, u, int(k), h, t) for k in starts]
+        ok = np.array([np.linalg.cond(L) <= DEFAULT_COND_LIMIT for L in windows])
+        peaks = np.array([np.abs(np.linalg.inv(L)).max() for L in np.array(windows)[ok]])
         # a scale that puts the limit between the two smallest peaks
         scale = 2 * AMPLIFICATION_LIMIT / (np.sort(peaks)[0] + np.sort(peaks)[1])
         _, reason, amp_b, alpha, lead, term = batch_terms(y, u, starts, h, t,
