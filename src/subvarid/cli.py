@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, identify, deviation, design, campaign, report.
-Configuration comes from a JSON file plus flag overrides.  Exit codes:
+Configuration comes from a JSON file plus flag overrides.  A CSV cell and a
+plant's output line read by one grammar, `lti_core.parse_number`.  Exit codes:
 0 success (also when the reader of standard output closes it early, as
 `subvarid identify s.csv | head -3` does), 1 configuration error (also a
 malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
@@ -11,14 +12,14 @@ range, and a config that is not a JSON object or has an unknown key, also
 one of the loop settings that are module constants, such as `kappa`, or a
 design block with an `epsilon` not finite and above 0 or an `alpha_M` not
 above 0; a seed (`--seed`, `rng_seed`) that is not an int in [0, 2**63); a
-curves CSV without an N, stat or value column or with a cell that is not a
-number; a model JSON that is not an object, lacks A, B or C or holds a
-ragged, non-finite or 3-D matrix; a noise bound (--delta, a design block's
-delta) or `simulate --amplitude` outside [0, max float / 2], nan included, so
-that its range 2 x bound stays finite; `simulate --steps` below 1, or an
-`--x0` that is not a flat JSON list of numbers; `design --y-max` or
-`--u-max` not finite and above 0; and loop settings the realization cannot
-meet: an order below 1 or above t/2, or a negative iteration count), 2
+curves CSV without an N, stat or value column or with a refused cell or an
+N that is not whole; a model JSON that is not an object, lacks A, B or C or
+holds a ragged, non-finite or 3-D matrix or a non-number (`"1"`, `true`); a
+noise bound (--delta, a design block's delta) or `simulate --amplitude`
+outside [0, max float / 2], nan included, so that its range 2 x bound stays
+finite; `simulate --steps` below 1, or an `--x0` that is not a flat JSON
+list of finite JSON numbers; `design --y-max` or `--u-max` not finite and
+above 0; and loop settings the realization cannot meet: an order below 1 or above t/2, or a negative iteration count), 2
 numeric failure (also a `design` run in which every batch was skipped, so no
 estimate was formed; its run CSV is still written; a `design` run whose
 closed loop diverges, an output not finite or beyond 1000 y_M, which writes
@@ -26,8 +27,9 @@ no CSV and in a campaign fails only its trial; a `deviation` J that
 overflows) or an external plant that exits or answers with anything but one
 finite number, 3 a criteria-5/6 gate that fails in `report --check` mode
 (`experiments.CampaignFigures.failed_gates`: also a gated figure that is
-missing or not finite).  `report` prints the summary that `campaign` writes
-to summary.txt.
+missing or not finite).  A command line that argparse refuses, an unknown
+flag or `simulate --steps abc`, exits 2 as argparse does.  `report` prints
+the summary that `campaign` writes to summary.txt.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ def cmd_simulate(args) -> int:
     check_bound(args.amplitude, "--amplitude")
     model = _load_model(args)
     try:
-        x0 = np.asarray(json.loads(args.x0), dtype=float) if args.x0 else np.zeros(model.m)
-    except (TypeError, ValueError):  # not JSON, a string, an object or a ragged list
+        x0 = json.loads(args.x0) if args.x0 else [0.0] * model.m
+    except ValueError:
         x0 = None
-    if x0 is None or x0.ndim != 1:
+    if not (isinstance(x0, list)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in x0)):
         raise ConfigurationError(f"--x0 must be a JSON list of numbers, got {args.x0}")
     rng = np.random.default_rng(args.seed)
     U = rng.uniform(-args.amplitude, args.amplitude, size=(args.steps, model.p))

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericOverflowError, SubvaridError
 from .input_design import DesignConfig, IdentificationRun, SimulatedPlant, run_closed_loop
-from .lti_core import MarkovMatrix, NoiseSpec, StateSpaceModel, markov_true
+from .lti_core import (MarkovMatrix, NoiseSpec, StateSpaceModel, markov_true, parse_number,
+                       write_csv)
 from .subspace_id import EstimatorConfig
 
 
@@ -403,28 +404,23 @@ def usable_slope(by_N: dict, N_values) -> Optional[float]:
 
 def emit_csv(curves: ErrorCurves, path) -> None:
     """curves.csv schema: N,mode,stat,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "mode", "stat", "value"])
-        for stat, by_N in sorted(curves.stats.items()):
-            for N in curves.N_values:
-                writer.writerow([N, curves.mode, stat, format(by_N[N], ".17g")])
+    write_csv(path, ["N", "mode", "stat", "value"],
+              ([N, curves.mode, stat, by_N[N]] for stat, by_N in sorted(curves.stats.items())
+               for N in curves.N_values))
 
 
 def emit_trials_csv(curves_list, path) -> None:
     """trials.csv schema: trial,N,mode,dG,J."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "N", "mode", "dG", "J"])
-        writer.writerows([r.trial, N, r.mode, format(r.errors.get(N, np.nan), ".17g"),
-                          format(r.deviations.get(N, np.nan), ".17g")]
-                         for curves in curves_list for r in curves.raw if not r.failed
-                         for N in curves.N_values)
+    write_csv(path, ["trial", "N", "mode", "dG", "J"],
+              ([r.trial, N, r.mode, r.errors.get(N, np.nan), r.deviations.get(N, np.nan)]
+               for curves in curves_list for r in curves.raw if not r.failed
+               for N in curves.N_values))
 
 
 def parse_curves_csv(path) -> dict:
-    """stat -> {N: value} from a curves.csv; a missing column or a cell that
-    is not a number (a short row has none) is a ConfigurationError."""
+    """stat -> {N: value} from a curves.csv, its cells read by `parse_number`; a
+    missing column, a refused or missing cell or an N that is not whole is a
+    ConfigurationError."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -432,13 +428,13 @@ def parse_curves_csv(path) -> dict:
         if missing:
             raise ConfigurationError(f"{path}: no {', '.join(missing)} column")
         for row in reader:
-            try:
-                out.setdefault(row["stat"], {})[int(row["N"])] = float(row["value"])
-            except (TypeError, ValueError):
+            N, value = (parse_number(row[col] or "") for col in ("N", "value"))
+            column = "N" if N is None or not N.is_integer() else "value" if value is None else ""
+            if column:
                 raise ConfigurationError(
                     f"{path}, line {reader.line_num}: N {row['N']!r} or value "
-                    f"{row['value']!r} is not a number"
-                ) from None
+                    f"{row['value']!r} is not a number (column {column!r})")
+            out.setdefault(row["stat"], {})[int(N)] = value
     return out
 
 

@@ -45,8 +45,12 @@ from .lti_core import (
     check_bound,
     extended_controllability,
     extended_observability,
+    format_number,
+    lead_outputs,
+    parse_number,
     toeplitz_T,
     window_gather,
+    write_csv,
 )
 from .subspace_id import (
     EstimatorConfig,
@@ -631,10 +635,9 @@ class LineProtocolPlant:
         line = self._readline().decode(errors="replace")
         if not line:
             raise PlantProtocolError("plant closed its output (process exited)")
-        try:
-            y = float(line)
-        except ValueError:
-            raise PlantProtocolError(f"plant sent a non-numeric line {line!r}") from None
+        y = parse_number(line)
+        if y is None:
+            raise PlantProtocolError(f"plant sent a non-numeric line {line!r}")
         if not math.isfinite(y):
             raise PlantProtocolError(f"plant sent a non-finite value {line!r}")
         return y
@@ -644,7 +647,7 @@ class LineProtocolPlant:
 
     def step(self, u: float) -> float:
         try:
-            self.proc.stdin.write(f"{u:.17g}\n")
+            self.proc.stdin.write(format_number(u) + "\n")
             self.proc.stdin.flush()
         except BrokenPipeError:
             raise PlantProtocolError("plant closed its input (process exited)") from None
@@ -705,15 +708,9 @@ class IdentificationRun:
     init_len: int
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "u", "y", "yhat", "J", "dG", "feasible"])
-            for rec in self.iterations:
-                writer.writerow([rec.index, *(format(v, ".17g") for v in
-                                              (rec.u, rec.y, rec.y_pred, rec.J, rec.dG)),
-                                 int(rec.feasible)])
+        write_csv(path, ["iter", "u", "y", "yhat", "J", "dG", "feasible"],
+                  ([r.index, r.u, r.y, r.y_pred, r.J, r.dG, int(r.feasible)]
+                   for r in self.iterations))
 
 
 def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) -> np.ndarray:
@@ -829,12 +826,12 @@ def _designed_input(cfg: DesignConfig, predictor: Optional[OutputPredictor], ya,
         future = np.concatenate([ua[k0:tau], [0.0]])
         y_design = np.concatenate([ya[: k0 + 1], predictor.predict(ya[: k0 + 1], ua[:k0], future)])
     try:
+        if len(y_design) == tau + 1:
+            # the lead ends at y(tau+1), still ahead: predict it, or repeat the last output
+            last = predictor.predict(ya, ua[:tau], [0.0]) if predictor is not None else ya[-1:]
+            y_design = np.concatenate([ya, last])
         part = BorderedPartition(build_L(y_design, ua, k0, h, t))
-        lead = y_design[k0 + h + t : k0 + h + t + s]
-        if len(lead) < s:
-            # y(tau+1) is still ahead: predict it, or repeat the last output
-            last = predictor.predict(ya, ua[:tau], [0.0]) if predictor is not None else lead[-1:]
-            lead = np.concatenate([lead, last])
+        lead = lead_outputs(y_design, k0, h, t, s)[0]
         u_sets = [iv for cs in conditioning_u_sets(part, cfg)
                   if (iv := _interval_intersect(cs, interval)) is not None]
         if not u_sets:

@@ -6,7 +6,9 @@ throughout; the 1-based block formulas from the literature are translated in
 `window_gather`.  That table is the one record of where each sample of a
 window's sample vector sits in L[y, u]: `build_L` (one window, the closed
 loop's window, or the batched estimator's stack of windows) and the
-deviation engine's noise band all gather through it.
+deviation engine's noise band all gather through it.  The package's text
+format for numbers lives here too: `write_csv` and `format_number` out,
+`parse_number` in.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -105,7 +108,7 @@ class StateSpaceModel:
         for key in "ABC":
             try:
                 matrices[key] = value = np.asarray(data[key], dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigurationError(
                     f"model matrix {key} is not a rectangular array of numbers: {exc}"
                 ) from exc
@@ -114,6 +117,12 @@ class StateSpaceModel:
                     f"model matrix {key} must be finite with at most 2 dimensions, "
                     f"got shape {value.shape}"
                 )
+            # dtype=float also reads the text "1_0" as 10 and a JSON true as 1
+            bad = [e for e in np.asarray(data[key], dtype=object).flat
+                   if type(e) not in (int, float)]
+            if bad:
+                raise ConfigurationError(
+                    f"model matrix {key} holds {reprlib.repr(bad[0])}, not a JSON number")
         return cls(**matrices)
 
     def to_json(self, path=None) -> str:
@@ -169,6 +178,34 @@ class NoiseSpec:
         return out
 
 
+def format_number(value) -> str:
+    """The text the package writes for a float: 17 significant digits, which
+    `parse_number` reads back to the same float; nan and inf as such."""
+    return format(value, ".17g")
+
+
+def parse_number(text: str) -> Optional[float]:
+    """The float one CSV cell or plant line holds, or None: the grammar of
+    `np.loadtxt`, Python's `float` of the stripped text without digit-group
+    underscores (`1_5`) and non-ASCII digits."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows; float cells (float or np.floating) as `format_number`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_number(v) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
 @dataclass
 class SignalLog:
     """Aligned input/output (and optionally state and noise) sequences.
@@ -199,18 +236,9 @@ class SignalLog:
 
     def to_csv(self, path) -> None:
         """Write `k,u_1..u_p,y_1..y_n` rows."""
-        p = self.u.shape[1]
-        n = self.y.shape[1]
+        p, n = self.u.shape[1], self.y.shape[1]
         header = ["k"] + [f"u_{i+1}" for i in range(p)] + [f"y_{i+1}" for i in range(n)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                writer.writerow(
-                    [self.t0 + k]
-                    + [format(v, ".17g") for v in self.u[k]]
-                    + [format(v, ".17g") for v in self.y[k]]
-                )
+        write_csv(path, header, ([self.t0 + k, *self.u[k], *self.y[k]] for k in range(len(self))))
 
     @classmethod
     def from_csv(cls, path) -> "SignalLog":
@@ -221,7 +249,7 @@ class SignalLog:
         columns are read by position.  The data rows are parsed in one
         `np.loadtxt` call, which skips blank lines, honours quoted cells and
         ignores cells past y_n.  A header without u_* or y_* columns or out of
-        that order, a short row, a cell that `_csv_cell_value` refuses and a
+        that order, a short row, a cell that `parse_number` refuses and a
         non-finite cell are ConfigurationErrors.
         """
         with open(path, newline="") as fh:
@@ -253,21 +281,6 @@ class SignalLog:
         return cls(u=data[:, 1 : 1 + p].copy(), y=data[:, 1 + p :].copy(), t0=int(data[0, 0]))
 
 
-def _csv_cell_value(cell: str) -> Optional[float]:
-    """The value `np.loadtxt` reads from one cell, or None if it refuses it.
-
-    That is Python's `float` of the stripped cell without its two extras:
-    digit-group underscores (`1_5`) and non-ASCII digits.
-    """
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 def _bad_csv_cell(path, columns) -> str:
     """Name the first short row, refused cell or non-finite cell of a signal CSV."""
     with open(path, newline="") as fh:
@@ -280,7 +293,7 @@ def _bad_csv_cell(path, columns) -> str:
             if len(row) < len(columns):
                 return f"{where} has {len(row)} cells, expected {len(columns)}"
             for column, cell in zip(columns, row):
-                value = _csv_cell_value(cell)
+                value = parse_number(cell)
                 if value is None:
                     return f"{where}, column {column!r}: non-numeric value {cell!r}"
                 if not np.isfinite(value):
@@ -458,28 +471,26 @@ def lead_outputs(y, k, h: int, t: int, s: int) -> np.ndarray:
     return ya[k[:, None] + h + t + np.arange(s)].transpose(0, 2, 1)
 
 
+def _CA_powers(model: StateSpaceModel, count: int) -> list:
+    """[C, CA, ..., CA^{count-1}], each from the one before by one product with A."""
+    powers = [model.C]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ model.A)
+    return powers
+
+
 def markov_true(model: StateSpaceModel, t: int) -> MarkovMatrix:
     """Exact G(t) = [CA^{t-1}B, ..., CAB, CB] from the model matrices."""
     if t < 1:
         raise ConfigurationError("t must be >= 1")
-    blocks = []
-    CAk = model.C
-    for _ in range(t):
-        blocks.append(CAk @ model.B)
-        CAk = CAk @ model.A
-    return MarkovMatrix(G=np.hstack(blocks[::-1]), t=t)
+    return MarkovMatrix(G=np.hstack([CAk @ model.B for CAk in _CA_powers(model, t)][::-1]), t=t)
 
 
 def extended_observability(model: StateSpaceModel, h: int) -> np.ndarray:
     """O_c(h) = [C; CA; ...; CA^{h-1}], shape (h*n, m)."""
     if h < 1:
         raise ConfigurationError("h must be >= 1")
-    rows = []
-    CAk = model.C
-    for _ in range(h):
-        rows.append(CAk)
-        CAk = CAk @ model.A
-    return np.vstack(rows)
+    return np.vstack(_CA_powers(model, h))
 
 
 def extended_controllability(model: StateSpaceModel, h: int) -> np.ndarray:
@@ -503,14 +514,9 @@ def toeplitz_T(model: StateSpaceModel, h: int) -> np.ndarray:
     if h < 1:
         raise ConfigurationError("h must be >= 1")
     n, p = model.n, model.p
-    markov = []
-    CAk = model.C
-    for _ in range(max(h - 1, 0)):
-        markov.append(CAk @ model.B)
-        CAk = CAk @ model.A
+    # row block i holds the last i blocks of G(h), C A^{i-1} B .. C B
+    G = markov_true(model, h).G
     T = np.zeros((h * n, h * p))
-    for i in range(h):
-        for j in range(i):
-            T[i * n : (i + 1) * n, j * p : (j + 1) * p] = markov[i - j - 1]
+    for i in range(1, h):
+        T[i * n : (i + 1) * n, : i * p] = G[:, (h - i) * p :]
     return T
-

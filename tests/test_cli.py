@@ -46,6 +46,10 @@ def test_simulate_with_zero_delta_is_noise_free(tmp_path):
     # a noise box of half-width inf or 1e308 has a range 2 delta that overflows
     (["--delta", "inf"], "noise bound delta must be in [0, 8.988e+307], got inf"),
     (["--delta", "1e308"], "noise bound delta must be in [0, 8.988e+307], got 1e+308"),
+    # JSON numbers only: np.asarray reads the text "1_0" as 10 and true as 1
+    (["--x0", '["1_0", true, 0, 0]'],
+     '--x0 must be a JSON list of numbers, got ["1_0", true, 0, 0]'),
+    (["--x0", f"[1{'0' * 400}, 0, 0, 0]"], "--x0 must be a JSON list of numbers, got [1000"),
 ])
 def test_simulate_settings_are_checked_before_drawing(tmp_path, capsys, flags, message):
     out = tmp_path / "sig.csv"
@@ -63,6 +67,11 @@ def test_simulate_settings_are_checked_before_drawing(tmp_path, capsys, flags, m
     ({"A": None, "B": [[1.0]], "C": [[1.0]]}, "model matrix A must be finite"),
     ({"A": [[[0.5]]], "B": [[1.0]], "C": [[1.0]]},
      "model matrix A must be finite with at most 2 dimensions, got shape (1, 1, 1)"),
+    ({"A": [["1_0"]], "B": [["1"]], "C": [["\u0661"]]},
+     "model matrix A holds '1_0', not a JSON number"),
+    ({"A": [[0.5]], "B": [[True]], "C": [[1.0]]}, "model matrix B holds True, not a JSON number"),
+    ({"A": [[10**400]], "B": [[1.0]], "C": [[1.0]]},
+     "model matrix A is not a rectangular array of numbers"),
 ])
 def test_malformed_model_json_is_config_error(tmp_path, capsys, model, message):
     path, out = tmp_path / "model.json", tmp_path / "sig.csv"
@@ -458,6 +467,9 @@ def test_design_with_exited_plant_is_numeric_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("answer, reason", [
     ("nan", "non-finite"), ("hello", "non-numeric"), ("0.0", "plant closed its"),
+    # a plant line reads by the grammar of a CSV cell: no digit-group
+    # underscores, no non-ASCII digits
+    ("1_0", "non-numeric"), ("\u0661", "non-numeric"),
 ])
 def test_design_with_bad_plant_answer_is_numeric_failure(tmp_path, capsys, answer, reason):
     cmd = shlex.join([sys.executable, "-c", f"print({answer!r}, flush=True)"])
@@ -673,6 +685,16 @@ def test_report_check_fails_without_a_designed_slope(tmp_path, capsys):
      "line 5: N '80' or value 'abc' is not a number"),
     (lambda text: text.replace("80,white,err_mean,2.0", "80,white"), "line 5"),
     (lambda text: text.replace("N,mode,stat,value", "N,mode,stat,val"), "no value column"),
+    # the cells read by the grammar of a signal CSV's cells: no digit-group
+    # underscores, no non-ASCII digits, and N a whole number
+    (lambda text: text.replace("80,white,err_mean,2.0", "80,white,err_mean,1_0"),
+     "line 5: N '80' or value '1_0' is not a number (column 'value')"),
+    (lambda text: text.replace("80,white,err_mean,2.0", "80,white,err_mean,\u0661"),
+     "line 5: N '80' or value '\u0661' is not a number (column 'value')"),
+    (lambda text: text.replace("80,white,err_mean,2.0", "8_0,white,err_mean,2.0"),
+     "line 5: N '8_0' or value '2.0' is not a number (column 'N')"),
+    (lambda text: text.replace("80,white,err_mean,2.0", "80.5,white,err_mean,2.0"),
+     "line 5: N '80.5' or value '2.0' is not a number (column 'N')"),
 ])
 def test_malformed_curves_csv_is_config_error(tmp_path, edit, message):
     argv = write_curves(tmp_path)

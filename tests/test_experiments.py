@@ -435,6 +435,23 @@ class TestOutputFiles:
             assert list(saved["design"]) == ["delta", "y_M", "u_M", "epsilon", "alpha_M"]
             assert "delta" not in saved and saved["noise_kind"] == kind
 
+    @staticmethod
+    def assert_same_model(got, want):
+        for key in "ABC":
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+
+    def test_config_names_the_demo_model(self):
+        from subvarid.experiments import random_demo_model
+
+        config = ExperimentConfig.from_dict({"model": "demo-random"})
+        self.assert_same_model(config.model, random_demo_model())
+
+    def test_config_round_trip_keeps_the_model(self, tmp_path):
+        model = running_canonical()
+        path = tmp_path / "config.json"
+        save_config(ExperimentConfig(model=model, prestabilize=False), path)
+        self.assert_same_model(load_config(path).model, model)
+
     @pytest.mark.parametrize("key", ["delta", "y_M", "u_M", "epsilon", "alpha_M"])
     @pytest.mark.parametrize("design", [None, {"y_M": 50.0}])
     def test_config_top_level_design_keys_are_unknown(self, key, design):

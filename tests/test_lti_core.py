@@ -13,12 +13,12 @@ from subvarid.lti_core import (
     NoiseSpec,
     SignalLog,
     StateSpaceModel,
-    _csv_cell_value,
     build_L,
     extended_controllability,
     extended_observability,
     lead_outputs,
     markov_true,
+    parse_number,
     simulate,
     toeplitz_T,
     window_gather,
@@ -230,6 +230,25 @@ class TestStructuredMatrices:
         assert np.array_equal(extended_controllability(canonical, 1), canonical.B)
         assert np.all(toeplitz_T(canonical, 1) == 0.0)
 
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_toeplitz_and_observability_equal_the_block_loops(self, h):
+        """T read off markov_true's blocks, and O_c from the shared C A^k
+        sequence, are bit for bit the block loops they replaced."""
+        rng = np.random.default_rng(h)
+        for _ in range(50):
+            model = random_minimal_model(rng, m=int(rng.integers(1, 5)),
+                                         n=int(rng.integers(1, 3)), p=int(rng.integers(1, 3)))
+            n, p = model.n, model.p
+            CA = [model.C]
+            for _ in range(h - 1):
+                CA.append(CA[-1] @ model.A)
+            T = np.zeros((h * n, h * p))
+            for i in range(h):
+                for j in range(i):
+                    T[i * n : (i + 1) * n, j * p : (j + 1) * p] = CA[i - j - 1] @ model.B
+            assert np.array_equal(toeplitz_T(model, h), T)
+            assert np.array_equal(extended_observability(model, h), np.vstack(CA))
+
     def test_identity_A_repeats_C(self):
         model = StateSpaceModel(A=np.eye(3), B=np.ones((3, 1)), C=[[1.0, 2.0, 3.0]])
         Oc = extended_observability(model, 4)
@@ -404,7 +423,7 @@ class TestSignalCsvReader:
         | st.sampled_from(["1_5", "1e1_0", "١", " 1.5 ", "\xa01", "-Infinity", "nan", "1e999"])
     )
     def test_error_helper_accepts_what_the_parse_accepts(self, cell):
-        """`_csv_cell_value` refuses exactly the cells `np.loadtxt` refuses and
+        """`parse_number` refuses exactly the cells `np.loadtxt` refuses and
         reads the same value from the rest."""
         try:
             row = np.loadtxt([f"0,{cell},2"], delimiter=",", comments=None,
@@ -412,7 +431,7 @@ class TestSignalCsvReader:
             parsed = row[0, 1]
         except ValueError:
             parsed = None
-        value = _csv_cell_value(cell)
+        value = parse_number(cell)
         if parsed is None:
             assert value is None
         else:
