@@ -28,7 +28,6 @@ from .subspace_id import (
     EstimatorConfig,
     Realization,
     estimate_markov_batched,
-    estimate_markov_noise_free,
     ho_kalman,
     identification_error,
 )

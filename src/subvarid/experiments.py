@@ -18,7 +18,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -333,12 +333,14 @@ def _aggregate(results, N_schedule, mode) -> ErrorCurves:
     for N in N_schedule:
         errs = np.asarray([r.errors.get(N, np.nan) for r in results if not r.failed])
         devs = np.asarray([r.deviations.get(N, np.nan) for r in results if not r.failed])
-        stats["err_mean"][N] = float(np.nanmean(errs)) if errs.size else np.nan
-        stats["err_median"][N] = float(np.nanmedian(errs)) if errs.size else np.nan
-        stats["err_q1"][N] = float(np.nanpercentile(errs, 25)) if errs.size else np.nan
-        stats["err_q3"][N] = float(np.nanpercentile(errs, 75)) if errs.size else np.nan
-        stats["dev_median"][N] = float(np.nanmedian(devs)) if devs.size else np.nan
-        stats["dev_mean"][N] = float(np.nanmean(devs)) if devs.size else np.nan
+        # an N that no trial reached has only nan values, and no statistic
+        has_err, has_dev = (~np.isnan(errs)).any(), (~np.isnan(devs)).any()
+        stats["err_mean"][N] = float(np.nanmean(errs)) if has_err else np.nan
+        stats["err_median"][N] = float(np.nanmedian(errs)) if has_err else np.nan
+        stats["err_q1"][N] = float(np.nanpercentile(errs, 25)) if has_err else np.nan
+        stats["err_q3"][N] = float(np.nanpercentile(errs, 75)) if has_err else np.nan
+        stats["dev_median"][N] = float(np.nanmedian(devs)) if has_dev else np.nan
+        stats["dev_mean"][N] = float(np.nanmean(devs)) if has_dev else np.nan
     return ErrorCurves(N_values=list(N_schedule), mode=mode, stats=stats, raw=list(results))
 
 
@@ -371,8 +373,7 @@ def run_campaign(config: ExperimentConfig) -> ErrorCurves:
 
 def white_noise_baseline(config: ExperimentConfig) -> ErrorCurves:
     """Same pipeline with white-noise inputs and identical trial noise streams."""
-    cfg = replace(config, input_mode="white_noise")
-    return _aggregate(_run_trials(cfg, "white"), cfg.N_schedule, "white")
+    return _aggregate(_run_trials(config, "white"), config.N_schedule, "white")
 
 
 def convergence_slope(values, N_values) -> float:

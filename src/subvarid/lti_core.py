@@ -324,16 +324,6 @@ class MarkovMatrix:
     def p(self) -> int:
         return self.G.shape[1] // self.t
 
-    def block(self, j: int) -> np.ndarray:
-        """Block j (0-based from the left), i.e. C A^{t-1-j} B."""
-        if not 0 <= j < self.t:
-            raise OutOfRangeError(f"block index {j} outside 0..{self.t - 1}")
-        return self.G[:, j * self.p : (j + 1) * self.p]
-
-    def markov_parameter(self, i: int) -> np.ndarray:
-        """C A^{i-1} B for i = 1..t (impulse-response ordering)."""
-        return self.block(self.t - i)
-
 
 def simulate(
     model: StateSpaceModel,

@@ -1,10 +1,11 @@
 """Closed-form Markov-parameter estimation and Ho-Kalman realization.
 
-The estimator reads G(t) off the last t*p columns of Y(k+h+t;s) L^{-1}[y,u];
-the batched variant averages per-batch estimates with batch i starting at
-k = s*i.  Every estimator window is gathered, inverted and skipped in one
-function, `batch_terms`, under one skip rule; `invert_window` is its raising
-one-window form.  Both batch averages fold `batch_terms`.
+The estimator reads G(t) off the last t*p columns of Y(k+h+t;s) L^{-1}[y,u]
+and averages the per-batch estimates, batch i starting at k = s*i; at N = 1
+it is the single-window closed form.  Every estimator window is gathered,
+inverted and skipped in one function, `batch_terms`, under one skip rule;
+`invert_window` is its raising one-window form.  The estimator and the
+closed loop's batch average both fold `batch_terms`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .lti_core import (
 class EstimatorConfig:
     """Window geometry for the subspace estimator.
 
-    h block rows of outputs (h >= model order for exactness), t Markov blocks
-    to identify, N batches starting at 0, s, 2s, ...  The derived window
-    width is s = h*n + (h+t)*p and one batch consumes the data range
+    h block rows of outputs (h*n = model order for exactness; on noise-free
+    data a larger h leaves L singular), t Markov blocks to identify, N
+    batches starting at 0, s, 2s, ...  The derived window width is
+    s = h*n + (h+t)*p and one batch consumes the data range
     [start, start + s + h + t - 1].
     """
 
@@ -49,10 +51,6 @@ class EstimatorConfig:
 
     def s(self, n: int, p: int) -> int:
         return window_size(self.h, self.t, n, p)
-
-    def r(self, p: int) -> int:
-        """Columns selected for G(t); dimensional consistency forces r = t*p."""
-        return self.t * p
 
     def samples_needed(self, n: int, p: int) -> int:
         """Data length covering all N batches (y up to the last lead window)."""
@@ -127,17 +125,6 @@ def invert_window(y, u, cfg: EstimatorConfig):
     return alpha[0], lead[0]
 
 
-def estimate_markov_noise_free(y, u, cfg: EstimatorConfig) -> MarkovMatrix:
-    """Single-window closed-form estimate; exact on noise-free data.
-
-    Raises EstimationError (carrying the condition number) when the data
-    matrix is numerically singular.
-    """
-    alpha, lead = invert_window(y, u, cfg)
-    r = cfg.r(_as_2d(u).shape[1])
-    return MarkovMatrix(G=lead @ alpha[:, -r:], t=cfg.t)
-
-
 @dataclass(frozen=True)
 class BatchedMarkov(MarkovMatrix):
     """A batch-averaged G(t) with the condition number and reason of every batch."""
@@ -149,6 +136,7 @@ class BatchedMarkov(MarkovMatrix):
 def estimate_markov_batched(y, u, cfg: EstimatorConfig) -> BatchedMarkov:
     """Average of per-batch estimates lead L^{-1} over N batches.
 
+    At N = 1 this is the single-window closed form, exact on noise-free data.
     The windows are stacked, BATCH_CHUNK at a time, and go through
     `batch_terms`: one stacked condition number and one stacked LU inverse.
     Windows beyond DEFAULT_COND_LIMIT are skipped with reason "cond" and the
@@ -161,7 +149,7 @@ def estimate_markov_batched(y, u, cfg: EstimatorConfig) -> BatchedMarkov:
         raise ConfigurationError(
             f"need {cfg.samples_needed(n, p)} samples for {cfg.N} batches, got {len(ya)}"
         )
-    total, parts = np.zeros((n, cfg.r(p))), []
+    total, parts = np.zeros((n, cfg.t * p)), []
     for first in range(0, cfg.N, BATCH_CHUNK):
         starts = cfg.s(n, p) * np.arange(first, min(first + BATCH_CHUNK, cfg.N))
         cond, reason, _, _, _, term = batch_terms(ya, ua, starts, cfg.h, cfg.t,

@@ -37,7 +37,6 @@ from subvarid.lti_core import (
 from subvarid.subspace_id import (
     EstimatorConfig,
     estimate_markov_batched,
-    estimate_markov_noise_free,
     ho_kalman,
 )
 from conftest import random_minimal_model
@@ -56,6 +55,7 @@ def paired_campaign():
         trials=100,
         N_schedule=(10, 20, 40, 80, 160, 320),
         rng_seed=CAMPAIGN_SEED,
+        workers=2,  # the same trials as one worker (test_two_workers_give_the_same_trials)
     )
     t0 = time.time()
     designed = run_campaign(config)
@@ -85,7 +85,7 @@ def test_criterion_01_noise_free_exactness():
         T = cfg.samples_needed(n, p)
         U = rng.uniform(-1.0, 1.0, size=(T, p))
         log = simulate(model, np.zeros(m), U)
-        G_hat = estimate_markov_noise_free(log.y, log.u, cfg)
+        G_hat = estimate_markov_batched(log.y, log.u, cfg)
         G_star = markov_true(model, cfg.t)
         rel = np.linalg.norm(G_hat.G - G_star.G) / np.linalg.norm(G_star.G)
         worst = max(worst, rel)

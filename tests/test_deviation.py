@@ -422,7 +422,7 @@ class TestJ2Hessian:
         u = rng.normal(size=12)
         alpha, lead = invert_window(y, u, cfg)
         H2 = j2_form(alpha, lead, cfg)
-        s, r = len(alpha), cfg.r(1)
+        s, r = len(alpha), cfg.t
         nw, ne = cfg.h + s - 1, cfg.h + cfg.t + s - 1
 
         def f(P):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,20 @@ class TestCampaign:
             errs = [r.errors[N] for r in designed.raw if not r.failed]
             assert designed.stat("err_mean", N) == pytest.approx(np.mean(errs))
             assert designed.stat("err_median", N) == pytest.approx(np.median(errs))
+
+    def test_an_N_that_no_trial_reached_is_nan_without_warnings(self):
+        """On the demo system no trial has a used batch at N = 1: its
+        statistics are nan, and numpy warns of no empty slice."""
+        config = ExperimentConfig.from_dict(
+            {"model": "demo-random", "trials": 2, "N_schedule": [1, 2, 3], "rng_seed": 17})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curves = white_noise_baseline(config)
+        assert all(np.isnan(curves.stat(stat, 1)) for stat in curves.stats)
+        assert np.isnan(curves.stat("dev_median", 2))
+        assert np.isfinite([curves.stat(stat, N) for stat in ("err_mean", "err_median",
+                                                              "err_q1", "err_q3")
+                            for N in (2, 3)]).all()
 
     def test_paired_trials_share_noise_streams(self):
         # trial index drives the plant noise, so the designed and white runs

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subvarid.deviation import window_deviation
+from subvarid.experiments import trial_rng
 from subvarid import input_design
 from subvarid.errors import (
     ConfigurationError,
     DesignFailureError,
     NearSingularError,
     NumericOverflowError,
+    OrderDeficiencyError,
     PlantProtocolError,
 )
 from subvarid.input_design import (
@@ -915,6 +917,53 @@ class TestClosedLoop:
         with pytest.raises(NumericOverflowError, match="iteration 11, nan, is not within"):
             run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 100, 4,
                             rng=np.random.default_rng(21))
+
+    @staticmethod
+    def noise_free_run(model, est, order):
+        """120 designed iterations on a plant without noise, streams of trial 0, seed 3."""
+        plant = SimulatedPlant(model, NoiseSpec(0.0), trial_rng(3, 0, 0), x0=np.zeros(model.m))
+        return run_closed_loop(plant, DesignConfig(), est, 120, order, rng=trial_rng(3, 0, 1))
+
+    def test_zero_plant_falls_back_on_a_singular_design_window(self, monkeypatch):
+        """A plant whose output is always 0 leaves every data window singular:
+        `BorderedPartition` raises LinAlgError on every step, each step falls
+        back to a random safe input, and no batch is used."""
+        raised = []
+
+        class CountedPartition(BorderedPartition):
+            def __init__(self, L):
+                try:
+                    super().__init__(L)
+                except np.linalg.LinAlgError:
+                    raised.append(L)
+                    raise
+
+        monkeypatch.setattr(input_design, "BorderedPartition", CountedPartition)
+        zero = StateSpaceModel(A=[[0.0]], B=[[0.0]], C=[[0.0]])
+        run = self.noise_free_run(zero, EstimatorConfig(h=1, t=2), 1)
+        assert len(raised) == run.design_fallbacks == 120
+        assert len(run.batches) == 30 and not any(b.used for b in run.batches)
+        assert np.abs(run.u).max() <= DesignConfig().u_M
+
+    def test_low_order_plant_keeps_its_batches_without_a_model(self, monkeypatch):
+        """A noise-free first-order plant realized at order 2 has a Markov
+        Hankel of rank 1: `ho_kalman` raises OrderDeficiencyError on every
+        fold, the fold keeps the batch but no model, and no step is feasible."""
+        raised = []
+
+        def counted_ho_kalman(G, m):
+            try:
+                return ho_kalman(G, m)
+            except OrderDeficiencyError:
+                raised.append(m)
+                raise
+
+        monkeypatch.setattr(input_design, "ho_kalman", counted_ho_kalman)
+        first_order = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
+        run = self.noise_free_run(first_order, EstimatorConfig(h=1, t=4), 2)
+        assert len(raised) == len(run.batches) == 20
+        assert all(b.used for b in run.batches)
+        assert not any(rec.feasible for rec in run.iterations)
 
 
 def fold_windows(run, h: int, t: int):

@@ -209,13 +209,12 @@ class TestBuildL:
 class TestMarkovTrue:
     def test_canonical_last_block_is_CB(self, canonical):
         G = markov_true(canonical, t=5)
-        assert G.block(4) == pytest.approx(np.array([[0.27]]))
-        assert G.markov_parameter(1) == pytest.approx(np.array([[0.27]]))
+        assert G.G[:, 4:] == pytest.approx(np.array([[0.27]]))
 
     def test_zero_A_only_CB_nonzero(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=[[1.0], [2.0]], C=[[1.0, 1.0]])
         G = markov_true(model, t=4)
-        assert G.block(3) == pytest.approx(np.array([[3.0]]))
+        assert G.G[:, 3:] == pytest.approx(np.array([[3.0]]))
         assert np.allclose(G.G[:, :-1], 0.0)
 
     def test_t_equal_one(self, canonical):

@@ -24,7 +24,6 @@ from subvarid.subspace_id import (
     _hankel_gather,
     batch_terms,
     estimate_markov_batched,
-    estimate_markov_noise_free,
     ho_kalman,
     identification_error,
     invert_window,
@@ -45,7 +44,7 @@ class TestNoiseFreeEstimator:
         rng = np.random.default_rng(0)
         cfg = EstimatorConfig(h=4, t=5)
         log = excite(canonical, cfg, rng, amp=1.0, x0=CANONICAL_X0)
-        G_hat = estimate_markov_noise_free(log.y, log.u, cfg)
+        G_hat = estimate_markov_batched(log.y, log.u, cfg)
         G_star = markov_true(canonical, 5)
         assert np.linalg.norm(G_hat.G - G_star.G) < 1e-8
 
@@ -56,7 +55,7 @@ class TestNoiseFreeEstimator:
         cfg = EstimatorConfig(h=1, t=2)
         rng = np.random.default_rng(1)
         log = excite(model, cfg, rng)
-        G_hat = estimate_markov_noise_free(log.y, log.u, cfg)
+        G_hat = estimate_markov_batched(log.y, log.u, cfg)
         assert G_hat.G == pytest.approx(np.array([[c * a * b, c * b]]), abs=1e-10)
 
     def test_similarity_invariance(self):
@@ -75,7 +74,7 @@ class TestNoiseFreeEstimator:
         y = np.zeros(8)
         u = np.zeros(8)
         with pytest.raises(EstimationError) as err:
-            estimate_markov_noise_free(y, u, cfg)
+            estimate_markov_batched(y, u, cfg)
         assert err.value.condition_number is not None
 
     def test_random_minimal_models_exact(self):
@@ -89,7 +88,7 @@ class TestNoiseFreeEstimator:
             model = random_minimal_model(rng, m, n=n, p=p)
             cfg = EstimatorConfig(h=m // n, t=m + 1)
             log = excite(model, cfg, rng)
-            G_hat = estimate_markov_noise_free(log.y, log.u, cfg)
+            G_hat = estimate_markov_batched(log.y, log.u, cfg)
             G_star = markov_true(model, cfg.t)
             rel = np.linalg.norm(G_hat.G - G_star.G) / np.linalg.norm(G_star.G)
             assert rel < 1e-8, (m, n, p, rel)
@@ -101,7 +100,7 @@ def oracle_batched(y, u, cfg):
     ya = np.asarray(y, dtype=float).reshape(len(y), -1)
     ua = np.asarray(u, dtype=float).reshape(len(u), -1)
     n, p = ya.shape[1], ua.shape[1]
-    s, r = cfg.s(n, p), cfg.r(p)
+    s, r = cfg.s(n, p), cfg.t * p
     total, skipped, conds = 0.0, [], []
     for i in range(cfg.N):
         k = s * i
@@ -345,18 +344,7 @@ class TestBatchedEstimator:
         cfg = EstimatorConfig(h=3, t=4, N=5)
         log = excite(model, cfg, rng)
         G_b = estimate_markov_batched(log.y, log.u, cfg)
-        G_1 = estimate_markov_noise_free(log.y, log.u, EstimatorConfig(h=3, t=4))
-        assert np.allclose(G_b.G, G_1.G, atol=1e-9)
-
-    def test_single_batch_equals_noise_free_path_on_noisy_data(self):
-        rng = np.random.default_rng(5)
-        model = random_minimal_model(rng, 2)
-        cfg = EstimatorConfig(h=2, t=3, N=1)
-        T = cfg.samples_needed(1, 1)
-        U = rng.uniform(-1, 1, size=T)
-        log = simulate(model, np.zeros(2), U, noise=NoiseSpec(delta=0.02), rng=rng)
-        G_b = estimate_markov_batched(log.y, log.u, cfg)
-        G_1 = estimate_markov_noise_free(log.y, log.u, cfg)
+        G_1 = estimate_markov_batched(log.y, log.u, EstimatorConfig(h=3, t=4))
         assert np.allclose(G_b.G, G_1.G, atol=1e-9)
 
     def test_error_decreases_with_batch_count(self):
@@ -462,7 +450,7 @@ class TestHoKalman:
         rng = np.random.default_rng(10 * n + p + 100 * m)
         for t in (2 * m, 2 * m + 1):
             G = MarkovMatrix(G=rng.normal(size=(n, t * p)), t=t)
-            g = [G.markov_parameter(i + 1) for i in range(t)]
+            g = [G.G[:, (t - 1 - i) * p : (t - i) * p] for i in range(t)]
             H_ref = np.block([[g[a + b] for b in range(m)] for a in range(m)])
             H_shift_ref = np.block([[g[a + b + 1] for b in range(m)] for a in range(m)])
             rows, cols = _hankel_gather(n, p, m, t)
