@@ -9,9 +9,9 @@ malformed CSV: a header that does not begin k,u_1..u_p,y_1..y_n, a short row,
 a refused or non-finite cell; or one too short for the data window; and a
 campaign config, or campaign flags, with a value of the wrong type or out of
 range, and a config that is not a JSON object or has an unknown key, also
-one of the loop settings that are module constants, such as `kappa`, or a
-design block with an `epsilon` not finite and above 0 or an `alpha_M` not
-above 0; a seed (`--seed`, `rng_seed`) that is not an int in [0, 2**63); a
+one of the loop settings that are module constants, such as `kappa`, or the
+derived `alpha_M`; a design block's `epsilon` not finite and above 0;
+`--workers` below 1; a seed (`--seed`, `rng_seed`) not an int in [0, 2**63); a
 curves CSV without an N, stat or value column or with a refused cell or an
 N that is not whole; a model JSON that is not an object, lacks A, B or C or
 holds a ragged, non-finite or 3-D matrix or a non-number (`"1"`, `true`); a
@@ -53,7 +53,7 @@ from .errors import (
     OutOfRangeError,
     SubvaridError,
 )
-from .input_design import DesignConfig, SimulatedPlant, run_closed_loop
+from .input_design import DesignConfig, LineProtocolPlant, SimulatedPlant, run_closed_loop
 from .lti_core import (NoiseSpec, SignalLog, StateSpaceModel, check_bound, markov_true,
                        simulate)
 from .subspace_id import EstimatorConfig, estimate_markov_batched, ho_kalman
@@ -151,11 +151,9 @@ def cmd_design(args) -> int:
     design = DesignConfig(delta=args.delta, y_M=args.y_max, u_M=args.u_max)
     est = EstimatorConfig(h=args.h, t=args.t)
     if args.plant_cmd:
-        from .input_design import LineProtocolPlant
-
         plant = LineProtocolPlant(command=shlex.split(args.plant_cmd))
     else:
-        plant = SimulatedPlant(model, noise, rng, x0=np.zeros(model.m))
+        plant = SimulatedPlant(model, noise, rng)
     try:
         run = run_closed_loop(
             plant, design, est, args.iterations, args.order,

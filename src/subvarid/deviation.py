@@ -39,10 +39,11 @@ ENUMERATION_LIMIT = 20
 class DeviationResult:
     """Worst-case deviation and the noise vertices achieving the sub-maxima.
 
-    J is a first-order figure: it bounds the deviation only while the
-    inverse perturbation converges.  `amplification` = 2 delta s max|alpha|
-    is the gauge the closed loop uses for that regime; J means little once
-    it reaches 1.
+    J = sqrt(J1 + J2) is the paper's split first-order figure, not an upper
+    bound: the split drops a cross term, and exactly solved perturbed windows
+    exceed J even at small amplification (ROADMAP item 1).  `amplification`
+    = 2 delta s max|alpha| gauges the first-order regime, as in the closed
+    loop; J means little once it reaches 1.
     """
 
     J: float

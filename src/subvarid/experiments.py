@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import reprlib
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -151,6 +152,8 @@ class ExperimentConfig:
         if self.trials < 1 or not self.N_schedule:
             raise ConfigurationError("need at least one trial and one N value")
         check_seed(self.rng_seed, "rng_seed")
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
         NoiseSpec(self.design.delta, self.noise_kind)  # refuses an unknown kind
 
     def resolved_model(self) -> StateSpaceModel:
@@ -166,11 +169,12 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Config from the dict `to_dict` writes; omitted settings keep their defaults.
 
-        The five design values live in the `design` block only: a top-level
-        `delta`, `y_M`, `u_M`, `epsilon` or `alpha_M` is an unknown setting.
-        An unknown key or a value of the wrong JSON type is a
-        ConfigurationError, and so is an N_schedule entry that is not a
-        positive int or a design value that does not fit a finite float.
+        The four design values live in the `design` block only: a top-level
+        `delta`, `y_M`, `u_M` or `epsilon` is an unknown setting, and so is
+        the derived `alpha_M` anywhere.  An unknown key or a value of the
+        wrong JSON type is a ConfigurationError, and so is an N_schedule entry
+        that is not a positive int or a design value that does not fit a
+        finite float.
         """
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
@@ -181,18 +185,14 @@ class ExperimentConfig:
         unknown = set(design) - {f.name for f in fields(DesignConfig)}
         if unknown:
             raise ConfigurationError(f"unknown design settings {sorted(unknown)}")
-        # design values are JSON numbers, not bools, within the float range;
-        # alpha_M may also be null, or the inf that DesignConfig derives at delta 0
+        # design values are JSON numbers, not bools, within the float range
         for key, value in design.items():
-            if key == "alpha_M" and value in (None, math.inf):
-                continue
             if type(value) not in (int, float):
                 raise ConfigurationError(f"design setting {key!r} must be a number, "
                                          f"got {reprlib.repr(value)}")
             if not abs(value) <= sys.float_info.max:
                 raise ConfigurationError(f"design setting {key!r} must be a finite float, "
                                          f"got {reprlib.repr(value)}")
-        design = {key: value if value is None else float(value) for key, value in design.items()}
         settings = {}
         for f in fields(cls):
             if f.name not in data or f.name in ("design", "model"):
@@ -212,7 +212,8 @@ class ExperimentConfig:
             model = random_demo_model()
         elif data.get("model") is not None:
             model = StateSpaceModel.from_dict(data["model"])
-        return cls(model=model, design=DesignConfig(**design), **settings)
+        design = DesignConfig(**{key: float(value) for key, value in design.items()})
+        return cls(model=model, design=design, **settings)
 
 
 @dataclass
@@ -304,8 +305,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     n_iter = (max(config.N_schedule) - 1) * s + 1
     G_star = markov_true(model, config.t)
     noise = NoiseSpec(config.design.delta, config.noise_kind)
-    plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0),
-                           x0=np.zeros(model.m))
+    plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0))
     try:
         run = run_closed_loop(plant, config.design, est, n_iter, config.order, mode=mode,
                               rng=trial_rng(config.rng_seed, trial, stream=1), G_star=G_star,
@@ -348,8 +348,9 @@ def _run_trials(config: ExperimentConfig, mode: str):
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # under fork the first submit starts every worker at once
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
+        # under fork the first submit starts every worker: one per trial or core at most
+        workers = min(config.workers, config.trials, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_star, [(config, i, mode) for i in range(config.trials)]))
     else:
         results = [run_trial(config, i, mode) for i in range(config.trials)]

@@ -83,17 +83,16 @@ DIVERGENCE_FACTOR = 1e3
 class DesignConfig:
     """The paper's bounds for the input-design loop.
 
-    delta bounds the noise, y_M and u_M the outputs and inputs.  The
-    conditioning bound alpha_M and the linearization tolerance epsilon are
-    tied by delta * alpha_M**2 <= epsilon; when alpha_M is omitted it defaults
-    to sqrt(epsilon / delta).
+    delta bounds the noise, y_M and u_M the outputs and inputs, and epsilon
+    is the linearization tolerance.  The conditioning bound alpha_M is
+    derived: sqrt(epsilon / delta) (inf at delta 0), the largest value that
+    the linearization condition delta * alpha_M**2 <= epsilon allows.
     """
 
     delta: float = 0.05
     y_M: float = 100.0
     u_M: float = 10.0
     epsilon: float = 0.01
-    alpha_M: Optional[float] = None
 
     def __post_init__(self):
         check_bound(self.delta, "noise bound delta")
@@ -102,14 +101,7 @@ class DesignConfig:
                 f"finite y_M, u_M above 0 required, got y_M {self.y_M} and u_M {self.u_M}")
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be finite and above 0, got {self.epsilon}")
-        if self.alpha_M is None:
-            self.alpha_M = float(np.sqrt(self.epsilon / self.delta)) if self.delta > 0 else np.inf
-        elif not self.alpha_M > 0:  # inf stays allowed: the value derived at delta 0
-            raise ConfigurationError(f"alpha_M must be above 0, got {self.alpha_M}")
-        if self.delta > 0 and self.delta * self.alpha_M**2 > self.epsilon * (1 + 1e-9):
-            raise ConfigurationError(
-                "constraint delta * alpha_M^2 <= epsilon is not satisfiable"
-            )
+        self.alpha_M = float(np.sqrt(self.epsilon / self.delta)) if self.delta > 0 else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +164,8 @@ class OutputPredictor:
     changes only once per batch, and for the model validation.
     """
 
-    def __init__(self, A_hat, B_hat, C_hat, G_hat: MarkovMatrix, h: Optional[int] = None):
-        A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
-        self.h = A_hat.shape[0] if h is None else h
+    def __init__(self, A_hat, B_hat, C_hat, G_hat: MarkovMatrix, h: int):
+        self.h = h
         self.t = G_hat.t
         self.G = G_hat.G.flatten()
         self.model = model = StateSpaceModel(A=A_hat, B=B_hat, C=C_hat)
@@ -340,7 +331,8 @@ def conditioning_u_sets(partition: BorderedPartition, cfg: DesignConfig):
     ds = 2.0 * cfg.delta * partition.s
     if not math.isfinite(ds):
         return []  # the raw bound tends to 0 as ds grows: no inverse is within it
-    raw = a_lim if ds == 0 else (-1.0 + np.sqrt(1.0 + 4.0 * ds * a_lim)) / (2.0 * ds)
+    # ds > 0 here: alpha_M is finite only at a delta above 0
+    raw = (-1.0 + np.sqrt(1.0 + 4.0 * ds * a_lim)) / (2.0 * ds)
     # base is Y^{-1} bordered by zeros, so its largest |entry| is Y^{-1}'s
     if np.abs(partition.Y_inv).max() > raw:
         return []
@@ -557,19 +549,17 @@ class SimulatedPlant:
     Process noise is injected at the input: for a controllable model an input
     perturbation reproduces the process noise's effect at the ends of each
     m-step window, which is all the window analysis sees.  Both channels
-    share the bound of `noise`.
+    share the bound of `noise`.  The state starts at zero, also at `reset`.
     """
 
-    def __init__(self, model: StateSpaceModel, noise: NoiseSpec,
-                 rng: np.random.Generator, x0=None):
+    def __init__(self, model: StateSpaceModel, noise: NoiseSpec, rng: np.random.Generator):
         self.model = model
         self.noise = noise
         self.rng = rng
-        self.x0 = np.zeros(model.m) if x0 is None else np.asarray(x0, dtype=float)
-        self.x = self.x0.copy()
+        self.x = np.zeros(model.m)
 
     def reset(self) -> float:
-        self.x = self.x0.copy()
+        self.x = np.zeros(self.model.m)
         y = self.model.C @ self.x + self.noise.sample(self.rng, (self.model.n,))
         return float(y[0])
 
@@ -584,29 +574,22 @@ class SimulatedPlant:
 class LineProtocolPlant:
     """External plant speaking one line per step: send u, receive y.
 
-    Accepts either an existing subprocess.Popen with pipes or a command to
-    spawn.  The first line read (before any input is sent) is y(0).  A plant
-    that exits, answers with anything but one finite number, or sends no
-    line within READ_TIMEOUT_S seconds raises PlantProtocolError; a plant
-    that timed out is killed and reaped first.  The output is read from the
-    pipe's file descriptor into the object's own line buffer, so a line
-    already buffered is returned without waiting on the descriptor; lines
-    read through proc.stdout by someone else are not seen.  close() ends
-    the input and waits CLOSE_TIMEOUT_S seconds for the plant to exit, then
-    kills it.
+    Spawns `command` with its input and output on pipes.  The first line
+    read (before any input is sent) is y(0).  A plant that exits, answers
+    with anything but one finite number, or sends no line within
+    READ_TIMEOUT_S seconds raises PlantProtocolError; a plant that timed out
+    is killed and reaped first.  The output is read from the pipe's file
+    descriptor into the object's own line buffer, so a line already buffered
+    is returned without waiting on the descriptor.  close() ends the input
+    and waits CLOSE_TIMEOUT_S seconds for the plant to exit, then kills it.
     """
 
     READ_TIMEOUT_S = 30.0
     CLOSE_TIMEOUT_S = 10.0
 
-    def __init__(self, command=None, proc: Optional[subprocess.Popen] = None):
-        if proc is None:
-            if command is None:
-                raise ConfigurationError("need a command or a running process")
-            proc = subprocess.Popen(
-                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-            )
-        self.proc = proc
+    def __init__(self, command):
+        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
         self._pending = b""  # bytes read from the plant past the last line returned
 
     def _readline(self) -> bytes:

@@ -80,10 +80,9 @@ class StateSpaceModel:
     def n(self) -> int:
         return self.C.shape[0]
 
-    def is_minimal(self, tol: float = 1e-9) -> bool:
-        rc = np.linalg.matrix_rank(extended_controllability(self, self.m), tol=tol)
-        ro = np.linalg.matrix_rank(extended_observability(self, self.m), tol=tol)
-        return rc == self.m and ro == self.m
+    def is_minimal(self) -> bool:
+        maps = (extended_controllability(self, self.m), extended_observability(self, self.m))
+        return all(np.linalg.matrix_rank(M, tol=1e-9) == self.m for M in maps)
 
     def to_dict(self) -> dict:
         return {

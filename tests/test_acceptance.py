@@ -217,7 +217,7 @@ def test_criterion_07_gaussian_error_bound():
     dG = []
     for trial in range(500):
         rng = trial_rng(707, trial, 0)
-        plant = SimulatedPlant(model, noise, rng, x0=np.zeros(4))
+        plant = SimulatedPlant(model, noise, rng)
         T = cfg.samples_needed(1, 1)
         u = rng.uniform(-design.u_M, design.u_M, size=T)
         ys = [plant.reset()]
@@ -249,9 +249,7 @@ def test_criterion_08_recursive_feasibility():
     violations = 0
     steps = 0
     for trial in range(100):
-        plant = SimulatedPlant(
-            model, NoiseSpec(delta=0.05), trial_rng(808, trial, 0), x0=np.zeros(4)
-        )
+        plant = SimulatedPlant(model, NoiseSpec(delta=0.05), trial_rng(808, trial, 0))
         run = run_closed_loop(
             plant, design, est, 250, 4,
             rng=trial_rng(808, trial, 1),

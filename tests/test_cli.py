@@ -360,7 +360,7 @@ def run_console(*argv):
     pytest.param('{"design": {"y_M": 1%s}, "trials": 1, "N_schedule": [2]}' % ("0" * 400),
                  "design setting 'y_M' must be a finite float", id="y_M-401-digits"),
     ('{"design": {"alpha_M": -0.1}, "trials": 1, "N_schedule": [2]}',
-     "alpha_M must be above 0, got -0.1"),
+     "unknown design settings ['alpha_M']"),
     ('{"design": {"epsilon": -1}, "trials": 1, "N_schedule": [2]}',
      "epsilon must be finite and above 0, got -1.0"),
     ('{"rng_seed": -5, "trials": 1, "N_schedule": [2]}',
@@ -381,6 +381,8 @@ def test_malformed_campaign_config_is_config_error(tmp_path, config, message):
     (["--schedule", "0"], "N_schedule must hold positive ints, got [0]"),
     (["--trials", "-1"], "need at least one trial"),
     (["--seed", "-1"], "rng_seed must be an int in [0, 2**63), got -1"),
+    (["--workers", "0"], "workers must be at least 1, got 0"),
+    (["--workers", "-1"], "workers must be at least 1, got -1"),
 ])
 def test_malformed_campaign_flags_are_config_errors(tmp_path, flags, message):
     """The campaign flags pass the checks that a config file passes."""

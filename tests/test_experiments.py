@@ -254,7 +254,7 @@ class TestCampaign:
             trials=1,
             N_schedule=(5,),
             rng_seed=3,
-            design=DesignConfig(delta=0.0, epsilon=1.0, alpha_M=np.inf),
+            design=DesignConfig(delta=0.0, epsilon=1.0),
         )
         res = run_trial(config, 0, "designed")
         assert res.errors[5] < 1e-9
@@ -324,10 +324,12 @@ class TestCampaign:
         with pytest.raises(ConfigurationError, match="unknown mode 'desgined'"):
             run_trial(ExperimentConfig(trials=1, N_schedule=(2,)), 0, "desgined")
 
-    @pytest.mark.parametrize("workers, trials, pool", [(5000, 2, 2), (2, 3, 2)])
-    def test_worker_pool_is_at_most_one_per_trial(self, monkeypatch, workers, trials, pool):
-        """No process starts: the pool is a recorder that maps in this process."""
+    @staticmethod
+    def pool_sizes(monkeypatch, workers, trials, cores):
+        """Pool sizes that _run_trials asks for, on a machine of `cores` cores.
+        No process starts: the pool is a recorder that maps in this process."""
         import concurrent.futures
+        import os
 
         from subvarid import experiments
         from subvarid.experiments import TrialResult
@@ -353,9 +355,27 @@ class TestCampaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "run_trial", stub_trial)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         config = ExperimentConfig(trials=trials, workers=workers)
         assert [r.trial for r in experiments._run_trials(config, "white")] == list(range(trials))
-        assert sizes == [pool]
+        return sizes
+
+    @pytest.mark.parametrize("workers, trials, pool", [(5000, 2, 2), (2, 3, 2)])
+    def test_worker_pool_is_at_most_one_per_trial(self, monkeypatch, workers, trials, pool):
+        assert self.pool_sizes(monkeypatch, workers, trials, cores=64) == [pool]
+
+    @pytest.mark.parametrize("cores, pool", [(3, 3), (1, 1), (None, 1)])
+    def test_worker_pool_is_at_most_one_per_core(self, monkeypatch, cores, pool):
+        """An unknown core count (os.cpu_count() is None) counts as one core;
+        with a one-process pool the trials still run through the pool."""
+        assert self.pool_sizes(monkeypatch, 5000, 100, cores) == [pool]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_1_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match=f"workers must be at least 1, got {workers}"):
+            ExperimentConfig.from_dict({"workers": workers})
+        with pytest.raises(ConfigurationError, match="workers must be at least 1"):
+            ExperimentConfig(workers=workers)
 
     def test_failed_trial_keeps_its_error(self, monkeypatch):
         from dataclasses import replace
@@ -439,15 +459,16 @@ class TestOutputFiles:
         from subvarid.input_design import DesignConfig
 
         path = tmp_path / "config.json"
-        # at delta 0 DesignConfig derives alpha_M = inf, which must load back too
-        for design, kind in ((DesignConfig(delta=0.02, y_M=50.0, u_M=4.0, epsilon=0.005,
-                                           alpha_M=0.4), "uniform"),
+        # alpha_M is derived, not saved: at delta 0 it loads back as inf
+        for design, kind in ((DesignConfig(delta=0.02, y_M=50.0, u_M=4.0, epsilon=0.005),
+                              "uniform"),
                              (DesignConfig(delta=0.0), "gaussian-truncated")):
             config = ExperimentConfig(design=design, noise_kind=kind)
             save_config(config, path)
             assert load_config(path) == config
+            assert load_config(path).design.alpha_M == design.alpha_M
             saved = json.loads(path.read_text())
-            assert list(saved["design"]) == ["delta", "y_M", "u_M", "epsilon", "alpha_M"]
+            assert list(saved["design"]) == ["delta", "y_M", "u_M", "epsilon"]
             assert "delta" not in saved and saved["noise_kind"] == kind
 
     @staticmethod
@@ -470,7 +491,8 @@ class TestOutputFiles:
     @pytest.mark.parametrize("key", ["delta", "y_M", "u_M", "epsilon", "alpha_M"])
     @pytest.mark.parametrize("design", [None, {"y_M": 50.0}])
     def test_config_top_level_design_keys_are_unknown(self, key, design):
-        """The design block is the only home of the five design values."""
+        """The design block is the only home of the four design values, and
+        the derived alpha_M has none."""
         data = {key: 0.02} if design is None else {key: 0.02, "design": design}
         with pytest.raises(ConfigurationError, match=rf"unknown campaign settings \['{key}'\]"):
             ExperimentConfig.from_dict(data)
@@ -481,7 +503,7 @@ class TestOutputFiles:
         ('{"y_M": "a"}', "design setting 'y_M' must be a number, got 'a'"),
         ('{"epsilon": "a"}', "design setting 'epsilon' must be a number, got 'a'"),
         ('{"u_M": true}', "design setting 'u_M' must be a number, got True"),
-        ('{"alpha_M": [1]}', r"design setting 'alpha_M' must be a number, got \[1\]"),
+        ('{"alpha_M": [1]}', r"unknown design settings \['alpha_M'\]"),
     ])
     def test_config_malformed_design_block_rejected(self, tmp_path, block, message):
         path = tmp_path / "bad.json"
@@ -491,9 +513,8 @@ class TestOutputFiles:
 
     @pytest.mark.parametrize("key, value", [
         ("y_M", 10**400), ("epsilon", 10**400), ("delta", -10**400), ("u_M", float("inf")),
-        ("delta", float("nan")), ("alpha_M", float("-inf")), ("alpha_M", 10**400),
-    ], ids=["y_M-int400", "epsilon-int400", "delta-negint400", "u_M-inf", "delta-nan",
-            "alpha_M-neginf", "alpha_M-int400"])
+        ("delta", float("nan")),
+    ], ids=["y_M-int400", "epsilon-int400", "delta-negint400", "u_M-inf", "delta-nan"])
     def test_config_design_value_beyond_float_range_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"design": {key: value}}))
@@ -501,7 +522,13 @@ class TestOutputFiles:
                            match=f"design setting '{key}' must be a finite float"):
             load_config(path)
 
-    def test_config_alpha_M_may_be_null(self, tmp_path):
-        path = tmp_path / "null.json"
-        path.write_text('{"design": {"delta": 0.04, "epsilon": 0.01, "alpha_M": null}}')
+    @pytest.mark.parametrize("value", ["null", "Infinity", "0.5"])
+    def test_config_alpha_M_is_an_unknown_design_setting(self, tmp_path, value):
+        """A config that still carries alpha_M is refused, also with the value
+        that DesignConfig derives: epsilon and delta set it."""
+        path = tmp_path / "alpha.json"
+        path.write_text('{"design": {"delta": 0.04, "epsilon": 0.01, "alpha_M": %s}}' % value)
+        with pytest.raises(ConfigurationError, match=r"unknown design settings \['alpha_M'\]"):
+            load_config(path)
+        path.write_text('{"design": {"delta": 0.04, "epsilon": 0.01}}')
         assert load_config(path).design.alpha_M == 0.5

@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import re
-import subprocess
 import sys
 import time
 import warnings
@@ -76,11 +76,19 @@ def make_run_data(model, h, t, rng, amp=5.0, extra=40):
 
 class TestDesignConfig:
     def test_alpha_M_defaults_to_constraint_boundary(self):
+        """alpha_M is derived, never set: the largest value that
+        delta * alpha_M**2 <= epsilon allows, and inf at delta 0."""
+        assert "alpha_M" not in {f.name for f in dataclasses.fields(DesignConfig)}
         cfg = DesignConfig(delta=0.05, epsilon=0.01)
-        assert cfg.alpha_M == pytest.approx(np.sqrt(0.01 / 0.05))
+        assert cfg.alpha_M == float(np.sqrt(0.01 / 0.05))
+        assert cfg.delta * cfg.alpha_M**2 == pytest.approx(cfg.epsilon)
+        assert DesignConfig(delta=0.0).alpha_M == np.inf
+        # a copy with another epsilon derives its own bound
+        assert dataclasses.replace(cfg, epsilon=0.02).alpha_M == float(np.sqrt(0.02 / 0.05))
 
     def test_inconsistent_alpha_M_rejected(self):
-        with pytest.raises(ConfigurationError):
+        """No alpha_M can be passed, so none can break delta * alpha_M**2 <= epsilon."""
+        with pytest.raises(TypeError, match="alpha_M"):
             DesignConfig(delta=0.05, epsilon=0.01, alpha_M=10.0)
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -88,13 +96,11 @@ class TestDesignConfig:
         ({"epsilon": 0.0}, "epsilon must be finite and above 0, got 0.0"),
         ({"epsilon": math.inf}, "epsilon must be finite and above 0, got inf"),
         ({"epsilon": math.nan}, "epsilon must be finite and above 0, got nan"),
-        ({"alpha_M": -0.1}, "alpha_M must be above 0, got -0.1"),
-        ({"alpha_M": 0.0}, "alpha_M must be above 0, got 0.0"),
-        ({"alpha_M": math.nan}, "alpha_M must be above 0, got nan"),
     ])
     def test_epsilon_and_alpha_M_must_be_above_0(self, kwargs, message):
-        """A negative alpha_M leaves no conditioning-feasible input, so no step
-        would be designed; a negative epsilon would derive a nan alpha_M."""
+        """alpha_M = sqrt(epsilon / delta) is above 0 and finite only for an
+        epsilon that is: a 0 alpha_M leaves no conditioning-feasible input, so
+        no step would be designed, and a negative epsilon would derive a nan."""
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             DesignConfig(**kwargs)
 
@@ -146,7 +152,8 @@ class TestPredictOutput:
         y_hist = log.y[: T - 5].flatten()
         u_hist = log.u[: T - 6].flatten()
         u_next = log.u[T - 6 : T - 1].flatten()
-        pred = OutputPredictor(running.A, running.B, running.C, G).predict(y_hist, u_hist, u_next)
+        pred = OutputPredictor(running.A, running.B, running.C, G, h=h)
+        pred = pred.predict(y_hist, u_hist, u_next)
         actual = log.y[T - 5 :].flatten()
         assert np.abs(pred - actual).max() < 1e-8
 
@@ -161,7 +168,7 @@ class TestPredictOutput:
         assert pred.predict(y_a, u_hist, [0.0]) == pytest.approx(pred.predict(y_b, u_hist, [0.0]))
 
     def test_window_length_validated(self, running):
-        pred = OutputPredictor(running.A, running.B, running.C, markov_true(running, 9))
+        pred = OutputPredictor(running.A, running.B, running.C, markov_true(running, 9), h=4)
         with pytest.raises(ConfigurationError):
             pred.predict(np.zeros(5), np.zeros(4), [0.0])
 
@@ -571,7 +578,7 @@ def test_overflowing_scenarios_fall_back(running, monkeypatch):
     tau = h + t + s - 2  # the corner of the window at k0 = 0
     rng = np.random.default_rng(1)
     u = multitone_dither(tau, 8.0, rng)
-    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(running.m))
+    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng)
     ya = np.array([plant.reset(), *(plant.step(float(v)) for v in u)])
     args = (DesignConfig(), None, ya, np.append(u, 0.0), (-10.0, 10.0), h, t, s)
     assert isinstance(input_design._designed_input(*args), float)
@@ -761,8 +768,7 @@ class TestDesignStageOracles:
         monkeypatch.setattr(input_design, "conditioning_u_sets", checked_sets)
         monkeypatch.setattr(input_design, "build_scenarios", checked_scenarios)
         est = EstimatorConfig(h=4, t=9)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(40),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(40))
         run_closed_loop(plant, DesignConfig(), est, 300, 4, rng=np.random.default_rng(41))
         assert seen["sets"] >= 200 and seen["scenarios"] >= 150
 
@@ -812,10 +818,10 @@ class TestClosedLoop:
     def test_noise_free_plant_identified_exactly(self, running):
         rng = np.random.default_rng(10)
         est = EstimatorConfig(h=4, t=9)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.0), rng, x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.0), rng)
         G_star = markov_true(running, 9)
         run = run_closed_loop(
-            plant, DesignConfig(delta=0.0, epsilon=1.0, alpha_M=np.inf),
+            plant, DesignConfig(delta=0.0, epsilon=1.0),
             est, 60, 4, rng=np.random.default_rng(11), G_star=G_star,
         )
         final = [rec.dG for rec in run.iterations if np.isfinite(rec.dG)]
@@ -825,7 +831,7 @@ class TestClosedLoop:
     def test_designed_run_respects_bounds_and_records(self, running):
         rng = np.random.default_rng(12)
         est = EstimatorConfig(h=4, t=9)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng)
         run = run_closed_loop(
             plant, DesignConfig(), est, 120, 4,
             rng=np.random.default_rng(13), G_star=markov_true(running, 9),
@@ -838,7 +844,7 @@ class TestClosedLoop:
     def test_csv_export_schema(self, running, tmp_path):
         rng = np.random.default_rng(14)
         est = EstimatorConfig(h=4, t=9)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng)
         run = run_closed_loop(plant, DesignConfig(), est, 10, 4,
                               rng=np.random.default_rng(15))
         path = tmp_path / "run.csv"
@@ -850,7 +856,7 @@ class TestClosedLoop:
         # model-based one-step predictions stay close to realized outputs
         rng = np.random.default_rng(16)
         est = EstimatorConfig(h=4, t=9)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng, x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng)
         run = run_closed_loop(plant, DesignConfig(), est, 150, 4,
                               rng=np.random.default_rng(17))
         recs = [rec for rec in run.iterations[60:] if rec.y_pred != 0.0]
@@ -864,8 +870,7 @@ class TestClosedLoop:
         first output beyond DIVERGENCE_FACTOR y_M, and the outputs before it
         stay within the limit."""
         cfg, est, outputs = DesignConfig(), EstimatorConfig(h=4, t=9), []
-        plant = SimulatedPlant(canonical, NoiseSpec(delta=0.05), np.random.default_rng(18),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(canonical, NoiseSpec(delta=0.05), np.random.default_rng(18))
         real_step = plant.step
         plant.step = lambda u: outputs.append(real_step(u)) or outputs[-1]
         with pytest.raises(NumericOverflowError, match="the loop diverged") as exc:
@@ -879,8 +884,7 @@ class TestClosedLoop:
     def test_warm_up_dither_stays_within_its_share_of_u_M(self, running):
         """The first window's inputs keep the safety bound u_M too: at u_M = 1
         the dither peaks at DITHER_SHARE = 0.8, and no input passes 1."""
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(22),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(22))
         run = run_closed_loop(plant, DesignConfig(u_M=1.0), EstimatorConfig(h=4, t=9), 40, 4,
                               rng=np.random.default_rng(23))
         warm_up = np.abs(run.u[: run.init_len])
@@ -893,8 +897,7 @@ class TestClosedLoop:
         """At the default u_M = 10 the first window is multitone_dither(29, 8.0)
         bit for bit, drawn from dither_rng, or from rng when none is given."""
         assert DITHER_SHARE * DesignConfig().u_M == 8.0
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(24),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(24))
         extra = {"dither_rng": np.random.default_rng(25)} if with_dither_rng else {}
         run = run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 0, 4,
                               rng=np.random.default_rng(26), **extra)
@@ -903,14 +906,12 @@ class TestClosedLoop:
 
     def test_rng_is_a_required_keyword(self, running):
         """Every draw of the loop comes from a generator the caller seeds."""
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20))
         with pytest.raises(TypeError, match="required keyword-only argument: 'rng'"):
             run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 0, 4)
 
     def test_non_finite_output_ends_the_loop(self, running):
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(20))
         real_step, steps = plant.step, []
         # the 29 dither steps, then 11 iterations, then a nan output
         plant.step = lambda u: steps.append(u) or (math.nan if len(steps) > 40 else real_step(u))
@@ -921,7 +922,7 @@ class TestClosedLoop:
     @staticmethod
     def noise_free_run(model, est, order):
         """120 designed iterations on a plant without noise, streams of trial 0, seed 3."""
-        plant = SimulatedPlant(model, NoiseSpec(0.0), trial_rng(3, 0, 0), x0=np.zeros(model.m))
+        plant = SimulatedPlant(model, NoiseSpec(0.0), trial_rng(3, 0, 0))
         return run_closed_loop(plant, DesignConfig(), est, 120, order, rng=trial_rng(3, 0, 1))
 
     def test_zero_plant_falls_back_on_a_singular_design_window(self, monkeypatch):
@@ -965,6 +966,28 @@ class TestClosedLoop:
         assert all(b.used for b in run.batches)
         assert not any(rec.feasible for rec in run.iterations)
 
+    def test_marginal_mode_reaches_the_unstable_mode_interval(self, monkeypatch):
+        """A plant with a mode on the unit circle gives estimated models with
+        |lambda| >= 1, so the safety filter bounds the input by the holdability
+        of that mode.  Each call returns an interval inside the one it is
+        given, or none, and at least one call narrows it."""
+        real, calls = input_design._unstable_mode_interval, []
+
+        def spy(pred, cfg, x_now, interval):
+            out = real(pred, cfg, x_now, interval)
+            calls.append((interval, out))
+            return out
+
+        monkeypatch.setattr(input_design, "_unstable_mode_interval", spy)
+        marginal = StateSpaceModel(A=np.diag([1.0, 0.5]), B=[[1.0], [1.0]], C=[[1.0, 1.0]])
+        plant = SimulatedPlant(marginal, NoiseSpec(0.05), trial_rng(5, 1, 0))
+        run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=2, t=4), 120, 2,
+                        rng=trial_rng(5, 1, 1))
+        assert calls
+        assert all(out is None or given[0] <= out[0] <= out[1] <= given[1]
+                   for given, out in calls)
+        assert any(out is not None and out != given for given, out in calls)
+
 
 def fold_windows(run, h: int, t: int):
     """(batch, alpha, lead, fold iteration) of each regime batch of a run.
@@ -988,8 +1011,7 @@ def fold_windows(run, h: int, t: int):
 @pytest.fixture(scope="module", params=["designed", "white"])
 def loop_run(request, running):
     h, t, cfg = 4, 9, DesignConfig()
-    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16),
-                           x0=np.zeros(4))
+    plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16))
     run = run_closed_loop(plant, cfg, EstimatorConfig(h=h, t=t), 200, 4,
                           mode=request.param, rng=np.random.default_rng(17))
     return run, cfg, h, t
@@ -1074,8 +1096,7 @@ class TestBatchFoldOracle:
         # a small u_M keeps the inputs small, so some windows amplify the noise
         # past the limit (one by 5.32 against 5) and others stay below it
         h, t, cfg = 4, 9, DesignConfig(u_M=1.0)
-        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16),
-                               x0=np.zeros(4))
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(16))
         run = run_closed_loop(plant, cfg, EstimatorConfig(h=h, t=t), 200, 4, mode="white",
                               rng=np.random.default_rng(17))
         skipped = self.check(run, cfg, h, t)
@@ -1093,11 +1114,7 @@ class TestLineProtocolPlant:
     )
 
     def test_round_trip_matches_internal_simulation(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-c", self.PLANT_SCRIPT],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-        plant = LineProtocolPlant(proc=proc)
+        plant = LineProtocolPlant(command=[sys.executable, "-c", self.PLANT_SCRIPT])
         y0 = plant.reset()
         assert y0 == 0.0
         x = 0.0
