@@ -168,10 +168,10 @@ def cmd_design(args) -> int:
     run.to_csv(args.output)
     used = sum(b.used for b in run.batches)
     # designed steps that fell back to a uniform draw on the safety interval
-    fallbacks = (f", fallbacks={run.design_fallbacks}/{len(run.iterations)}"
+    fallbacks = (f", fallbacks={run.design_fallbacks}/{len(run.J)}"
                  if args.mode == "designed" else "")
     print(
-        f"wrote {len(run.iterations)} iterations to {args.output} "
+        f"wrote {len(run.J)} iterations to {args.output} "
         f"(violations={run.violations}, infeasible={run.infeasible_events}, "
         f"batches used={used}/{len(run.batches)}{fallbacks})"
     )
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--h", type=int, default=4)
     p.add_argument("--t", type=int, default=5)
-    p.add_argument("--delta", type=float, default=exp.BENCHMARK_DELTA)
+    p.add_argument("--delta", type=float, default=DesignConfig.delta)
     p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("design", help="run one closed-loop input-design session")
@@ -277,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=4)
     p.add_argument("--t", type=int, default=9)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--delta", type=float, default=exp.BENCHMARK_DELTA)
-    p.add_argument("--y-max", type=float, default=exp.BENCHMARK_Y_MAX)
-    p.add_argument("--u-max", type=float, default=exp.BENCHMARK_U_MAX)
+    p.add_argument("--delta", type=float, default=DesignConfig.delta)
+    p.add_argument("--y-max", type=float, default=DesignConfig.y_M)
+    p.add_argument("--u-max", type=float, default=DesignConfig.u_M)
     p.add_argument("--plant-cmd", help="external line-protocol plant command")
     p.add_argument("--output", default="run_0.csv")
     p.set_defaults(func=cmd_design)

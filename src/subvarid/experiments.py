@@ -45,10 +45,6 @@ BENCHMARK_A = np.array(
 )
 BENCHMARK_B = np.array([[0.0], [0.0], [0.0], [1.0]])
 BENCHMARK_C = np.array([[0.82, 0.17, -0.28, 0.27]])
-BENCHMARK_X0 = np.array([0.0, 0.5, 0.3, 1.0])
-BENCHMARK_DELTA = 0.05
-BENCHMARK_Y_MAX = 100.0
-BENCHMARK_U_MAX = 10.0
 
 # companion benchmark for the random-system demonstration (also open-loop
 # unstable; run it through `stabilized` for closed-loop experiments)
@@ -274,19 +270,10 @@ def deviation_curve(run: IdentificationRun, N_schedule, mode: str) -> dict:
 
 def error_curve(run: IdentificationRun, N_schedule, G_star: MarkovMatrix) -> dict:
     """||G_hat - G*||_F of the running batch average at each scheduled N."""
-    out = {}
-    per_batch = {}
-    used = 0
-    for b in run.batches:
-        if b.used:
-            used += 1
-        per_batch[b.index + 1] = (b.G, used)
-    for N in N_schedule:
-        if N in per_batch and per_batch[N][1] > 0:
-            out[N] = float(np.linalg.norm(per_batch[N][0] - G_star.G.flatten()))
-        else:
-            out[N] = np.nan
-    return out
+    n_used = np.cumsum([b.used for b in run.batches])
+    return {N: float(np.linalg.norm(run.batches[N - 1].G - G_star.G.flatten()))
+            if 0 < N <= len(run.batches) and n_used[N - 1] else np.nan
+            for N in N_schedule}
 
 
 def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
@@ -308,7 +295,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
     plant = SimulatedPlant(model, noise, trial_rng(config.rng_seed, trial, stream=0))
     try:
         run = run_closed_loop(plant, config.design, est, n_iter, config.order, mode=mode,
-                              rng=trial_rng(config.rng_seed, trial, stream=1), G_star=G_star,
+                              rng=trial_rng(config.rng_seed, trial, stream=1),
                               dither_rng=trial_rng(config.rng_seed, trial, stream=2))
     except ConfigurationError:
         raise  # the campaign's configuration is at fault, not this trial
@@ -318,7 +305,7 @@ def run_trial(config: ExperimentConfig, trial: int, mode: str) -> TrialResult:
                            error=f"{type(exc).__name__}: {exc}")
     return TrialResult(trial=trial, mode=mode, errors=error_curve(run, config.N_schedule, G_star),
                        deviations=deviation_curve(run, config.N_schedule, mode),
-                       violations=run.violations, steps=len(run.iterations),
+                       violations=run.violations, steps=n_iter,
                        infeasible_events=run.infeasible_events)
 
 

@@ -657,19 +657,7 @@ class LineProtocolPlant:
 
 
 @dataclass
-class IterationRecord:
-    index: int
-    u: float
-    y: float
-    y_pred: float
-    J: float
-    dG: float
-    feasible: bool
-
-
-@dataclass
 class BatchRecord:
-    index: int
     G: np.ndarray
     J: float
     condition_number: float
@@ -679,21 +667,34 @@ class BatchRecord:
 
 @dataclass
 class IdentificationRun:
-    """Complete record of one closed-loop identification run."""
+    """Complete record of one closed-loop identification run.
 
-    iterations: list
+    `y` holds y(0..T) and `u` holds u(0..T-1), with T = init_len + n and n
+    iterations.  Iteration i applies u(init_len+i) and observes
+    y(init_len+i+1); its one-step prediction (0.0 without a model), the J
+    of the last regime batch folded before it, the running dG and whether
+    its safety interval came from a model are entry i of `y_pred`, `J`, `dG`
+    and `feasible`.
+    `violations` counts the outputs of the loop's own inputs with |y| > y_M.
+    """
+
     batches: list
     y: np.ndarray
     u: np.ndarray
+    y_pred: np.ndarray
+    J: np.ndarray
+    dG: np.ndarray
+    feasible: np.ndarray
     infeasible_events: int
     violations: int
     design_fallbacks: int
     init_len: int
 
     def to_csv(self, path) -> None:
+        k = self.init_len
         write_csv(path, ["iter", "u", "y", "yhat", "J", "dG", "feasible"],
-                  ([r.index, r.u, r.y, r.y_pred, r.J, r.dG, int(r.feasible)]
-                   for r in self.iterations))
+                  ([i, self.u[k + i], self.y[k + i + 1], self.y_pred[i], self.J[i],
+                    self.dG[i], int(self.feasible[i])] for i in range(len(self.J))))
 
 
 def multitone_dither(length: int, amplitude: float, rng: np.random.Generator) -> np.ndarray:
@@ -759,9 +760,8 @@ class _BatchFold:
         # deviation statistics only where the first-order inverse
         # perturbation converges (Neumann-series validity)
         regime = used and bool(amp[0] <= 0.9)
-        record = BatchRecord(index=len(self.batches), G=self.G_sum / max(self.n_used, 1),
-                             J=np.nan, condition_number=float(cond[0]), used=used,
-                             regime=regime)
+        record = BatchRecord(G=self.G_sum / max(self.n_used, 1), J=np.nan,
+                             condition_number=float(cond[0]), used=used, regime=regime)
         self.batches.append(record)
         if regime:
             self.regime_windows.append((record, alpha[0], lead[0, 0]))
@@ -842,13 +842,16 @@ def run_closed_loop(
 
     Per iteration: fold in completed batches (re-estimating G and realizing
     (A, B, C)), bound the next input by the safety interval, design it (or
-    draw it uniformly in `white` mode), apply it to the plant, and record
-    everything.  The first window, window - 1 inputs, is a multitone dither
-    of peak DITHER_SHARE * u_M drawn from dither_rng (rng when None), so
-    every applied input keeps |u| <= u_M.  The settings are checked before
-    the plant is driven: the realization needs order >= 1 and t >= 2 order
-    Markov blocks.  An output that is not finite or passes
-    DIVERGENCE_FACTOR * y_M raises NumericOverflowError.
+    draw it uniformly in `white` mode), apply it to the plant, and fill the
+    iteration's columns of the run.  The first window, window - 1 inputs, is
+    a multitone dither of peak DITHER_SHARE * u_M drawn from dither_rng (rng
+    when None), so every applied input keeps |u| <= u_M.  The settings are
+    checked before the plant is driven: the realization needs order >= 1 and
+    t >= 2 order Markov blocks.  An output that is not finite or passes
+    DIVERGENCE_FACTOR * y_M raises NumericOverflowError.  Each regime
+    batch's J is solved once the loop ends, and the violations are counted
+    over y(init_len+1) ... y(T), the outputs of the loop's own inputs.  dG
+    stays nan without G_star.
     """
     if mode not in ("designed", "white"):
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -872,26 +875,26 @@ def run_closed_loop(
 
     y_limit = DIVERGENCE_FACTOR * cfg.y_M
     fold = _BatchFold(cfg, h, t, s, order)
-    dG, dG_of = np.nan, None  # dG changes only when a fold replaces G_hat
-    iterations: list = []
-    n_regime: list = []  # regime batches folded before each iteration
-    infeasible_events = violations = fallbacks = 0
+    dG_of = None  # dG changes only when a fold replaces G_hat
+    y_pred, dG = np.zeros(n_iterations), np.full(n_iterations, np.nan)
+    feasible = np.zeros(n_iterations, dtype=bool)
+    n_regime = np.zeros(n_iterations, dtype=int)  # regime batches folded before each iteration
+    infeasible_events = fallbacks = 0
     for it in range(n_iterations):
         tau = init_len + it  # time index of the input being designed
         ya, ua, u_hist = y_buf[: tau + 1], u_buf[: tau + 1], u_buf[:tau]
         fold.catch_up(ya, ua)
-        n_regime.append(len(fold.regime_windows))
+        n_regime[it] = len(fold.regime_windows)
         predictor = fold.predictor
-        violations += int(abs(float(ya[-1])) > cfg.y_M)
 
         # safety interval from the validated model; before one exists the
         # loop stays within the running system's own operating range
-        interval, feasible = (-cfg.u_M, cfg.u_M), predictor is not None
+        interval, feasible[it] = (-cfg.u_M, cfg.u_M), predictor is not None
         if predictor is not None:
             interval = safety_interval(predictor, cfg, order, ya, u_hist)
             if interval is None:
                 infeasible_events += 1
-                interval, feasible = (-cfg.u_M, cfg.u_M), False
+                interval, feasible[it] = (-cfg.u_M, cfg.u_M), False
 
         if mode == "white":
             draw = rng.uniform(-cfg.u_M, cfg.u_M)
@@ -904,34 +907,29 @@ def run_closed_loop(
                 fallbacks += 1
                 u_tau = float(rng.uniform(interval[0], interval[1]))
 
-        y_pred = 0.0 if predictor is None else float(predictor.predict(ya, u_hist, [u_tau])[0])
+        if predictor is not None:
+            y_pred[it] = predictor.predict(ya, u_hist, [u_tau])[0]
         u_buf[tau] = u_tau
         y_buf[tau + 1] = plant.step(u_tau)
-        y_next = float(y_buf[tau + 1])
-        if not abs(y_next) <= y_limit:  # also refuses nan
+        if not abs(y_buf[tau + 1]) <= y_limit:  # also refuses nan
             raise NumericOverflowError(
-                f"the loop diverged: the output at iteration {it}, {y_next:.4g}, is not "
-                f"within {DIVERGENCE_FACTOR:g} y_M = {y_limit:.4g}")
+                f"the loop diverged: the output at iteration {it}, {y_buf[tau + 1]:.4g}, is "
+                f"not within {DIVERGENCE_FACTOR:g} y_M = {y_limit:.4g}")
         if G_star is not None and fold.G_hat is not dG_of:
             dG_of = fold.G_hat
-            dG = identification_error(dG_of, G_star)
-        iterations.append(
-            IterationRecord(index=it, u=u_tau, y=y_next, y_pred=y_pred,
-                            J=0.0, dG=dG, feasible=feasible)
-        )
-    # each iteration reports the J of the last regime batch folded before it
-    J_of = [0.0, *fold.regime_deviations()]
-    for rec, n in zip(iterations, n_regime):
-        rec.J = J_of[n]
+            dG[it:] = identification_error(dG_of, G_star)
 
-    end = init_len + n_iterations
     return IdentificationRun(
-        iterations=iterations,
         batches=fold.batches,
-        y=y_buf[: end + 1].copy(),
-        u=u_buf[:end].copy(),
+        y=y_buf,
+        u=u_buf[: init_len + n_iterations],
+        y_pred=y_pred,
+        # each iteration reports the J of the last regime batch folded before it
+        J=np.array([0.0, *fold.regime_deviations()])[n_regime],
+        dG=dG,
+        feasible=feasible,
         infeasible_events=infeasible_events,
-        violations=violations,
+        violations=int(np.count_nonzero(np.abs(y_buf[init_len + 1:]) > cfg.y_M)),
         design_fallbacks=fallbacks,
         init_len=init_len,
     )

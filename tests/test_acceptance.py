@@ -245,18 +245,19 @@ def test_criterion_08_recursive_feasibility():
     model = running_canonical()
     est = EstimatorConfig(h=4, t=9)
     design = DesignConfig()
+    n_iter = 250
     infeasible = 0
     violations = 0
     steps = 0
     for trial in range(100):
         plant = SimulatedPlant(model, NoiseSpec(delta=0.05), trial_rng(808, trial, 0))
         run = run_closed_loop(
-            plant, design, est, 250, 4,
+            plant, design, est, n_iter, 4,
             rng=trial_rng(808, trial, 1),
         )
         infeasible += run.infeasible_events
         violations += run.violations
-        steps += len(run.iterations)
+        steps += n_iter
     elapsed = time.time() - t0
     viol_frac = violations / steps
     ok = infeasible == 0 and viol_frac <= 0.02 and elapsed < 600.0

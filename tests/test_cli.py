@@ -253,6 +253,20 @@ def test_design_reports_its_fallbacks(tmp_path, capsys):
     assert "batches used=14/15, fallbacks=76/250)" in runs[""][0]
 
 
+def test_design_counts_violations_over_the_loops_own_outputs(tmp_path, capsys):
+    """At y_M = 3 the safety filter acts and outputs pass y_M.  A violation is
+    an |y| > y_M among y(init_len+1) ... y(T), the outputs of the loop's own
+    inputs, which are the CSV's y column; the response to the last dither
+    sample, |y(init_len)| = 5.45 here, is not one."""
+    for mode, violations, infeasible in (("designed", 21, 18), ("white", 17, 13)):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["design", "--seed", "1", "--y-max", "3", "--mode", mode,
+                     "--output", str(out)]) == EXIT_OK
+        assert f"(violations={violations}, infeasible={infeasible}," in capsys.readouterr().out
+        y = np.loadtxt(out, delimiter=",", skiprows=1, usecols=2)
+        assert np.count_nonzero(np.abs(y) > 3.0) == violations
+
+
 def test_campaign_determinism(tmp_path):
     a = str(tmp_path) + "/a_"
     b = str(tmp_path) + "/b_"

@@ -8,10 +8,6 @@ import pytest
 
 from subvarid.errors import ConfigurationError
 from subvarid.experiments import (
-    BENCHMARK_DELTA,
-    BENCHMARK_U_MAX,
-    BENCHMARK_X0,
-    BENCHMARK_Y_MAX,
     DESIGNED_SLOPE_GATE,
     RATIO_GATE,
     WHITE_SLOPE_GATE,
@@ -35,7 +31,7 @@ from subvarid.experiments import (
     usable_slope,
     white_noise_baseline,
 )
-from subvarid.input_design import BatchRecord, IdentificationRun
+from subvarid.input_design import BatchRecord, DesignConfig, IdentificationRun
 from subvarid.lti_core import MarkovMatrix
 from subvarid.subspace_id import EstimatorConfig
 from conftest import curves_with_unusable_devs
@@ -47,9 +43,8 @@ class TestBenchmarkSystem:
         assert np.array_equal(model.A, canonical.A)
         assert np.array_equal(model.B, canonical.B)
         assert np.array_equal(model.C, canonical.C)
-        assert BENCHMARK_DELTA == 0.05
-        assert BENCHMARK_Y_MAX == 100.0 and BENCHMARK_U_MAX == 10.0
-        assert np.array_equal(BENCHMARK_X0, [0.0, 0.5, 0.3, 1.0])
+        bounds = DesignConfig()
+        assert (bounds.delta, bounds.y_M, bounds.u_M) == (0.05, 100.0, 10.0)
 
     def test_raw_benchmark_is_open_loop_unstable(self):
         ev = np.abs(np.linalg.eigvals(canonical_model().A))
@@ -248,8 +243,6 @@ class TestCampaign:
         assert np.array_equal(a, b)
 
     def test_single_trial_zero_noise_near_exact(self):
-        from subvarid.input_design import DesignConfig
-
         config = ExperimentConfig(
             trials=1,
             N_schedule=(5,),
@@ -277,17 +270,17 @@ class TestCampaign:
         s = EstimatorConfig(h=config.h, t=config.t).s(1, 1)
         (run,) = runs
         assert len(run.batches) == 5
-        assert res.steps == len(run.iterations) == 4 * s + 1
+        assert res.steps == len(run.J) == 4 * s + 1
         assert np.isfinite(res.errors[5]) and np.isfinite(res.errors[3])
 
     def test_error_curve_reads_nan_before_the_first_used_batch(self):
-        skipped = BatchRecord(index=0, G=np.zeros(2), J=np.nan, condition_number=np.inf,
-                              used=False, regime=False)
-        used = BatchRecord(index=1, G=np.array([1.0, 2.5]), J=np.nan, condition_number=3.0,
-                           used=True)
-        run = IdentificationRun(iterations=[], batches=[skipped, used], y=np.zeros(1),
-                                u=np.zeros(0), infeasible_events=0, violations=0,
-                                design_fallbacks=0, init_len=0)
+        skipped = BatchRecord(G=np.zeros(2), J=np.nan, condition_number=np.inf, used=False,
+                              regime=False)
+        used = BatchRecord(G=np.array([1.0, 2.5]), J=np.nan, condition_number=3.0, used=True)
+        none = np.zeros(0)
+        run = IdentificationRun(batches=[skipped, used], y=np.zeros(1), u=none, y_pred=none,
+                                J=none, dG=none, feasible=none, infeasible_events=0,
+                                violations=0, design_fallbacks=0, init_len=0)
         out = error_curve(run, (1, 2, 3), MarkovMatrix(G=np.array([[1.0, 2.0]]), t=2))
         # N = 3 is past the run's last batch
         assert np.isnan(out[1]) and out[2] == 0.5 and np.isnan(out[3])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import re
@@ -50,6 +51,7 @@ from subvarid.lti_core import (
     extended_observability,
     lead_outputs,
     markov_true,
+    parse_number,
     simulate,
     toeplitz_T,
     window_gather,
@@ -824,8 +826,8 @@ class TestClosedLoop:
             plant, DesignConfig(delta=0.0, epsilon=1.0),
             est, 60, 4, rng=np.random.default_rng(11), G_star=G_star,
         )
-        final = [rec.dG for rec in run.iterations if np.isfinite(rec.dG)]
-        assert final and final[-1] < 1e-12
+        final = run.dG[np.isfinite(run.dG)]
+        assert final.size and final[-1] < 1e-12
         assert run.violations == 0
 
     def test_designed_run_respects_bounds_and_records(self, running):
@@ -836,7 +838,7 @@ class TestClosedLoop:
             plant, DesignConfig(), est, 120, 4,
             rng=np.random.default_rng(13), G_star=markov_true(running, 9),
         )
-        assert len(run.iterations) == 120
+        assert len(run.u) - run.init_len == len(run.J) == 120
         assert np.abs(run.u).max() <= 10.0 + 1e-9
         assert run.violations == 0
         assert any(b.used for b in run.batches)
@@ -852,6 +854,20 @@ class TestClosedLoop:
         header = path.read_text().splitlines()[0]
         assert header == "iter,u,y,yhat,J,dG,feasible"
 
+    def test_csv_u_and_y_are_the_run_buffers(self, running, tmp_path):
+        """Row i of the CSV holds u(init_len+i) and y(init_len+i+1), read
+        from the run's own buffers, bit for bit."""
+        plant = SimulatedPlant(running, NoiseSpec(delta=0.05), np.random.default_rng(14))
+        run = run_closed_loop(plant, DesignConfig(), EstimatorConfig(h=4, t=9), 40, 4,
+                              rng=np.random.default_rng(15))
+        path = tmp_path / "run.csv"
+        run.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for column, want in (("u", run.u[run.init_len:]), ("y", run.y[run.init_len + 1:])):
+            got = np.array([parse_number(row[column]) for row in rows])
+            assert got.tobytes() == want.tobytes()
+
     def test_prediction_tracks_output(self, running):
         # model-based one-step predictions stay close to realized outputs
         rng = np.random.default_rng(16)
@@ -859,9 +875,10 @@ class TestClosedLoop:
         plant = SimulatedPlant(running, NoiseSpec(delta=0.05), rng)
         run = run_closed_loop(plant, DesignConfig(), est, 150, 4,
                               rng=np.random.default_rng(17))
-        recs = [rec for rec in run.iterations[60:] if rec.y_pred != 0.0]
-        assert recs
-        errs = np.array([abs(rec.y - rec.y_pred) for rec in recs])
+        y_pred, y = run.y_pred[60:], run.y[run.init_len + 61:]
+        modelled = y_pred != 0.0
+        assert modelled.any()
+        errs = np.abs(y - y_pred)[modelled]
         scale = np.abs(run.y).max()
         assert np.median(errs) < 0.1 * scale
 
@@ -964,7 +981,7 @@ class TestClosedLoop:
         run = self.noise_free_run(first_order, EstimatorConfig(h=1, t=4), 2)
         assert len(raised) == len(run.batches) == 20
         assert all(b.used for b in run.batches)
-        assert not any(rec.feasible for rec in run.iterations)
+        assert not run.feasible.any()
 
     def test_marginal_mode_reaches_the_unstable_mode_interval(self, monkeypatch):
         """A plant with a mode on the unit circle gives estimated models with
@@ -997,13 +1014,13 @@ def fold_windows(run, h: int, t: int):
     """
     s = 2 * h + t
     out = []
-    for b in run.batches:
+    for i, b in enumerate(run.batches):
         if not b.regime:
             continue
-        k = s * b.index
+        k = s * i
         L = build_L(run.y, run.u, k, h, t)
         assert np.linalg.cond(L) <= LOOP_COND_LIMIT
-        folded = max((b.index + 1) * s + h + t - 1 - run.init_len, 0)
+        folded = max((i + 1) * s + h + t - 1 - run.init_len, 0)
         out.append((b, np.linalg.inv(L), lead_outputs(run.y, k, h, t, s)[0], folded))
     return out
 
@@ -1038,12 +1055,12 @@ class TestDeferredDeviation:
         for b in run.batches:
             if not b.regime:
                 assert np.isnan(b.J)
-        expected = np.zeros(len(run.iterations))
+        expected = np.zeros(len(run.J))
         for b, alpha, lead, folded in windows:
             J_b, _, _ = window_deviation(alpha, lead, h, t, cfg.delta)
             assert b.J == J_b > 0.0
             expected[folded:] = J_b
-        got = np.array([rec.J for rec in run.iterations])
+        got = run.J
         assert np.array_equal(got, expected)
         # 0.0 until the first regime batch is folded
         first = windows[0][3]

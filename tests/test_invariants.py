@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from subvarid.experiments import (ErrorCurves, TrialResult, emit_csv, emit_trials_csv,
                                   parse_curves_csv)
-from subvarid.input_design import CostAffineForm, IdentificationRun, IterationRecord, cost_j0
+from subvarid.input_design import CostAffineForm, IdentificationRun, cost_j0
 from subvarid.lti_core import SignalLog, format_number, parse_number
 
 
@@ -92,9 +92,9 @@ def test_every_written_csv_reads_back_exactly(tmp_path_factory, values):
     assert same_floats(csv_floats(tmp / "trials.csv", ("dG", "J")),
                        [v for pair in zip(values, values[::-1]) for v in pair])
 
-    records = [IterationRecord(index=i, u=v, y=-v, y_pred=v, J=v, dG=v, feasible=True)
-               for i, v in enumerate(values)]
-    IdentificationRun(iterations=records, batches=[], y=np.zeros(1), u=np.zeros(0),
+    column = np.array(values)
+    IdentificationRun(batches=[], y=np.concatenate([[0.0], -column]), u=column, y_pred=column,
+                      J=column, dG=column, feasible=np.ones(len(values), dtype=bool),
                       infeasible_events=0, violations=0, design_fallbacks=0,
                       init_len=0).to_csv(tmp / "run.csv")
     assert same_floats(csv_floats(tmp / "run.csv", ("u", "y", "yhat", "J", "dG")),
